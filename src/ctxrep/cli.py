@@ -21,6 +21,7 @@ from .config import (
     ExperimentConfig,
     latent_repulsion_from_config,
     load_config,
+    parse_interval,
     repulsion_from_config,
 )
 from .linalg import (
@@ -389,7 +390,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_steer(args) -> int:
     cfg = load_config(args.config)
     world = _world_from_config(cfg)
-    spec = steering.SteeringSpec(alpha=args.alpha, space=args.space)
+    spec = steering.SteeringSpec(
+        alpha=args.alpha, space=args.space, apply_interval=args.apply_interval
+    )
     trajectory = steering.steered_run(
         world, args.source_seed, args.target_seed, spec, prompt_strength=cfg.prompt_strength
     )
@@ -455,6 +458,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--source-seed", type=int, required=True)
     p.add_argument("--target-seed", type=int, required=True)
     p.add_argument("--space", choices=steering.SPACES, default="contextual")
+    p.add_argument(
+        "--apply-interval", type=parse_interval, default=steering.SteeringSpec.apply_interval
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_steer)
@@ -489,3 +495,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -79,7 +79,8 @@ class ExperimentConfig:
         self.explicit_keys: set[str] = set()
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
+def parse_interval(text: str) -> tuple[float, float]:
+    """Parse ``a:b`` into a pair of floats; the bounds are checked by the consumer."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"interval must look like a:b, got {text!r}")
@@ -134,11 +135,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
         default = getattr(cfg, key)
         if key in ("repulsion_interval", "latent_interval", "cads_interval"):
-            value = _parse_interval(raw)
+            value = parse_interval(raw)
         elif key == "sweep_batch_sizes":
             value = tuple(_parse_value(key, item, int) for item in raw.split(",") if item.strip())
         elif key == "sweep_intervals":
-            value = tuple(_parse_interval(item.strip()) for item in raw.split(",") if item.strip())
+            value = tuple(parse_interval(item.strip()) for item in raw.split(",") if item.strip())
         elif key == "sweep_block_groups":
             value = tuple(item.strip() for item in raw.split(",") if item.strip())
         else:

@@ -62,8 +62,9 @@ class EigenDecomposition:
 class ContextBatch:
     """Batch of flattened per-sample context vectors, one row per sample.
 
-    Rows with zero Euclidean norm are rejected; kernels in this module divide
-    by the norms.
+    Rows may have zero Euclidean norm: the RBF kernel is defined there. The
+    cosine kernel and the entropy gradient divide by the norms and raise
+    :class:`DegenerateVector` on such a row.
     """
 
     def __init__(self, vectors):
@@ -74,9 +75,6 @@ class ContextBatch:
             raise ValueError("batch must contain at least one sample")
         if not np.all(np.isfinite(v)):
             raise ValueError("batch entries must be finite")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms == 0.0):
-            raise DegenerateVector("zero-norm sample vector in batch")
         self.vectors = v
 
     @property

@@ -13,6 +13,7 @@ import numpy as np
 
 from .linalg import (
     ContextBatch,
+    DegenerateVector,
     SymMatrix,
     cosine_kernel,
     jacobi_eigh,
@@ -41,14 +42,18 @@ def entropy_and_score(k: SymMatrix) -> DiversityValue:
     diag = np.diag(k.entries)
     if float(np.max(np.abs(diag - 1.0))) > _UNIT_DIAGONAL_TOLERANCE:
         raise ValueError("kernel must have unit diagonal")
-    normalized = SymMatrix(k.entries / k.dim)
-    lam = jacobi_eigh(normalized).eigenvalues
-    safe = np.maximum(lam, EIGENVALUE_FLOOR)
-    entropy = max(float(-np.sum(lam * np.log(safe))), 0.0)
-    if entropy < 1e-14:
-        # below the eigensolver's own residual floor; identical samples land here
-        entropy = 0.0
+    lam = np.linalg.eigvalsh(k.entries / k.dim)
+    entropy = float(_entropies(lam[None, :])[0])
     return DiversityValue(entropy=entropy, score=float(np.exp(entropy)))
+
+
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """Floored spectral entropy of each row of eigenvalues."""
+    safe = np.maximum(lam, EIGENVALUE_FLOOR)
+    entropy = np.maximum(-np.sum(lam * np.log(safe), axis=-1), 0.0)
+    # below the eigensolver's own residual floor; identical samples land here
+    entropy[entropy < 1e-14] = 0.0
+    return entropy
 
 
 def entropy_gradient(batch: ContextBatch) -> np.ndarray:
@@ -58,13 +63,16 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     K/B and floored eigenvalues, dL/dK = U diag(-(log lambda + 1)) U^T / B,
     and dK_ij/dc_i = c_j/(|c_i||c_j|) - K_ij c_i/|c_i|^2 for i != j (the unit
     diagonal contributes nothing). Symmetry of K doubles the off-diagonal
-    terms. Returns an array with the same shape as ``batch.vectors``.
+    terms. Returns an array with the same shape as ``batch.vectors``. Raises
+    :class:`DegenerateVector` on a zero row, where the cosine is undefined.
     """
     b = batch.batch_size
     if b < 2:
         raise ValueError("gradient requires at least two samples")
     vectors = batch.vectors
     norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateVector("zero-norm sample vector")
     unit = vectors / norms[:, None]
 
     kernel = cosine_kernel(batch).entries
@@ -86,7 +94,10 @@ def average_pair_vendi(
     kernel_kind: str = "cosine",
     bandwidth: float | None = None,
 ) -> float:
-    """Mean 2-sample score over all unordered pairs; lies in [1, 2]."""
+    """Mean 2-sample score over all unordered pairs; lies in [1, 2].
+
+    Each pair's score comes from the closed-form spectrum of its 2 x 2 kernel.
+    """
     b = points.batch_size
     if b < 2:
         raise ValueError("pair average requires at least two samples")
@@ -99,12 +110,7 @@ def average_pair_vendi(
     else:
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
 
-    total = 0.0
-    count = 0
-    for i in range(b - 1):
-        for j in range(i + 1, b):
-            k_ij = full[i, j]
-            pair = SymMatrix(np.array([[1.0, k_ij], [k_ij, 1.0]]))
-            total += entropy_and_score(pair).score
-            count += 1
-    return total / count
+    # the spectrum of [[1, k], [k, 1]]/2 is (1 + k)/2, (1 - k)/2
+    k = full[np.triu_indices(b, 1)]
+    lam = np.stack([(1.0 + k) / 2.0, (1.0 - k) / 2.0], axis=-1)
+    return float(np.mean(np.exp(_entropies(lam))))

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from ctxrep.cli import read_vector_csv, run_command, write_vector_csv
 from ctxrep.config import ConfigError, parse_config, repulsion_from_config
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_csv(path, rows, header=None):
@@ -89,6 +93,16 @@ class TestVendiCommand:
         assert run_command(["vendi", "--input", str(path), "--kernel", "rbf"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "bandwidth" in err["error"]
+
+    def test_zero_row_rbf_ok_cosine_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "origin.csv"
+        write_csv(path, [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], header=["dim0", "dim1"])
+        assert run_command(
+            ["vendi", "--input", str(path), "--kernel", "rbf", "--bandwidth", "2.0"]
+        ) == 0
+        assert 1.0 < json.loads(capsys.readouterr().out)["score"] <= 3.0
+        assert run_command(["vendi", "--input", str(path), "--kernel", "cosine"]) == 2
+        assert "zero-norm" in json.loads(capsys.readouterr().err)["error"]
 
     def test_ragged_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
@@ -244,6 +258,47 @@ class TestSteerCommand:
         assert len(rows) - 1 == 33  # world_steps 32 -> T + 1 points
         assert float(rows[1][1]) == 1.0
         assert float(rows[-1][1]) == 0.0
+
+
+    def test_apply_interval(self, tmp_path, capsys):
+        cfg = small_gmm_config(tmp_path)
+        base = ["steer", "--alpha", "0.5", "--source-seed", "0", "--target-seed", "3",
+                "--config", cfg, "--output"]
+        outputs = {}
+        for name, extra in (("default", []), ("full", ["--apply-interval", "0:1"]),
+                            ("early", ["--apply-interval", "0:0.5"])):
+            outputs[name] = tmp_path / f"{name}.csv"
+            assert run_command(base + [str(outputs[name])] + extra) == 0
+        assert outputs["full"].read_bytes() == outputs["default"].read_bytes()
+        assert outputs["early"].read_bytes() != outputs["default"].read_bytes()
+        bad = base + [str(tmp_path / "bad.csv"), "--apply-interval", "0.5:0.25"]
+        assert run_command(bad) == 2
+        assert "apply interval" in json.loads(capsys.readouterr().err)["error"]
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        return subprocess.run(
+            [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_no_arguments_exit_2(self):
+        result = self.run_module("ctxrep")
+        assert result.returncode == 2
+        assert "error" in json.loads(result.stderr)
+
+    def test_help_exit_0(self):
+        result = self.run_module("ctxrep", "vendi", "--help")
+        assert result.returncode == 0
+        assert "--kernel" in result.stdout
+
+    def test_cli_module_runs_too(self):
+        assert self.run_module("ctxrep.cli").returncode == 2
 
 
 class TestUsageErrors:

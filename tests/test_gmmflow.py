@@ -238,6 +238,21 @@ class TestEvaluate:
         assert metrics.mode_coverage == 8
         assert metrics.off_manifold_rate == 0.0
 
+    def test_final_latent_at_origin_accepted(self):
+        world = gf.MixtureWorld()
+        trajectories = [
+            gf.SampleTrajectory(
+                times=np.array([1.0, 0.0]),
+                latents=np.array([[1.0, 1.0], p]),
+                contexts=np.zeros((2, 8)),
+            )
+            for p in (np.zeros(2), world.mode_centers[0])
+        ]
+        metrics = gf.evaluate(trajectories, world)
+        assert metrics.off_manifold_rate == 0.5
+        assert 1.0 < metrics.vendi_rbf <= 2.0
+        assert 1.0 < metrics.avg_pair_vendi <= 2.0
+
     def test_displaced_sample_counts_off_manifold(self):
         world = gf.MixtureWorld()
         displaced = world.mode_centers[0] + np.array([10.0 * world.mode_sigma, 0.0])

@@ -95,9 +95,10 @@ class TestJacobi:
 
 
 class TestContextBatch:
-    def test_rejects_zero_vector(self):
-        with pytest.raises(DegenerateVector):
-            ContextBatch(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    def test_accepts_zero_vector(self):
+        # only kernels that divide by norms reject a zero row
+        batch = ContextBatch(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert batch.batch_size == 2
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -112,6 +113,10 @@ class TestContextBatch:
 
 
 class TestCosineKernel:
+    def test_rejects_zero_vector(self):
+        with pytest.raises(DegenerateVector):
+            cosine_kernel(ContextBatch(np.array([[1.0, 0.0], [0.0, 0.0]])))
+
     def test_identical_vectors_all_ones(self):
         batch = ContextBatch(np.tile([1.0, 2.0, -1.0], (4, 1)))
         k = cosine_kernel(batch).entries
@@ -143,6 +148,10 @@ class TestCosineKernel:
 
 
 class TestRbfKernel:
+    def test_accepts_zero_vector(self):
+        k = rbf_kernel(ContextBatch(np.array([[0.0, 0.0], [1.0, 0.0]])), 1.0).entries
+        assert abs(k[0, 1] - np.exp(-0.5)) <= 1e-15
+
     def test_coincident_points_all_ones(self):
         k = rbf_kernel(ContextBatch(np.tile([2.0, 3.0], (3, 1))), 1.5).entries
         assert np.array_equal(k, np.ones((3, 3)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxrep.linalg import ContextBatch, cosine_kernel
+from ctxrep.linalg import ContextBatch, DegenerateVector, cosine_kernel
 from ctxrep.repulsion import (
     ETA_RANGES,
     PRESETS,
@@ -22,6 +22,11 @@ class TestRepulse:
         vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = repulse(ContextBatch(vectors), RepulsionConfig(eta=0.0))
         assert np.array_equal(out.vectors, vectors)
+
+    def test_zero_row_rejected(self):
+        vectors = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateVector):
+            repulse(ContextBatch(vectors), RepulsionConfig(eta=0.1, inner_steps=2))
 
     def test_single_sample_is_identity(self):
         vectors = np.array([[1.0, 2.0, 3.0]])

@@ -1,13 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctxrep.linalg import ContextBatch, SymMatrix, cosine_kernel
+from ctxrep.linalg import ContextBatch, DegenerateVector, SymMatrix, cosine_kernel, rbf_kernel
 from ctxrep.vendi import average_pair_vendi, entropy_and_score, entropy_gradient
 
-from ._oracles import entropy_of_vectors, fd_entropy_gradient
+from ._oracles import (
+    average_pair_vendi_loop,
+    entropy_of_vectors,
+    fd_entropy_gradient,
+    jacobi_entropy,
+)
 
 # hand eigendecomposition of [[1, .5], [.5, 1]]/2: lambda = (0.75, 0.25)
 TWO_SAMPLE_HALF_ENTROPY = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
+
+
+def random_points(seed: int, batch: int, dim: int, spread: float) -> np.ndarray:
+    """Points with some exact duplicates, so rank-deficient kernels occur too."""
+    rng = np.random.default_rng(seed)
+    points = spread * rng.standard_normal((batch, dim))
+    duplicates = rng.integers(0, batch, size=batch // 4)
+    points[duplicates] = points[0]
+    return points
 
 
 class TestEntropyAndScore:
@@ -48,8 +64,30 @@ class TestEntropyAndScore:
         b = entropy_and_score(cosine_kernel(ContextBatch(vectors[perm])))
         assert abs(a.entropy - b.entropy) <= 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 32),
+        dim=st.integers(1, 40),
+        kind=st.sampled_from(["cosine", "rbf"]),
+    )
+    def test_matches_jacobi_entropy(self, seed, batch, dim, kind):
+        points = ContextBatch(random_points(seed, batch, dim, 1.0) + (kind == "cosine"))
+        if kind == "cosine":
+            kernel = cosine_kernel(points)
+        else:
+            kernel = rbf_kernel(points, 0.5 * np.sqrt(dim))
+        value = entropy_and_score(kernel)
+        assert abs(value.entropy - jacobi_entropy(kernel.entries)) <= 1e-12
+        assert value.score == np.exp(value.entropy)
+
 
 class TestEntropyGradient:
+    def test_zero_row_rejected(self):
+        vectors = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+        with pytest.raises(DegenerateVector):
+            entropy_gradient(ContextBatch(vectors))
+
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             entropy_gradient(ContextBatch(np.ones((1, 4))))
@@ -129,3 +167,22 @@ class TestAveragePairVendi:
         batch = ContextBatch(rng.standard_normal((6, 4)))
         value = average_pair_vendi(batch)
         assert 1.0 <= value <= 2.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(2, 24),
+        dim=st.integers(1, 6),
+        spread=st.sampled_from([1e-3, 0.3, 1.0, 5.0]),
+    )
+    def test_closed_form_matches_pair_loop(self, seed, batch, dim, spread):
+        points = ContextBatch(random_points(seed, batch, dim, spread) + 1.0)
+        cosine = average_pair_vendi(points)
+        assert abs(cosine - average_pair_vendi_loop(points)) <= 1e-12
+        rbf = average_pair_vendi(points, "rbf", bandwidth=0.7)
+        assert abs(rbf - average_pair_vendi_loop(points, "rbf", bandwidth=0.7)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["cosine", "rbf"])
+    def test_identical_rows_exactly_one(self, kind):
+        batch = ContextBatch(np.tile([0.3, -2.0, 1.7], (6, 1)))
+        assert average_pair_vendi(batch, kind, bandwidth=1.0) == 1.0
