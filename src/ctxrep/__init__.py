@@ -15,6 +15,7 @@ from .linalg import (
     NonConvergence,
     SymMatrix,
     cosine_kernel,
+    eigh,
     jacobi_eigh,
     rbf_kernel,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "SymMatrix",
     "average_pair_vendi",
     "cosine_kernel",
+    "eigh",
     "entropy_and_score",
     "entropy_gradient",
     "jacobi_eigh",

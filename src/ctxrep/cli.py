@@ -137,11 +137,12 @@ def _run_one_simulation(args) -> dict:
     return {"run_id": run_id, "seed": seed, "method": method, **metrics.as_dict()}
 
 
-def _map_runs(work: list, jobs: int) -> list:
+def _map_runs(work: list, jobs: int, run=_run_one_simulation) -> list:
+    """``run`` over the work items in order, on ``jobs`` worker processes."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_one_simulation, work))
-    return [_run_one_simulation(item) for item in work]
+            return list(pool.map(run, work))
+    return [run(item) for item in work]
 
 
 def _emit_lines(lines: list[str], output: str) -> None:
@@ -223,20 +224,22 @@ def _cmd_repulse(args) -> int:
 
 
 def _toy_block_report(cfg: ExperimentConfig, repulsion: RepulsionConfig | None):
+    """The batch's shared prompt encoding and its forward pass (states, snapshots)."""
     model_cfg = _toy_config(cfg)
     weights = toydit.init_weights(model_cfg)
-    prompts = [toydit.encode_prompt(model_cfg, cfg.toy_prompt_id) for _ in range(cfg.toy_batch)]
+    prompt = toydit.encode_prompt(model_cfg, cfg.toy_prompt_id)
     images = np.stack(
         [toydit.seed_image_tokens(model_cfg, cfg.seed_start + i) for i in range(cfg.toy_batch)]
     )
-    return toydit.forward_with_hooks(
-        prompts,
+    states, snapshots = toydit.forward_with_hooks(
+        [prompt] * cfg.toy_batch,
         images,
         weights,
         repulsion,
         step_index=cfg.toy_step_index,
         total_steps=cfg.toy_total_steps,
     )
+    return prompt, states, snapshots
 
 
 def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
@@ -246,8 +249,8 @@ def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
 def _cmd_toy_run(args) -> int:
     cfg = load_config(args.config)
     repulsion = repulsion_from_config(cfg)
-    _, snaps_on = _toy_block_report(cfg, repulsion)
-    _, snaps_off = _toy_block_report(cfg, None)
+    _, _, snaps_on = _toy_block_report(cfg, repulsion)
+    _, _, snaps_off = _toy_block_report(cfg, None)
 
     toydit.write_snapshots_csv(snaps_on, cfg.output_snapshots, _toy_config(cfg))
     off_scores = {(s.block_index, s.stream): _snapshot_score(s) for s in snaps_off}
@@ -330,51 +333,52 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
     return header, rows
 
 
-def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[dict]]:
+def _run_one_block_group(args) -> dict:
+    cfg, repulsion, seed = args
+    prompt, _, snaps = _toy_block_report(cfg, repulsion)
+    final = [s for s in snaps if s.stream == "text"][-1]
+    prompt_vec = prompt.tokens.reshape(-1)
+    sims = [
+        float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
+        for row in final.vectors
+    ]
+    return {
+        "axis": "blocks",
+        "value": repulsion.block_selector,
+        "seed": seed,
+        "text_vendi": _snapshot_score(final),
+        "prompt_similarity": float(np.mean(sims)),
+    }
+
+
+def _ablate_rows_blocks(cfg: ExperimentConfig, jobs: int) -> tuple[list[str], list[dict]]:
     header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
-    rows = []
     base = repulsion_from_config(cfg)
+    work = []
     for group in cfg.sweep_block_groups:
+        repulsion = RepulsionConfig(
+            eta=base.eta,
+            inner_steps=base.inner_steps,
+            timestep_interval=base.timestep_interval,
+            block_selector=group,
+            target_stream=base.target_stream,
+            gradient_normalization=base.gradient_normalization,
+        )
         for i in range(cfg.seeds):
             seed = cfg.seed_start + i
             variant = copy.deepcopy(cfg)
             # vary weights and image noise together per seed
             variant.toy_seed = cfg.toy_seed + seed
             variant.seed_start = seed * 1000
-            repulsion = RepulsionConfig(
-                eta=base.eta,
-                inner_steps=base.inner_steps,
-                timestep_interval=base.timestep_interval,
-                block_selector=group,
-                target_stream=base.target_stream,
-                gradient_normalization=base.gradient_normalization,
-            )
-            _, snaps = _toy_block_report(variant, repulsion)
-            final = [s for s in snaps if s.stream == "text"][-1]
-            prompt_vec = toydit.encode_prompt(
-                _toy_config(variant), variant.toy_prompt_id
-            ).tokens.reshape(-1)
-            sims = [
-                float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
-                for row in final.vectors
-            ]
-            rows.append(
-                {
-                    "axis": "blocks",
-                    "value": group,
-                    "seed": seed,
-                    "text_vendi": _snapshot_score(final),
-                    "prompt_similarity": float(np.mean(sims)),
-                }
-            )
-    return header, rows
+            work.append((variant, repulsion, seed))
+    return header, _map_runs(work, jobs, _run_one_block_group)
 
 
 def _cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     jobs = args.jobs if args.jobs is not None else cfg.jobs
     if args.axis == "blocks":
-        header, rows = _ablate_rows_blocks(cfg)
+        header, rows = _ablate_rows_blocks(cfg, jobs)
     else:
         header, rows = _ablate_rows_gmm(cfg, args.axis, jobs)
     output = args.output or cfg.output

@@ -26,7 +26,7 @@ import numpy as np
 from .linalg import ContextBatch, rbf_kernel
 from .repulsion import RepulsionConfig, fraction_in_interval, repulse
 from .rng import derive_seed
-from .vendi import average_pair_vendi, entropy_and_score
+from .vendi import entropy_and_score, kernel_average_pair_vendi
 
 METHODS = ("none", "contextual", "latent", "cads")
 
@@ -363,13 +363,9 @@ def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMe
     off_rate = float(np.mean(~on_manifold))
     mean_dist = float(np.mean(nearest_dist))
 
-    points = ContextBatch(finals)
-    bandwidth = world.radius / 2.0
-    vendi = entropy_and_score(rbf_kernel(points, bandwidth)).score
-    if batch >= 2:
-        pair = average_pair_vendi(points, "rbf", bandwidth=bandwidth)
-    else:
-        pair = 1.0
+    kernel = rbf_kernel(ContextBatch(finals), world.radius / 2.0)
+    vendi = entropy_and_score(kernel).score
+    pair = kernel_average_pair_vendi(kernel) if batch >= 2 else 1.0
     return RunMetrics(
         vendi_rbf=float(vendi),
         mode_coverage=coverage,

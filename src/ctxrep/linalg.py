@@ -1,8 +1,8 @@
-"""Small symmetric eigensolver and kernel-matrix construction.
+"""Symmetric eigendecomposition and kernel-matrix construction.
 
 Everything here operates on dense float64 arrays at batch scale (a few dozen
-samples), where a cyclic Jacobi solver is simpler and more reproducible than
-iterative large-scale methods.
+samples). :func:`eigh` takes its eigenpairs from LAPACK; the cyclic Jacobi
+solver :func:`jacobi_eigh` is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ _MAX_SWEEPS = 100
 
 
 class NonConvergence(ArithmeticError):
-    """Jacobi sweeps failed to reduce the off-diagonal norm below tolerance."""
+    """An eigensolver failed to converge."""
 
 
 class DegenerateVector(ValueError):
@@ -163,12 +163,30 @@ def jacobi_eigh(m: SymMatrix, max_sweeps: int = _MAX_SWEEPS) -> EigenDecompositi
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
-def cosine_kernel(batch: ContextBatch) -> SymMatrix:
-    """Pairwise cosine similarities; unit diagonal, entries in [-1, 1]."""
-    norms = np.linalg.norm(batch.vectors, axis=1)
+def eigh(m: SymMatrix) -> EigenDecomposition:
+    """Full eigendecomposition from LAPACK, in :func:`jacobi_eigh`'s canonical form.
+
+    Eigenvalues descend, and each eigenvector's first component larger than
+    1e-12 in magnitude is made non-negative. A LAPACK failure raises
+    :class:`NonConvergence`.
+    """
+    try:
+        eigenvalues, vectors = np.linalg.eigh(m.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK eigh failed: {exc}") from exc
+    vectors = vectors[:, ::-1]
+    # a unit column always has a component above 1e-12, so argmax finds it
+    leading = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(m.dim)]
+    signs = np.where(leading < 0.0, -1.0, 1.0)
+    return EigenDecomposition(eigenvalues=eigenvalues[::-1], eigenvectors=vectors * signs)
+
+
+def _unit_rows_and_cosine(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, SymMatrix]:
+    """Row norms, unit rows and the cosine kernel of a batch of vectors."""
+    norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateVector("zero-norm sample vector")
-    unit = batch.vectors / norms[:, None]
+    unit = vectors / norms[:, None]
     k = unit @ unit.T
     np.clip(k, -1.0, 1.0, out=k)
     # directions closer than 1e-12 in cosine are numerically identical;
@@ -176,7 +194,12 @@ def cosine_kernel(batch: ContextBatch) -> SymMatrix:
     k[k > 1.0 - 1e-12] = 1.0
     k[k < -1.0 + 1e-12] = -1.0
     np.fill_diagonal(k, 1.0)
-    return SymMatrix(k)
+    return norms, unit, SymMatrix(k)
+
+
+def cosine_kernel(batch: ContextBatch) -> SymMatrix:
+    """Pairwise cosine similarities; unit diagonal, entries in [-1, 1]."""
+    return _unit_rows_and_cosine(batch.vectors)[2]
 
 
 def rbf_kernel(points: ContextBatch, bandwidth: float) -> SymMatrix:

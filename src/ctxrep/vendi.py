@@ -13,10 +13,10 @@ import numpy as np
 
 from .linalg import (
     ContextBatch,
-    DegenerateVector,
     SymMatrix,
+    _unit_rows_and_cosine,
     cosine_kernel,
-    jacobi_eigh,
+    eigh,
     rbf_kernel,
 )
 
@@ -65,18 +65,14 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     diagonal contributes nothing). Symmetry of K doubles the off-diagonal
     terms. Returns an array with the same shape as ``batch.vectors``. Raises
     :class:`DegenerateVector` on a zero row, where the cosine is undefined.
+    The eigenpairs come from LAPACK (:func:`ctxrep.linalg.eigh`).
     """
     b = batch.batch_size
     if b < 2:
         raise ValueError("gradient requires at least two samples")
-    vectors = batch.vectors
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateVector("zero-norm sample vector")
-    unit = vectors / norms[:, None]
-
-    kernel = cosine_kernel(batch).entries
-    decomposition = jacobi_eigh(SymMatrix(kernel / b))
+    norms, unit, cosine = _unit_rows_and_cosine(batch.vectors)
+    kernel = cosine.entries
+    decomposition = eigh(SymMatrix(kernel / b))
     safe = np.maximum(decomposition.eigenvalues, EIGENVALUE_FLOOR)
     f_prime = -(np.log(safe) + 1.0)
     u = decomposition.eigenvectors
@@ -98,19 +94,22 @@ def average_pair_vendi(
 
     Each pair's score comes from the closed-form spectrum of its 2 x 2 kernel.
     """
-    b = points.batch_size
-    if b < 2:
-        raise ValueError("pair average requires at least two samples")
     if kernel_kind == "cosine":
-        full = cosine_kernel(points).entries
+        kernel = cosine_kernel(points)
     elif kernel_kind == "rbf":
         if bandwidth is None:
             raise ValueError("rbf kernel requires a bandwidth")
-        full = rbf_kernel(points, bandwidth).entries
+        kernel = rbf_kernel(points, bandwidth)
     else:
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
+    return kernel_average_pair_vendi(kernel)
 
+
+def kernel_average_pair_vendi(kernel: SymMatrix) -> float:
+    """:func:`average_pair_vendi` of the samples behind a unit-diagonal kernel."""
+    if kernel.dim < 2:
+        raise ValueError("pair average requires at least two samples")
     # the spectrum of [[1, k], [k, 1]]/2 is (1 + k)/2, (1 - k)/2
-    k = full[np.triu_indices(b, 1)]
+    k = kernel.entries[np.triu_indices(kernel.dim, 1)]
     lam = np.stack([(1.0 + k) / 2.0, (1.0 - k) / 2.0], axis=-1)
     return float(np.mean(np.exp(_entropies(lam))))

@@ -2,10 +2,11 @@
 
 These deliberately avoid the production code path they check: gradients
 come from central finite differences and numpy's LAPACK eigenvalues, while
-scores (which the package takes from LAPACK) are checked against the Jacobi
-solver. The one-draw-at-a-time SplitMix64 normals and the pair-by-pair Vendi
-average are the straightforward forms of what the package computes in
-blocks; the tests hold the block forms to them.
+scores and gradient eigenpairs (which the package takes from LAPACK) are
+checked against the Jacobi solver. The one-draw-at-a-time SplitMix64 normals,
+the pair-by-pair Vendi average and the serial blocks ablation are the
+straightforward forms of what the package computes in blocks or shares; the
+tests hold those forms to them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import math
 
 import numpy as np
 
-from ctxrep.linalg import SymMatrix, cosine_kernel, jacobi_eigh, rbf_kernel
+from ctxrep import toydit
+from ctxrep.config import repulsion_from_config
+from ctxrep.linalg import ContextBatch, SymMatrix, cosine_kernel, jacobi_eigh, rbf_kernel
+from ctxrep.repulsion import RepulsionConfig
+from ctxrep.vendi import entropy_and_score
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -109,3 +114,77 @@ def fd_entropy_gradient(vectors: np.ndarray, step: float) -> np.ndarray:
 
     diff = entropies[0::2] - entropies[1::2]
     return (diff / (2.0 * step)).reshape(b, nd)
+
+
+def entropy_gradient_with(vectors: np.ndarray, solver) -> np.ndarray:
+    """The analytic entropy gradient with eigenpairs of K/B from ``solver``.
+
+    Kernel and unit rows come from ``cosine_kernel`` and a separate
+    normalisation, not from the package's shared helper.
+    """
+    b = vectors.shape[0]
+    norms = np.linalg.norm(vectors, axis=1)
+    unit = vectors / norms[:, None]
+    kernel = cosine_kernel(ContextBatch(vectors)).entries
+    decomposition = solver(SymMatrix(kernel / b))
+    safe = np.maximum(decomposition.eigenvalues, EIGENVALUE_FLOOR)
+    f_prime = -(np.log(safe) + 1.0)
+    u = decomposition.eigenvectors
+    dl_dk = (u * f_prime) @ u.T / b
+    off = dl_dk.copy()
+    np.fill_diagonal(off, 0.0)
+    radial = np.sum(off * kernel, axis=1)
+    return 2.0 * (off @ unit - radial[:, None] * unit) / norms[:, None]
+
+
+def ablate_blocks_rows(cfg) -> list[dict]:
+    """``ctxrep ablate --axis blocks`` rows, serially, encoding the prompt B + 1 times."""
+    base = repulsion_from_config(cfg)
+    rows = []
+    for group in cfg.sweep_block_groups:
+        for i in range(cfg.seeds):
+            seed = cfg.seed_start + i
+            model_cfg = toydit.ToyDiTConfig(
+                n_text_tokens=cfg.toy_text_tokens,
+                n_image_tokens=cfg.toy_image_tokens,
+                token_dim=cfg.toy_dim,
+                n_dual_blocks=cfg.toy_dual_blocks,
+                n_single_blocks=cfg.toy_single_blocks,
+                attention_heads=cfg.toy_heads,
+                weight_seed=cfg.toy_seed + seed,
+            )
+            repulsion = RepulsionConfig(
+                eta=base.eta,
+                inner_steps=base.inner_steps,
+                timestep_interval=base.timestep_interval,
+                block_selector=group,
+                target_stream=base.target_stream,
+                gradient_normalization=base.gradient_normalization,
+            )
+            weights = toydit.init_weights(model_cfg)
+            prompts = [
+                toydit.encode_prompt(model_cfg, cfg.toy_prompt_id) for _ in range(cfg.toy_batch)
+            ]
+            images = np.stack(
+                [toydit.seed_image_tokens(model_cfg, seed * 1000 + j) for j in range(cfg.toy_batch)]
+            )
+            _, snaps = toydit.forward_with_hooks(
+                prompts, images, weights, repulsion,
+                step_index=cfg.toy_step_index, total_steps=cfg.toy_total_steps,
+            )
+            final = [s for s in snaps if s.stream == "text"][-1]
+            prompt_vec = toydit.encode_prompt(model_cfg, cfg.toy_prompt_id).tokens.reshape(-1)
+            sims = [
+                float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
+                for row in final.vectors
+            ]
+            rows.append(
+                {
+                    "axis": "blocks",
+                    "value": group,
+                    "seed": seed,
+                    "text_vendi": entropy_and_score(cosine_kernel(ContextBatch(final.vectors))).score,
+                    "prompt_similarity": float(np.mean(sims)),
+                }
+            )
+    return rows

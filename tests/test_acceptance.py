@@ -25,9 +25,8 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 COLLAPSE_REPULSION = RepulsionConfig(
     eta=2.0, inner_steps=2, timestep_interval=(0.0, 0.25), gradient_normalization=True
 )
-MATCHED_LATENT = RepulsionConfig(
-    eta=0.65, inner_steps=2, timestep_interval=(0.0, 1.0), gradient_normalization=True
-)
+# Latent eta grid that brackets contextual diversity; 0.65 is the shipped latent_eta.
+LATENT_ETA_GRID = (0.5, 0.65, 1.0)
 
 
 def _report(number: int, label: str, passed: bool, detail: str = "") -> None:
@@ -272,36 +271,53 @@ def test_criterion_7_collapse_and_rescue():
     )
 
 
-def test_criterion_8_contextual_vs_latent_ordering():
-    world = gf.MixtureWorld()
-    prompts = gf.one_hot_prompts(world, 8)
-    ctx_off = []
-    lat_off = []
-    ctx_vendi = []
-    lat_vendi = []
-    for seed in range(20):
-        ctx = gf.evaluate(
-            gf.sample_batch(world, prompts, "contextual", seed=seed, repulsion=COLLAPSE_REPULSION),
-            world,
-        )
-        lat = gf.evaluate(
-            gf.sample_batch(world, prompts, "latent", seed=seed, repulsion=MATCHED_LATENT),
-            world,
-        )
-        ctx_off.append(ctx.off_manifold_rate)
-        lat_off.append(lat.off_manifold_rate)
-        ctx_vendi.append(ctx.vendi_rbf)
-        lat_vendi.append(lat.vendi_rbf)
+def _collapse_metrics(world, prompts, method, repulsion):
+    runs = [
+        gf.evaluate(gf.sample_batch(world, prompts, method, seed=seed, repulsion=repulsion), world)
+        for seed in range(20)
+    ]
+    return (
+        np.array([r.vendi_rbf for r in runs]),
+        np.array([r.off_manifold_rate for r in runs]),
+    )
 
-    matched = abs(np.mean(ctx_vendi) - np.mean(lat_vendi)) <= 0.05
-    ge_count = int(np.sum(np.array(lat_off) >= np.array(ctx_off)))
-    strictly_greater_mean = float(np.mean(lat_off)) > float(np.mean(ctx_off))
+
+def test_criterion_8_contextual_vs_latent_ordering():
+    # The 20-seed mean contextual Vendi has a seed standard error of about 0.23
+    # and moves by about 0.1 when the prompts move by one ulp, so the claim is
+    # tested on a fixed latent eta grid that brackets it, not at one matched eta.
+    world = gf.MixtureWorld()
+    details = []
+    passed = True
+    for scale in (1.0, 1.0 + 1e-15):
+        prompts = gf.one_hot_prompts(world, 8) * scale
+        ctx_vendi, ctx_off = _collapse_metrics(world, prompts, "contextual", COLLAPSE_REPULSION)
+        lat_vendi, lat_off, ge_counts = [], [], []
+        for eta in LATENT_ETA_GRID:
+            latent = RepulsionConfig(
+                eta=eta, inner_steps=2, timestep_interval=(0.0, 1.0), gradient_normalization=True
+            )
+            vendi, off = _collapse_metrics(world, prompts, "latent", latent)
+            lat_vendi.append(float(np.mean(vendi)))
+            lat_off.append(float(np.mean(off)))
+            ge_counts.append(int(np.sum(off >= ctx_off)))
+
+        bracketed = lat_vendi[0] <= float(np.mean(ctx_vendi)) <= lat_vendi[-1]
+        more_off = all(off > float(np.mean(ctx_off)) for off in lat_off)
+        per_seed = all(count >= 11 for count in ge_counts)
+        monotone = all(a <= b for a, b in zip(lat_off, lat_off[1:]))
+        passed = passed and bracketed and more_off and per_seed and monotone
+        details.append(
+            f"x{scale!r}: vendi {lat_vendi[0]:.3f} <= {np.mean(ctx_vendi):.3f} <= "
+            f"{lat_vendi[-1]:.3f}; off {np.mean(ctx_off):.3f} vs "
+            + "/".join(f"{off:.3f}" for off in lat_off)
+            + "; ge " + "/".join(str(count) for count in ge_counts)
+        )
     _report(
         8,
-        "at matched diversity, latent repulsion strays off-manifold more than contextual",
-        matched and ge_count >= 11 and strictly_greater_mean,
-        f"vendi {np.mean(ctx_vendi):.3f} vs {np.mean(lat_vendi):.3f}; "
-        f"off {np.mean(ctx_off):.3f} vs {np.mean(lat_off):.3f}; ge {ge_count}/20",
+        "latent repulsion strays off-manifold more than contextual across a bracket of its diversity",
+        passed,
+        "; ".join(details),
     )
 
 

@@ -8,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+import ctxrep.cli as cli
 from ctxrep.cli import read_vector_csv, run_command, write_vector_csv
-from ctxrep.config import ConfigError, parse_config, repulsion_from_config
+from ctxrep.config import ConfigError, load_config, parse_config, repulsion_from_config
+
+from ._oracles import ablate_blocks_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -147,6 +150,21 @@ class TestRepulseCommand:
         assert not np.array_equal(moved, vectors)
 
 
+    def test_lapack_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "in.csv"
+        write_vector_csv(str(src), np.array([[1.0, 0.0], [0.6, 0.8]]))
+
+        def failing(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert run_command(
+            ["repulse", "--input", str(src), "--output", str(tmp_path / "out.csv"),
+             "--eta", "0.01", "--steps", "1"]
+        ) == 3
+        assert "did not converge" in json.loads(capsys.readouterr().err)["error"]
+
+
 class TestToyRunCommand:
     def test_outputs_and_vendi_gain(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +255,59 @@ class TestAblateCommand:
         for row in rows:
             assert 1.0 <= float(row["text_vendi"]) <= 3.0 + 1e-9
             assert -1.0 <= float(row["prompt_similarity"]) <= 1.0
+
+    def test_blocks_axis_jobs_and_serial_reference(self, tmp_path, monkeypatch):
+        cfg = small_gmm_config(
+            tmp_path,
+            seeds=3,
+            seed_start=5,
+            sweep_block_groups="first_third,last_third,all",
+            toy_dual_blocks=2,
+            toy_single_blocks=1,
+        )
+        pools = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"blocks{jobs}.csv"
+            assert run_command(
+                ["ablate", "--axis", "blocks", "--config", cfg, "--jobs", jobs,
+                 "--output", str(out)]
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert pools == [2]
+        assert outputs[0] == outputs[1]
+
+        reference = tmp_path / "reference.csv"
+        rows = ablate_blocks_rows(load_config(cfg))
+        with open(reference, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert outputs[0] == reference.read_bytes()
+
+    def test_blocks_axis_encodes_prompt_once_per_run(self, tmp_path, monkeypatch):
+        cfg = small_gmm_config(
+            tmp_path, seeds=2, sweep_block_groups="middle_third,all", toy_batch=5
+        )
+        calls = []
+        original = cli.toydit.encode_prompt
+
+        def counting(model_cfg, prompt_id):
+            calls.append(prompt_id)
+            return original(model_cfg, prompt_id)
+
+        monkeypatch.setattr(cli.toydit, "encode_prompt", counting)
+        assert run_command(
+            ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(tmp_path / "b.csv")]
+        ) == 0
+        assert len(calls) == 4
 
     def test_missing_output_exit_2(self, tmp_path, capsys):
         cfg = small_gmm_config(tmp_path)

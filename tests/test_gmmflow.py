@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import ctxrep.gmmflow as gf
+import ctxrep.vendi as vendi
+from ctxrep.linalg import ContextBatch
 from ctxrep.repulsion import RepulsionConfig
+from ctxrep.vendi import average_pair_vendi
 
 COLLAPSE_REPULSION = RepulsionConfig(
     eta=2.0, inner_steps=2, timestep_interval=(0.0, 0.25), gradient_normalization=True
@@ -267,3 +270,20 @@ class TestEvaluate:
         ]
         metrics = gf.evaluate(trajectories, world)
         assert metrics.off_manifold_rate == 0.25
+
+    def test_one_rbf_kernel_feeds_both_scores(self, monkeypatch):
+        world = gf.MixtureWorld()
+        trajectories = gf.sample_batch(world, gf.one_hot_prompts(world, 6), "none", seed=3)
+        built = []
+        original = gf.rbf_kernel
+
+        def counting(points, bandwidth):
+            built.append(bandwidth)
+            return original(points, bandwidth)
+
+        for module in (gf, vendi):
+            monkeypatch.setattr(module, "rbf_kernel", counting)
+        metrics = gf.evaluate(trajectories, world)
+        assert built == [world.radius / 2.0]
+        finals = ContextBatch(np.stack([tr.latents[-1] for tr in trajectories]))
+        assert metrics.avg_pair_vendi == average_pair_vendi(finals, "rbf", world.radius / 2.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctxrep.linalg import (
     MAX_EIGH_DIM,
@@ -8,6 +10,7 @@ from ctxrep.linalg import (
     NonConvergence,
     SymMatrix,
     cosine_kernel,
+    eigh,
     jacobi_eigh,
     rbf_kernel,
 )
@@ -92,6 +95,40 @@ class TestJacobi:
         m = SymMatrix(np.eye(MAX_EIGH_DIM + 1))
         with pytest.raises(ValueError, match="exceeds"):
             jacobi_eigh(m)
+
+
+class TestEigh:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16))
+    def test_matches_jacobi_order_and_signs(self, seed, n):
+        m = random_symmetric(np.random.default_rng(seed), n)
+        reference = jacobi_eigh(m)
+        # well-separated spectra pin each eigenvector up to the sign convention
+        assume(n == 1 or float(np.min(-np.diff(reference.eigenvalues))) >= 1e-3)
+        dec = eigh(m)
+        assert np.max(np.abs(dec.eigenvalues - reference.eigenvalues)) <= 1e-12 * n
+        assert np.max(np.abs(dec.eigenvectors - reference.eigenvectors)) <= 1e-8
+
+    def test_reconstruction_and_canonical_form(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 32, 64):
+            m = random_symmetric(rng, n)
+            dec = eigh(m)
+            assert np.all(np.diff(dec.eigenvalues) <= 0.0)
+            rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
+            assert np.max(np.abs(rebuilt - m.entries)) <= 1e-12 * n
+            assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(n))) <= 1e-12 * n
+            for k in range(n):
+                column = dec.eigenvectors[:, k]
+                assert column[np.abs(column) > 1e-12][0] >= 0.0
+
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        def failing(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            eigh(SymMatrix(np.eye(3)))
 
 
 class TestContextBatch:

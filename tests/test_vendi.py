@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ctxrep.linalg import ContextBatch, DegenerateVector, SymMatrix, cosine_kernel, rbf_kernel
+from ctxrep.linalg import (
+    ContextBatch,
+    DegenerateVector,
+    NonConvergence,
+    SymMatrix,
+    cosine_kernel,
+    eigh,
+    jacobi_eigh,
+    rbf_kernel,
+)
 from ctxrep.vendi import average_pair_vendi, entropy_and_score, entropy_gradient
 
 from ._oracles import (
     average_pair_vendi_loop,
+    entropy_gradient_with,
     entropy_of_vectors,
     fd_entropy_gradient,
     jacobi_entropy,
@@ -123,6 +133,50 @@ class TestEntropyGradient:
         base = entropy_and_score(cosine_kernel(ContextBatch(vectors)))
         scaled = entropy_and_score(cosine_kernel(ContextBatch(vectors * scales[:, None])))
         assert abs(base.entropy - scaled.entropy) <= 1e-9
+
+    def test_shared_unit_rows_match_cosine_kernel_bitwise(self):
+        for seed in range(20):
+            vectors = random_points(seed, 2 + seed % 9, 1 + seed % 5, 3.0)
+            got = entropy_gradient(ContextBatch(vectors))
+            assert np.array_equal(got, entropy_gradient_with(vectors, eigh))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 12), extra=st.integers(0, 12))
+    def test_matches_jacobi_eigenpair_reference(self, seed, batch, extra):
+        vectors = np.random.default_rng(seed).standard_normal((batch, batch + extra))
+        lam = np.linalg.eigvalsh(cosine_kernel(ContextBatch(vectors)).entries / batch)
+        assume(lam[0] >= 1e-6 and float(np.min(np.diff(lam))) >= 1e-6)
+        got = entropy_gradient(ContextBatch(vectors))
+        reference = entropy_gradient_with(vectors, jacobi_eigh)
+        assert np.max(np.abs(got - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 10), dim=st.integers(2, 20))
+    def test_rotation_equivariance(self, seed, batch, dim):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((batch, dim))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        grad = entropy_gradient(ContextBatch(vectors))
+        rotated = entropy_gradient(ContextBatch(vectors @ q))
+        assert np.max(np.abs(rotated - grad @ q)) <= 1e-9 * max(np.max(np.abs(grad)), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 10), dim=st.integers(2, 20))
+    def test_permutation_equivariance(self, seed, batch, dim):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((batch, dim))
+        perm = rng.permutation(batch)
+        grad = entropy_gradient(ContextBatch(vectors))
+        permuted = entropy_gradient(ContextBatch(vectors[perm]))
+        assert np.max(np.abs(permuted - grad[perm])) <= 1e-9 * max(np.max(np.abs(grad)), 1.0)
+
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        def failing(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NonConvergence):
+            entropy_gradient(ContextBatch(np.eye(3)))
 
     def test_ascent_property(self):
         rng = np.random.default_rng(12)
