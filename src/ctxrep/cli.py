@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -148,7 +149,7 @@ def _map_runs(work: list, jobs: int, run=_run_one_simulation) -> list:
 def _emit_lines(lines: list[str], output: str) -> None:
     if output:
         with open(output, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(line + "\n" for line in lines)
     else:
         for line in lines:
             print(line)
@@ -223,13 +224,18 @@ def _cmd_repulse(args) -> int:
     return EXIT_OK
 
 
-def _toy_block_report(cfg: ExperimentConfig, repulsion: RepulsionConfig | None):
-    """The batch's shared prompt encoding and its forward pass (states, snapshots)."""
-    model_cfg = _toy_config(cfg)
+def _toy_block_report(
+    cfg: ExperimentConfig, repulsion: RepulsionConfig | None, weight_seed: int, noise_base: int
+):
+    """The batch's shared prompt encoding and its forward pass (states, snapshots).
+
+    Sample i's image noise is seeded with ``noise_base + i``.
+    """
+    model_cfg = dataclasses.replace(_toy_config(cfg), weight_seed=weight_seed)
     weights = toydit.init_weights(model_cfg)
     prompt = toydit.encode_prompt(model_cfg, cfg.toy_prompt_id)
     images = np.stack(
-        [toydit.seed_image_tokens(model_cfg, cfg.seed_start + i) for i in range(cfg.toy_batch)]
+        [toydit.seed_image_tokens(model_cfg, noise_base + i) for i in range(cfg.toy_batch)]
     )
     states, snapshots = toydit.forward_with_hooks(
         [prompt] * cfg.toy_batch,
@@ -249,8 +255,8 @@ def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
 def _cmd_toy_run(args) -> int:
     cfg = load_config(args.config)
     repulsion = repulsion_from_config(cfg)
-    _, _, snaps_on = _toy_block_report(cfg, repulsion)
-    _, _, snaps_off = _toy_block_report(cfg, None)
+    _, _, snaps_on = _toy_block_report(cfg, repulsion, cfg.toy_seed, cfg.seed_start)
+    _, _, snaps_off = _toy_block_report(cfg, None, cfg.toy_seed, cfg.seed_start)
 
     toydit.write_snapshots_csv(snaps_on, cfg.output_snapshots, _toy_config(cfg))
     off_scores = {(s.block_index, s.stream): _snapshot_score(s) for s in snaps_off}
@@ -271,13 +277,24 @@ def _cmd_toy_run(args) -> int:
     return EXIT_OK
 
 
+def _seeds_and_jobs(args, cfg: ExperimentConfig) -> tuple[int, int]:
+    """Seed count and worker count, flags over config keys; bad values are usage errors."""
+    seeds = getattr(args, "seeds", None)
+    seeds = cfg.seeds if seeds is None else seeds
+    jobs = cfg.jobs if args.jobs is None else args.jobs
+    if seeds < 0:
+        raise _UsageError(f"seeds must be >= 0, got {seeds}")
+    if jobs < 1:
+        raise _UsageError(f"jobs must be >= 1, got {jobs}")
+    return seeds, jobs
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     method = args.method or cfg.method
     if method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {method!r}")
-    seeds = args.seeds if args.seeds is not None else cfg.seeds
-    jobs = args.jobs if args.jobs is not None else cfg.jobs
+    seeds, jobs = _seeds_and_jobs(args, cfg)
     work = [
         (cfg, method, cfg.seed_start + i, i)
         for i in range(seeds)
@@ -302,7 +319,7 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
     work = []
     labels = []
     for value in values:
-        variant = copy.deepcopy(cfg)
+        variant = copy.copy(cfg)
         if axis == "timestep":
             variant.repulsion_interval = value
             variant.latent_interval = value
@@ -335,7 +352,8 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
 
 def _run_one_block_group(args) -> dict:
     cfg, repulsion, seed = args
-    prompt, _, snaps = _toy_block_report(cfg, repulsion)
+    # vary weights and image noise together per seed
+    prompt, _, snaps = _toy_block_report(cfg, repulsion, cfg.toy_seed + seed, seed * 1000)
     final = [s for s in snaps if s.stream == "text"][-1]
     prompt_vec = prompt.tokens.reshape(-1)
     sims = [
@@ -354,29 +372,17 @@ def _run_one_block_group(args) -> dict:
 def _ablate_rows_blocks(cfg: ExperimentConfig, jobs: int) -> tuple[list[str], list[dict]]:
     header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
     base = repulsion_from_config(cfg)
-    work = []
-    for group in cfg.sweep_block_groups:
-        repulsion = RepulsionConfig(
-            eta=base.eta,
-            inner_steps=base.inner_steps,
-            timestep_interval=base.timestep_interval,
-            block_selector=group,
-            target_stream=base.target_stream,
-            gradient_normalization=base.gradient_normalization,
-        )
-        for i in range(cfg.seeds):
-            seed = cfg.seed_start + i
-            variant = copy.deepcopy(cfg)
-            # vary weights and image noise together per seed
-            variant.toy_seed = cfg.toy_seed + seed
-            variant.seed_start = seed * 1000
-            work.append((variant, repulsion, seed))
+    work = [
+        (cfg, dataclasses.replace(base, block_selector=group), cfg.seed_start + i)
+        for group in cfg.sweep_block_groups
+        for i in range(cfg.seeds)
+    ]
     return header, _map_runs(work, jobs, _run_one_block_group)
 
 
 def _cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    jobs = args.jobs if args.jobs is not None else cfg.jobs
+    _, jobs = _seeds_and_jobs(args, cfg)
     if args.axis == "blocks":
         header, rows = _ablate_rows_blocks(cfg, jobs)
     else:

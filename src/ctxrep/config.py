@@ -1,13 +1,15 @@
 """Flat key = value experiment configuration with a strict schema.
 
 Lines hold one ``key = value`` pair; ``#`` starts a comment. Unknown keys are
-rejected so typos fail loudly. Intervals are written ``a:b`` and lists are
-comma-separated.
+rejected so typos fail loudly. Each value is parsed by its field's type:
+``tuple[float, float]`` intervals are written ``a:b`` and ``tuple[X, ...]``
+lists are comma-separated items of X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .repulsion import PRESETS, RepulsionConfig
 
@@ -92,7 +94,13 @@ def parse_interval(text: str) -> tuple[float, float]:
 
 
 def _parse_value(name: str, raw: str, kind):
+    """Parse ``raw`` as the annotated type ``kind`` of field ``name``."""
     raw = raw.strip()
+    if kind == tuple[float, float]:
+        return parse_interval(raw)
+    if get_origin(kind) is tuple and get_args(kind)[1:] == (Ellipsis,):
+        item = get_args(kind)[0]
+        return tuple(_parse_value(name, part, item) for part in raw.split(",") if part.strip())
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -109,12 +117,15 @@ def _parse_value(name: str, raw: str, kind):
             return raw
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}") from exc
-    raise ConfigError(f"{name}: unsupported type")
+    raise ConfigError(f"{name}: unsupported type {kind}")
+
+
+# each key's annotated type, which picks its parser
+FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text, rejecting unknown keys and unknown presets."""
-    field_map = {f.name: f for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig()
     explicit: set[str] = set()
 
@@ -126,25 +137,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in field_map:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in explicit:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         explicit.add(key)
-
-        default = getattr(cfg, key)
-        if key in ("repulsion_interval", "latent_interval", "cads_interval"):
-            value = parse_interval(raw)
-        elif key == "sweep_batch_sizes":
-            value = tuple(_parse_value(key, item, int) for item in raw.split(",") if item.strip())
-        elif key == "sweep_intervals":
-            value = tuple(parse_interval(item.strip()) for item in raw.split(",") if item.strip())
-        elif key == "sweep_block_groups":
-            value = tuple(item.strip() for item in raw.split(",") if item.strip())
-        else:
-            value = _parse_value(key, raw, type(default))
-        setattr(cfg, key, value)
+        setattr(cfg, key, _parse_value(key, raw, FIELD_TYPES[key]))
 
     if cfg.repulsion_preset and cfg.repulsion_preset not in PRESETS:
         raise ConfigError(f"unknown repulsion preset {cfg.repulsion_preset!r}")

@@ -4,8 +4,9 @@ Each dual block projects text and image tokens through per-stream Q/K/V maps,
 attends jointly over the concatenated sequence, applies per-stream output
 projections, and finishes with residual addition and per-token RMS
 normalization. Optional trailing single-stream blocks share one projection set
-over the merged sequence. Between blocks, a hook can flatten a chosen token
-stream across the batch and repel the samples apart.
+over the merged sequence. Blocks take any leading batch axes, so the whole
+batch runs as one (B, N, D) state. Between blocks, a hook can flatten a chosen
+token stream to one row per sample and repel the samples apart.
 
 Weights are random and fixed, never trained; the model exists to verify the
 intervention mechanism, not image quality.
@@ -72,7 +73,7 @@ class ToyDiTConfig:
 
 @dataclass
 class TokenState:
-    """Per-sample token tensors after ``block_index`` blocks."""
+    """Token tensors after ``block_index`` blocks: (N, D) per sample, or (..., N, D)."""
 
     text_tokens: np.ndarray
     image_tokens: np.ndarray
@@ -141,17 +142,17 @@ def _rms_normalize(tokens: np.ndarray) -> np.ndarray:
 
 
 def _joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
-    n_tokens, dim = q.shape
+    *lead, n_tokens, dim = q.shape
     head_dim = dim // heads
-    qh = q.reshape(n_tokens, heads, head_dim)
-    kh = k.reshape(n_tokens, heads, head_dim)
-    vh = v.reshape(n_tokens, heads, head_dim)
-    scores = np.einsum("thd,shd->hts", qh, kh) / np.sqrt(head_dim)
+    qh = q.reshape(*lead, n_tokens, heads, head_dim)
+    kh = k.reshape(*lead, n_tokens, heads, head_dim)
+    vh = v.reshape(*lead, n_tokens, heads, head_dim)
+    scores = np.einsum("...thd,...shd->...hts", qh, kh) / np.sqrt(head_dim)
     scores = scores - np.max(scores, axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights = weights / np.sum(weights, axis=-1, keepdims=True)
-    out = np.einsum("hts,shd->thd", weights, vh)
-    return out.reshape(n_tokens, dim)
+    out = np.einsum("...hts,...shd->...thd", weights, vh)
+    return out.reshape(*lead, n_tokens, dim)
 
 
 def mm_block_forward(state: TokenState, weights: ModelWeights, block: int) -> TokenState:
@@ -159,21 +160,21 @@ def mm_block_forward(state: TokenState, weights: ModelWeights, block: int) -> To
     cfg = weights.config
     if not (0 <= block < cfg.n_dual_blocks):
         raise ValueError(f"block {block} is not a dual block")
-    if state.text_tokens.shape != (cfg.n_text_tokens, cfg.token_dim):
+    if state.text_tokens.shape[-2:] != (cfg.n_text_tokens, cfg.token_dim):
         raise DimensionMismatch(f"text tokens have shape {state.text_tokens.shape}")
-    if state.image_tokens.shape != (cfg.n_image_tokens, cfg.token_dim):
+    if state.image_tokens.shape[-2:] != (cfg.n_image_tokens, cfg.token_dim):
         raise DimensionMismatch(f"image tokens have shape {state.image_tokens.shape}")
     w = weights.dual_blocks[block]
     ft, fi = state.text_tokens, state.image_tokens
     n = cfg.n_text_tokens
 
-    q = np.vstack([ft @ w["wq_text"], fi @ w["wq_image"]])
-    k = np.vstack([ft @ w["wk_text"], fi @ w["wk_image"]])
-    v = np.vstack([ft @ w["wv_text"], fi @ w["wv_image"]])
+    q = np.concatenate([ft @ w["wq_text"], fi @ w["wq_image"]], axis=-2)
+    k = np.concatenate([ft @ w["wk_text"], fi @ w["wk_image"]], axis=-2)
+    v = np.concatenate([ft @ w["wv_text"], fi @ w["wv_image"]], axis=-2)
     attended = _joint_attention(q, k, v, cfg.attention_heads)
 
-    new_text = _rms_normalize(ft + attended[:n] @ w["wo_text"])
-    new_image = _rms_normalize(fi + attended[n:] @ w["wo_image"])
+    new_text = _rms_normalize(ft + attended[..., :n, :] @ w["wo_text"])
+    new_image = _rms_normalize(fi + attended[..., n:, :] @ w["wo_image"])
     return TokenState(new_text, new_image, state.block_index + 1)
 
 
@@ -183,33 +184,13 @@ def single_block_forward(state: TokenState, weights: ModelWeights, block: int) -
     if not (0 <= block < cfg.n_single_blocks):
         raise ValueError(f"block {block} is not a single block")
     w = weights.single_blocks[block]
-    merged = np.vstack([state.text_tokens, state.image_tokens])
+    merged = np.concatenate([state.text_tokens, state.image_tokens], axis=-2)
     attended = _joint_attention(
         merged @ w["wq"], merged @ w["wk"], merged @ w["wv"], cfg.attention_heads
     )
     merged = _rms_normalize(merged + attended @ w["wo"])
     n = cfg.n_text_tokens
-    return TokenState(merged[:n].copy(), merged[n:].copy(), state.block_index + 1)
-
-
-def _flatten_stream(state: TokenState, stream: str) -> np.ndarray:
-    if stream == "text":
-        return state.text_tokens.reshape(-1)
-    if stream == "image":
-        return state.image_tokens.reshape(-1)
-    return np.concatenate([state.text_tokens.reshape(-1), state.image_tokens.reshape(-1)])
-
-
-def _unflatten_stream(state: TokenState, stream: str, flat: np.ndarray, cfg: ToyDiTConfig):
-    d = cfg.token_dim
-    if stream == "text":
-        state.text_tokens = flat.reshape(cfg.n_text_tokens, d)
-    elif stream == "image":
-        state.image_tokens = flat.reshape(cfg.n_image_tokens, d)
-    else:
-        split = cfg.n_text_tokens * d
-        state.text_tokens = flat[:split].reshape(cfg.n_text_tokens, d)
-        state.image_tokens = flat[split:].reshape(cfg.n_image_tokens, d)
+    return TokenState(merged[..., :n, :], merged[..., n:, :], state.block_index + 1)
 
 
 def forward_with_hooks(
@@ -220,12 +201,14 @@ def forward_with_hooks(
     step_index: int = 0,
     total_steps: int = 1,
 ) -> tuple[list[TokenState], list[StreamSnapshot]]:
-    """Run all blocks, repelling the configured stream between blocks.
+    """Run all blocks on the whole batch, repelling the configured stream between blocks.
 
     Dual blocks expose the ``text``, ``image``, and ``all_tokens`` streams to
     the hook; single-stream blocks expose only ``all_tokens`` because their
-    token streams are merged. Snapshots of the text and image streams are
-    recorded after every block, post-repulsion.
+    token streams are merged. A stream is one row per sample, token t and dim
+    d at column t * D + d, with ``all_tokens`` the text row then the image
+    row. Snapshots of the text and image streams are recorded after every
+    block, post-repulsion. The final states are returned one per sample.
     """
     cfg = weights.config
     batch = len(prompts)
@@ -237,19 +220,18 @@ def forward_with_hooks(
         if prompt.tokens.shape != (cfg.n_text_tokens, cfg.token_dim):
             raise DimensionMismatch("prompt token shape does not match config")
 
-    states = [
-        TokenState(prompt.tokens.copy(), image_init[i].copy(), 0)
-        for i, prompt in enumerate(prompts)
-    ]
+    state = TokenState(np.stack([p.tokens for p in prompts]), image_init, 0)
     snapshots: list[StreamSnapshot] = []
+    # columns of each stream in a (batch, all-token) row matrix
+    split = cfg.n_text_tokens * cfg.token_dim
+    columns = {"text": np.s_[:split], "image": np.s_[split:], "all_tokens": np.s_[:]}
 
     for block in range(cfg.total_blocks):
-        is_dual = block < cfg.n_dual_blocks
-        if is_dual:
-            states = [mm_block_forward(s, weights, block) for s in states]
+        if block < cfg.n_dual_blocks:
+            state = mm_block_forward(state, weights, block)
             available = ("text", "image", "all_tokens")
         else:
-            states = [single_block_forward(s, weights, block - cfg.n_dual_blocks) for s in states]
+            state = single_block_forward(state, weights, block - cfg.n_dual_blocks)
             available = ("all_tokens",)
 
         if repulsion_cfg is not None:
@@ -258,20 +240,26 @@ def forward_with_hooks(
                     step_index, total_steps, block, cfg.total_blocks, stream, repulsion_cfg
                 ):
                     continue
-                flat = np.stack([_flatten_stream(s, stream) for s in states])
-                updated = repulse(ContextBatch(flat), repulsion_cfg).vectors
-                for i, state in enumerate(states):
-                    _unflatten_stream(state, stream, updated[i].copy(), cfg)
-
-        for stream in ("text", "image"):
-            snapshots.append(
-                StreamSnapshot(
-                    block_index=block,
-                    stream=stream,
-                    vectors=np.stack([_flatten_stream(s, stream) for s in states]),
+                rows = np.concatenate(
+                    [state.text_tokens.reshape(batch, -1), state.image_tokens.reshape(batch, -1)],
+                    axis=1,
                 )
-            )
-    return states, snapshots
+                cols = columns[stream]
+                rows[:, cols] = repulse(ContextBatch(rows[:, cols]), repulsion_cfg).vectors
+                state = TokenState(
+                    rows[:, :split].reshape(state.text_tokens.shape),
+                    rows[:, split:].reshape(state.image_tokens.shape),
+                    state.block_index,
+                )
+
+        for stream, tokens in (("text", state.text_tokens), ("image", state.image_tokens)):
+            snapshots.append(StreamSnapshot(block, stream, tokens.reshape(batch, -1)))
+    # copies, so a caller writing to a final state cannot change the snapshots
+    finals = [
+        TokenState(state.text_tokens[i].copy(), state.image_tokens[i].copy(), state.block_index)
+        for i in range(batch)
+    ]
+    return finals, snapshots
 
 
 def write_snapshots_csv(snapshots: list[StreamSnapshot], path: str, cfg: ToyDiTConfig) -> None:

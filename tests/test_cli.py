@@ -4,13 +4,21 @@ import os
 import pathlib
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
 import ctxrep.cli as cli
 from ctxrep.cli import read_vector_csv, run_command, write_vector_csv
-from ctxrep.config import ConfigError, load_config, parse_config, repulsion_from_config
+from ctxrep.config import (
+    FIELD_TYPES,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+    repulsion_from_config,
+)
 
 from ._oracles import ablate_blocks_rows
 
@@ -34,7 +42,45 @@ def small_gmm_config(tmp_path, **extra):
     return str(path)
 
 
+def config_text(value, kind) -> str:
+    """``value`` of annotated type ``kind`` written as config text."""
+    if kind == tuple[float, float]:
+        return f"{value[0]!r}:{value[1]!r}"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is str:
+        return value
+    if kind in (int, float):
+        return repr(value)
+    item, ellipsis = typing.get_args(kind)
+    assert ellipsis is Ellipsis, f"no config syntax for {kind}"
+    return ",".join(config_text(v, item) for v in value)
+
+
 class TestConfigParsing:
+    def test_every_default_round_trips(self):
+        defaults = ExperimentConfig()
+        text = "".join(
+            f"{key} = {config_text(getattr(defaults, key), kind)}\n"
+            for key, kind in FIELD_TYPES.items()
+        )
+        parsed = parse_config(text)
+        assert parsed == defaults
+        assert parsed.explicit_keys == set(FIELD_TYPES)
+
+    def test_list_items_parse_by_item_type(self):
+        cfg = parse_config(
+            "sweep_batch_sizes = 2, 6\nsweep_intervals = 0:0.5, 0.5:1\n"
+            "sweep_block_groups = all , last_third\n"
+        )
+        assert cfg.sweep_batch_sizes == (2, 6)
+        assert cfg.sweep_intervals == ((0.0, 0.5), (0.5, 1.0))
+        assert cfg.sweep_block_groups == ("all", "last_third")
+        with pytest.raises(ConfigError):
+            parse_config("sweep_batch_sizes = 2,x\n")
+        with pytest.raises(ConfigError):
+            parse_config("latent_interval = 0.5\n")
+
     def test_defaults_and_overrides(self):
         cfg = parse_config("world_modes = 16\nrepulsion_interval = 0:0.5\n")
         assert cfg.world_modes == 16
@@ -370,6 +416,38 @@ class TestModuleEntryPoint:
 
     def test_cli_module_runs_too(self):
         assert self.run_module("ctxrep.cli").returncode == 2
+
+
+class TestRunCounts:
+    @pytest.mark.parametrize(
+        "argv, settings",
+        [
+            (["simulate", "--seeds", "-2"], {}),
+            (["simulate", "--jobs", "0"], {}),
+            (["simulate", "--jobs", "-1"], {}),
+            (["simulate"], {"seeds": -1}),
+            (["simulate"], {"jobs": 0}),
+            (["ablate", "--axis", "batch", "--jobs", "0"], {}),
+            (["ablate", "--axis", "blocks", "--jobs", "-1"], {}),
+            (["ablate", "--axis", "timestep"], {"seeds": -2}),
+            (["ablate", "--axis", "blocks"], {"jobs": 0}),
+        ],
+    )
+    def test_bad_seeds_or_jobs_exit_2(self, tmp_path, capsys, argv, settings):
+        cfg = small_gmm_config(tmp_path, **settings)
+        out = tmp_path / "out"
+        assert run_command(argv + ["--config", cfg, "--output", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "seeds" in error or "jobs" in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", None])
+    def test_zero_seeds_write_an_empty_file(self, tmp_path, seeds):
+        cfg = small_gmm_config(tmp_path, seeds=0)
+        out = tmp_path / "runs.jsonl"
+        flags = ["--seeds", seeds] if seeds else []
+        assert run_command(["simulate", "--config", cfg, "--output", str(out)] + flags) == 0
+        assert out.read_text() == ""
 
 
 class TestUsageErrors:

@@ -8,6 +8,8 @@ from ctxrep.linalg import ContextBatch, cosine_kernel
 from ctxrep.repulsion import RepulsionConfig
 from ctxrep.vendi import entropy_and_score
 
+from .test_rng import digest
+
 
 def small_config(**overrides):
     return td.ToyDiTConfig(**overrides)
@@ -129,15 +131,44 @@ class TestBlockForward:
 
 
 class TestForwardWithHooks:
-    def test_batch_independence_bitwise(self):
-        cfg = small_config()
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"token_dim": 3, "attention_heads": 1}, {"n_single_blocks": 0}],
+        ids=["default", "dim3", "dual_only"],
+    )
+    def test_batch_independence_bitwise(self, batch, overrides):
+        cfg = small_config(**overrides)
         weights = td.init_weights(cfg)
-        prompts, images = batch_inputs(cfg, 4)
-        finals, _ = td.forward_with_hooks(prompts, images, weights)
-        for i in range(4):
-            solo, _ = td.forward_with_hooks([prompts[i]], images[i : i + 1], weights)
+        prompts, images = batch_inputs(cfg, batch)
+        finals, snaps = td.forward_with_hooks(prompts, images, weights)
+        assert len(finals) == batch
+        for i in range(batch):
+            solo, solo_snaps = td.forward_with_hooks([prompts[i]], images[i : i + 1], weights)
             assert np.array_equal(solo[0].text_tokens, finals[i].text_tokens)
             assert np.array_equal(solo[0].image_tokens, finals[i].image_tokens)
+            assert finals[i].block_index == cfg.total_blocks
+            for one, whole in zip(solo_snaps, snaps):
+                assert np.array_equal(one.vectors[0], whole.vectors[i])
+
+    def test_each_block_runs_once_on_the_whole_batch(self, monkeypatch):
+        cfg = small_config()
+        weights = td.init_weights(cfg)
+        prompts, images = batch_inputs(cfg, 5)
+        calls = []
+        for name in ("mm_block_forward", "single_block_forward"):
+            original = getattr(td, name)
+
+            def counting(state, w, block, name=name, original=original):
+                calls.append((name, block, state.text_tokens.shape))
+                return original(state, w, block)
+
+            monkeypatch.setattr(td, name, counting)
+        td.forward_with_hooks(prompts, images, weights)
+        shape = (5, cfg.n_text_tokens, cfg.token_dim)
+        assert calls == [("mm_block_forward", b, shape) for b in range(cfg.n_dual_blocks)] + [
+            ("single_block_forward", b, shape) for b in range(cfg.n_single_blocks)
+        ]
 
     def test_deterministic(self):
         cfg = small_config()
@@ -226,22 +257,45 @@ class TestForwardWithHooks:
         for on, off in zip(snaps_on, snaps_off):
             assert np.array_equal(on.vectors, off.vectors)
 
-    def test_token_index_alignment_in_flattening(self):
+    @pytest.mark.parametrize("stream", ["text", "image", "all_tokens"])
+    def test_stream_row_layout(self, monkeypatch, stream):
+        # token t, dim d of a stream sits at column t * D + d of its row, and
+        # the all_tokens row is the text row then the image row; mark one
+        # entry through the hook and find it in the snapshot and final state
         cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
         weights = td.init_weights(cfg)
         prompts, images = batch_inputs(cfg, 3)
-        marker = 123.456
-        token, dim = 5, 7
-        states = []
-        for i, prompt in enumerate(prompts):
-            tokens = prompt.tokens.copy()
-            tokens[token, dim] = marker
-            states.append(td.TokenState(tokens, images[i].copy()))
-        offset = token * cfg.token_dim + dim
-        for state in states:
-            flat = td._flatten_stream(state, "text")
-            assert flat[offset] == marker
-            assert np.count_nonzero(flat == marker) == 1
+        d = cfg.token_dim
+        split = cfg.n_text_tokens * d
+        token, dim, marker = 5, 7, 123.456
+        target = "text" if stream == "text" else "image"
+        column = token * d + dim + (split if stream == "all_tokens" else 0)
+        seen = []
+
+        def mark(batch, _cfg):
+            seen.append(batch.vectors.copy())
+            vectors = batch.vectors.copy()
+            vectors[:, column] = marker
+            return ContextBatch(vectors)
+
+        monkeypatch.setattr(td, "repulse", mark)
+        cfgr = RepulsionConfig(eta=0.04, target_stream=stream)
+        finals, snaps = td.forward_with_hooks(prompts, images, weights, cfgr)
+        _, plain_snaps = td.forward_with_hooks(prompts, images, weights)
+
+        rows = {s.stream: s.vectors for s in plain_snaps}
+        expected_input = rows[stream] if stream != "all_tokens" else np.hstack(
+            [rows["text"], rows["image"]]
+        )
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], expected_input)
+        marked = next(s for s in snaps if s.stream == target).vectors
+        for i, final in enumerate(finals):
+            tokens = final.text_tokens if target == "text" else final.image_tokens
+            assert tokens[token, dim] == marker
+            assert np.array_equal(marked[i].reshape(tokens.shape), tokens)
+            assert marked[i, token * d + dim] == marker
+            assert np.count_nonzero(marked[i] == marker) == 1
 
     def test_contextual_enrichment_decays_similarity(self):
         hold = 0
@@ -261,6 +315,31 @@ class TestForwardWithHooks:
             if sims[0] > sims[1] > sims[2]:
                 hold += 1
         assert hold >= 95
+
+
+# Hashes of the forward snapshots of a 3-sample batch through two dual blocks
+# and one single-stream block, recorded when every block ran once per sample.
+GOLDEN_SNAPSHOTS = {
+    "text": "66294be28095a23151995665f166f69eb8aa0426db45b37fc8490a3f046b19b4",
+    "image": "e58f465fff29d8801c7081b7762f29c4a3cf8dd11da1d401e41b178db90da5e5",
+    "all_tokens": "4ba008e73dfdb382646c471496b6a5662abf2110bd653584d0e6ea2001ef9130",
+    None: "fe70718658d5fca47f670086806dfc9d43c927f121f8d794eb8f834d6d2df128",
+}
+
+
+@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS), ids=str)
+def test_golden_snapshots(stream):
+    cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
+    weights = td.init_weights(cfg)
+    prompts, images = batch_inputs(cfg, 3)
+    cfgr = None
+    if stream is not None:
+        cfgr = RepulsionConfig(
+            eta=0.04, inner_steps=2, timestep_interval=(0.0, 1.0),
+            target_stream=stream, gradient_normalization=True,
+        )
+    _, snaps = td.forward_with_hooks(prompts, images, weights, cfgr)
+    assert digest(s.vectors for s in snaps) == GOLDEN_SNAPSHOTS[stream]
 
 
 class TestSnapshotCsv:
