@@ -173,6 +173,15 @@ def _cmd_vendi(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    # a check that compares nothing must not read as passed
+    if args.seeds < 1:
+        raise _UsageError(f"seeds must be >= 1, got {args.seeds}")
+    if args.batch < 2:
+        raise _UsageError(f"batch must be >= 2, got {args.batch}")
+    if args.dim < 1:
+        raise _UsageError(f"dim must be >= 1, got {args.dim}")
+    if not (np.isfinite(args.fd_step) and args.fd_step > 0.0):
+        raise _UsageError(f"fd-step must be finite and positive, got {args.fd_step}")
     worst = 0.0
     for seed in range(args.seeds):
         rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +71,17 @@ class MixtureWorld:
     def context_dim(self) -> int:
         return self.n_modes
 
-    @property
+    @cached_property
     def mode_centers(self) -> np.ndarray:
+        """(n_modes, 2) centers, built once per world and read-only."""
         angles = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
-        return self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        centers = self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        centers.flags.writeable = False
+        return centers
+
+    def __getstate__(self):
+        # the cache is left out: an unpickled array would come back writable
+        return {k: v for k, v in self.__dict__.items() if k != "mode_centers"}
 
 
 @dataclass(frozen=True)
@@ -127,26 +135,56 @@ class CadsParams:
         return (self.tau2 - t) / (self.tau2 - self.tau1)
 
 
-def conditional_weights(context: np.ndarray, gamma: float) -> np.ndarray:
-    """softmax(gamma * context); shift-invariant in the logits."""
-    logits = gamma * np.asarray(context, dtype=float)
+def _softmax(logits: np.ndarray) -> np.ndarray:
     logits = logits - np.max(logits, axis=-1, keepdims=True)
     weights = np.exp(logits)
     return weights / np.sum(weights, axis=-1, keepdims=True)
+
+
+def conditional_weights(context: np.ndarray, gamma: float) -> np.ndarray:
+    """softmax(gamma * context); shift-invariant in the logits."""
+    return _softmax(gamma * np.asarray(context, dtype=float))
 
 
 def _noise_scale_sq(world: MixtureWorld, t: float) -> float:
     return (1.0 - t) ** 2 * world.mode_sigma**2 + t * t
 
 
-def _component_log_likelihood(world: MixtureWorld, z: np.ndarray, t: float) -> np.ndarray:
-    """Rows: per-sample log N(z; (1-t) mu_k, s_t^2 I) over components."""
+def _offsets(world: MixtureWorld, z: np.ndarray, t: float):
+    """Offsets z - (1-t) mu_k of each latent from the time-scaled mode centers,
+    shape (B, K, 2), and their squared lengths, shape (B, K)."""
     z2 = np.atleast_2d(np.asarray(z, dtype=float))
+    diff = z2[:, None, :] - (1.0 - t) * world.mode_centers
+    return diff, np.sum(diff * diff, axis=2)
+
+
+def _feedback(sq: np.ndarray) -> np.ndarray:
+    affinity = -sq / 2.0
+    return affinity - np.mean(affinity, axis=1, keepdims=True)
+
+
+def _log_joint(world: MixtureWorld, sq: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
+    """log w_k + log N(z; (1-t) mu_k, s_t^2 I) from the squared offsets at t."""
     s2 = _noise_scale_sq(world, t)
-    centers = (1.0 - t) * world.mode_centers
-    diff = z2[:, None, :] - centers[None, :, :]
-    sq = np.sum(diff * diff, axis=2)
-    return -sq / (2.0 * s2) - math.log(2.0 * math.pi * s2)
+    log_lik = -sq / (2.0 * s2) - math.log(2.0 * math.pi * s2)
+    with np.errstate(divide="ignore"):
+        return np.log(weights) + log_lik
+
+
+def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.ndarray,
+             t_resp: float, weights: np.ndarray):
+    """E[x0 | z_t] and its responsibilities: component posterior means from the
+    offsets at ``t``, responsibilities from the squared offsets at ``t_resp``.
+
+    The sampler takes ``t_resp`` at the step's arrival time. The earlier mode
+    commitment cancels the discretization smear that same-time evaluation
+    leaves near basin boundaries; single-mode dynamics are untouched and the
+    scheme stays first-order consistent with the same ODE.
+    """
+    resp = _softmax(_log_joint(world, sq_resp, t_resp, weights))
+    shrink = (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
+    x0 = np.sum(resp[:, :, None] * (world.mode_centers + shrink * offsets), axis=1)
+    return x0, resp
 
 
 def enrichment(world: MixtureWorld, z: np.ndarray, t: float) -> np.ndarray:
@@ -157,48 +195,8 @@ def enrichment(world: MixtureWorld, z: np.ndarray, t: float) -> np.ndarray:
     commensurate with prompt logits for the whole trajectory instead of
     dominating them as t -> 0.
     """
-    z2 = np.atleast_2d(np.asarray(z, dtype=float))
-    centers = (1.0 - t) * world.mode_centers
-    diff = z2[:, None, :] - centers[None, :, :]
-    affinity = -np.sum(diff * diff, axis=2) / 2.0
-    out = affinity - np.mean(affinity, axis=1, keepdims=True)
+    out = _feedback(_offsets(world, z, t)[1])
     return out if np.asarray(z).ndim == 2 else out[0]
-
-
-def _responsibilities(world: MixtureWorld, z2: np.ndarray, t: float, w2: np.ndarray) -> np.ndarray:
-    log_lik = _component_log_likelihood(world, z2, t)
-    with np.errstate(divide="ignore"):
-        log_post = np.log(w2) + log_lik
-    log_post = log_post - np.max(log_post, axis=1, keepdims=True)
-    post = np.exp(log_post)
-    return post / np.sum(post, axis=1, keepdims=True)
-
-
-def _component_posterior_means(world: MixtureWorld, z2: np.ndarray, t: float) -> np.ndarray:
-    s2 = _noise_scale_sq(world, t)
-    shrink = (1.0 - t) * world.mode_sigma**2 / s2
-    centers = (1.0 - t) * world.mode_centers
-    return world.mode_centers[None, :, :] + shrink * (z2[:, None, :] - centers[None, :, :])
-
-
-def _denoise_batch(world: MixtureWorld, z2: np.ndarray, t: float, w2: np.ndarray):
-    resp = _responsibilities(world, z2, t, w2)
-    x0 = np.sum(resp[:, :, None] * _component_posterior_means(world, z2, t), axis=1)
-    return x0, resp
-
-
-def _lagged_denoise(
-    world: MixtureWorld, z2: np.ndarray, t: float, t_resp: float, w2: np.ndarray
-) -> np.ndarray:
-    """Denoiser pull with responsibilities evaluated at the step's arrival time.
-
-    The earlier mode commitment cancels the discretization smear that plain
-    same-time evaluation leaves near basin boundaries; the per-component
-    posterior means stay at the departure time, so single-mode dynamics are
-    untouched and the scheme remains first-order consistent with the same ODE.
-    """
-    resp = _responsibilities(world, z2, t_resp, w2)
-    return np.sum(resp[:, :, None] * _component_posterior_means(world, z2, t), axis=1)
 
 
 def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray):
@@ -209,17 +207,15 @@ def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    z2 = np.asarray(z, dtype=float).reshape(1, 2)
+    offsets, sq = _offsets(world, np.asarray(z, dtype=float).reshape(1, 2), t)
     w2 = np.asarray(weights, dtype=float).reshape(1, world.n_modes)
-    x0, resp = _denoise_batch(world, z2, t, w2)
+    x0, resp = _denoise(world, offsets, t, sq, t, w2)
     return x0[0], resp[0]
 
 
 def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray) -> float:
     """log p_t(z) of the mixture marginal, via log-sum-exp."""
-    log_lik = _component_log_likelihood(world, z, t)[0]
-    with np.errstate(divide="ignore"):
-        terms = np.log(np.asarray(weights, dtype=float)) + log_lik
+    terms = _log_joint(world, _offsets(world, z, t)[1][0], t, np.asarray(weights, dtype=float))
     peak = np.max(terms)
     return float(peak + np.log(np.sum(np.exp(terms - peak))))
 
@@ -227,9 +223,8 @@ def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarra
 def mixture_score(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
     """Analytic grad_z log p_t(z) = -sum_k r_k (z - (1-t) mu_k) / s_t^2."""
     _, resp = posterior_denoiser(world, z, t, weights)
-    s2 = _noise_scale_sq(world, t)
-    diff = np.asarray(z, dtype=float)[None, :] - (1.0 - t) * world.mode_centers
-    return -np.sum(resp[:, None] * diff, axis=0) / s2
+    diff = _offsets(world, z, t)[0][0]
+    return -np.sum(resp[:, None] * diff, axis=0) / _noise_scale_sq(world, t)
 
 
 def one_hot_prompts(world: MixtureWorld, batch: int, mode: int = 0, strength: float = 10.0) -> np.ndarray:
@@ -261,8 +256,9 @@ def sample_batch(
     """Integrate the batch from t=1 to t=0 with the chosen intervention.
 
     Each of the T uniform steps moves z by -dt * (z - x0_hat)/t, where the
-    denoiser pull uses arrival-time responsibilities (see
-    :func:`_lagged_denoise`). ``contextual`` repels the batch of enriched
+    denoiser pull uses arrival-time responsibilities (see :func:`_denoise`);
+    one offsets array at the departure time feeds both the enrichment and the
+    component posterior means. ``contextual`` repels the batch of enriched
     context logits and keeps the deltas as context state; ``latent`` repels
     the latent positions directly; ``cads`` corrupts the prompt with annealed
     seeded noise; ``none`` leaves the model alone. The optional hooks replace
@@ -276,8 +272,10 @@ def sample_batch(
         raise ValueError(f"prompts must have shape (B, {world.n_modes})")
     if method in ("contextual", "latent") and repulsion is None:
         raise ValueError(f"method {method!r} requires a repulsion config")
-    if method == "cads" and cads is None:
-        cads = CadsParams()
+    if method == "cads":
+        cads = CadsParams() if cads is None else cads
+        # fixed for the run: the row mean and std that the psi rescaling restores
+        prompt_stats = [stat(prompts, axis=1, keepdims=True) for stat in (np.mean, np.std)]
 
     batch = prompts.shape[0]
     t_steps = world.n_steps
@@ -302,11 +300,12 @@ def sample_batch(
             z = repulse(ContextBatch(z), repulsion).vectors
         if latent_hook is not None:
             z = latent_hook(j, t, z)
+        offsets, sq = _offsets(world, z, t)
 
         base = context_state
         if method == "cads" and fraction_in_interval(j, t_steps, cads_interval):
-            base = _cads_corrupt(prompts, t, cads, cads_rng)
-        effective = base + world.feedback_scale * enrichment(world, z, t)
+            base = _cads_corrupt(prompts, prompt_stats, t, cads, cads_rng)
+        effective = base + world.feedback_scale * _feedback(sq)
         if method == "contextual" and in_window:
             repelled = repulse(ContextBatch(effective), repulsion).vectors
             context_state = context_state + (repelled - effective)
@@ -316,7 +315,7 @@ def sample_batch(
 
         weights = conditional_weights(effective, world.guidance_gamma)
         t_resp = max(times[j + 1], times[t_steps - 1])
-        x0 = _lagged_denoise(world, z, t, t_resp, weights)
+        x0, _ = _denoise(world, offsets, t, _offsets(world, z, t_resp)[1], t_resp, weights)
         z = z - (dt / t) * (z - x0)
 
         contexts[j] = effective
@@ -331,14 +330,13 @@ def sample_batch(
     ]
 
 
-def _cads_corrupt(prompts: np.ndarray, t: float, cads: CadsParams, rng) -> np.ndarray:
+def _cads_corrupt(prompts: np.ndarray, prompt_stats, t: float, cads: CadsParams, rng) -> np.ndarray:
     gamma_c = cads.corruption(t)
     noise = rng.standard_normal(prompts.shape)
     corrupted = math.sqrt(gamma_c) * prompts + cads.scale * math.sqrt(1.0 - gamma_c) * noise
     if cads.psi == 0.0:
         return corrupted
-    mean_in = np.mean(prompts, axis=1, keepdims=True)
-    std_in = np.std(prompts, axis=1, keepdims=True)
+    mean_in, std_in = prompt_stats
     mean_c = np.mean(corrupted, axis=1, keepdims=True)
     std_c = np.std(corrupted, axis=1, keepdims=True)
     safe_std = np.where(std_c > 0.0, std_c, 1.0)

@@ -174,6 +174,31 @@ class TestGradCheckCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["max_relative_error"] <= 1e-5
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seeds", "0"),
+            ("--seeds", "-1"),
+            ("--batch", "1"),
+            ("--batch", "0"),
+            ("--dim", "0"),
+            ("--fd-step", "0"),
+            ("--fd-step", "-1e-5"),
+            ("--fd-step", "nan"),
+            ("--fd-step", "inf"),
+        ],
+    )
+    def test_bad_flags_exit_2_before_any_work(self, capsys, monkeypatch, flag, value):
+        def no_work(batch):
+            raise AssertionError("gradient computed despite a bad flag")
+
+        monkeypatch.setattr(cli, "entropy_gradient", no_work)
+        argv = ["grad-check", "--batch", "3", "--dim", "4", "--seeds", "1", f"{flag}={value}"]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag.lstrip("-") in json.loads(captured.err)["error"]
+
 
 class TestRepulseCommand:
     def test_roundtrip_and_zero_eta(self, tmp_path):

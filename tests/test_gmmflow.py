@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,16 @@ import ctxrep.gmmflow as gf
 import ctxrep.vendi as vendi
 from ctxrep.linalg import ContextBatch
 from ctxrep.repulsion import RepulsionConfig
+from ctxrep.steering import SteeringSpec, steered_run
 from ctxrep.vendi import average_pair_vendi
+
+from .test_rng import digest
 
 COLLAPSE_REPULSION = RepulsionConfig(
     eta=2.0, inner_steps=2, timestep_interval=(0.0, 0.25), gradient_normalization=True
+)
+LATENT_REPULSION = RepulsionConfig(
+    eta=0.65, inner_steps=2, timestep_interval=(0.0, 1.0), gradient_normalization=True
 )
 
 
@@ -28,6 +37,26 @@ class TestWorld:
         radii = np.linalg.norm(world.mode_centers, axis=1)
         assert np.allclose(radii, world.radius, atol=1e-12)
         assert world.context_dim == world.n_modes
+
+    def test_centers_built_once_and_read_only(self):
+        world = gf.MixtureWorld()
+        assert world.mode_centers is world.mode_centers
+        with pytest.raises(ValueError):
+            world.mode_centers[0, 0] = 1.0
+
+    def test_replace_builds_fresh_centers(self):
+        world = gf.MixtureWorld()
+        assert np.allclose(np.linalg.norm(world.mode_centers, axis=1), 4.0, atol=1e-12)
+        wider = dataclasses.replace(world, radius=6.0)
+        assert np.allclose(np.linalg.norm(wider.mode_centers, axis=1), 6.0, atol=1e-12)
+
+    def test_pickled_world_compares_equal(self):
+        world = gf.MixtureWorld(n_modes=5)
+        centers = world.mode_centers
+        copy = pickle.loads(pickle.dumps(world))
+        assert copy == world and hash(copy) == hash(world)
+        assert np.array_equal(copy.mode_centers, centers)
+        assert not copy.mode_centers.flags.writeable
 
 
 class TestConditionalWeights:
@@ -287,3 +316,52 @@ class TestEvaluate:
         assert built == [world.radius / 2.0]
         finals = ContextBatch(np.stack([tr.latents[-1] for tr in trajectories]))
         assert metrics.avg_pair_vendi == average_pair_vendi(finals, "rbf", world.radius / 2.0)
+
+
+# sha256 of every trajectory's latents, then every trajectory's contexts, on
+# the collapse world (collapse.cfg: B=8 one-hot prompts, cads_scale 0.5),
+# recorded before the mixture-flow step was fused.
+GOLDEN_TRAJECTORIES = {
+    ("none", 0): "656430c1d2ebb1be463def4bbf75a76b63e29fa9ef6a67b10385e8834a25b39b",
+    ("none", 7): "fb899a77769aa3728be9057eed1e436dd1f6c93fa4ce4c7a1feac0459dc86162",
+    ("none", 19): "6777433add1f4482a8b6e8ff7b8e0d06137795dbd1317a987283afce2907e7b8",
+    ("contextual", 0): "aaf2dd294b3e508faa573ebf903003c7bf62ba8cfb6bc34f89eaa5946c1bd009",
+    ("contextual", 7): "87786892aebc9602a169d11ad04995f93ceeeed831889b7bf16520047385a667",
+    ("contextual", 19): "82735748fc28ab613e8c049c7ba8f2dddd67bd8c6f64134b6f8160113a3ffd95",
+    ("latent", 0): "c09bed28abde172eeb544a8a39308cb7c40de9f455ac59a97a468bbdc46634ae",
+    ("latent", 7): "88c59b172b37be6d605c10cadb26300c083531ae7dc02a9f4110d0ea97c99e6e",
+    ("latent", 19): "e47b1f7c7ccbd597573f870a42383ab9dccfb66d292831a692107109b568031e",
+    ("cads", 0): "7533ec642ca4031ff0cd6a6210c68687499e53e14515d44abc2141664b41f51d",
+    ("cads", 7): "c57bc4344a811895c3ac467f20272947b4df3c8e015bcf103e812020f6a46919",
+    ("cads", 19): "44cdf4993c67f9332210f2a42d2fb3f7d151bde58c8d3631142bc06970325bac",
+}
+GOLDEN_STEERED = {
+    "contextual": "51fd4db45dd68813e0386b4fbb3bdf73feb8fbbf621ad2d8d4589d5cabbc65c1",
+    "latent": "92e24db515793d8f04810af21e7554a491942b33385684fd57e48720ee7153d0",
+}
+METHOD_KWARGS = {
+    "none": {},
+    "cads": {"cads": gf.CadsParams(scale=0.5)},
+    "contextual": {"repulsion": COLLAPSE_REPULSION},
+    "latent": {"repulsion": LATENT_REPULSION},
+}
+
+
+def trajectory_digest(trajectories) -> str:
+    return digest([tr.latents for tr in trajectories] + [tr.contexts for tr in trajectories])
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("method", gf.METHODS)
+    @pytest.mark.parametrize("seed", (0, 7, 19))
+    def test_sample_batch(self, method, seed):
+        world = gf.MixtureWorld()
+        trajectories = gf.sample_batch(
+            world, gf.one_hot_prompts(world, 8), method, seed=seed, **METHOD_KWARGS[method]
+        )
+        assert trajectory_digest(trajectories) == GOLDEN_TRAJECTORIES[method, seed]
+
+    @pytest.mark.parametrize("space", ("contextual", "latent"))
+    def test_steered_run(self, space):
+        run = steered_run(gf.MixtureWorld(), 0, 3, SteeringSpec(alpha=0.5, space=space))
+        assert trajectory_digest([run]) == GOLDEN_STEERED[space]
