@@ -11,6 +11,7 @@ import copy
 import csv
 import dataclasses
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -47,6 +48,12 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -5 and -0.5 as numbers but reads -5e-1
+        # as an option, so a flag given -5e-1 would lose its value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

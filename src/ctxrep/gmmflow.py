@@ -136,9 +136,9 @@ class CadsParams:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    logits = logits - np.max(logits, axis=-1, keepdims=True)
+    logits = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
-    return weights / np.sum(weights, axis=-1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def conditional_weights(context: np.ndarray, gamma: float) -> np.ndarray:
@@ -155,12 +155,12 @@ def _offsets(world: MixtureWorld, z: np.ndarray, t: float):
     shape (B, K, 2), and their squared lengths, shape (B, K)."""
     z2 = np.atleast_2d(np.asarray(z, dtype=float))
     diff = z2[:, None, :] - (1.0 - t) * world.mode_centers
-    return diff, np.sum(diff * diff, axis=2)
+    return diff, (diff * diff).sum(axis=2)
 
 
 def _feedback(sq: np.ndarray) -> np.ndarray:
     affinity = -sq / 2.0
-    return affinity - np.mean(affinity, axis=1, keepdims=True)
+    return affinity - affinity.mean(axis=1, keepdims=True)
 
 
 def _log_joint(world: MixtureWorld, sq: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
@@ -183,7 +183,7 @@ def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.nda
     """
     resp = _softmax(_log_joint(world, sq_resp, t_resp, weights))
     shrink = (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
-    x0 = np.sum(resp[:, :, None] * (world.mode_centers + shrink * offsets), axis=1)
+    x0 = (resp[:, :, None] * (world.mode_centers + shrink * offsets)).sum(axis=1)
     return x0, resp
 
 
@@ -337,8 +337,8 @@ def _cads_corrupt(prompts: np.ndarray, prompt_stats, t: float, cads: CadsParams,
     if cads.psi == 0.0:
         return corrupted
     mean_in, std_in = prompt_stats
-    mean_c = np.mean(corrupted, axis=1, keepdims=True)
-    std_c = np.std(corrupted, axis=1, keepdims=True)
+    mean_c = corrupted.mean(axis=1, keepdims=True)
+    std_c = corrupted.std(axis=1, keepdims=True)
     safe_std = np.where(std_c > 0.0, std_c, 1.0)
     rescaled = (corrupted - mean_c) / safe_std * std_in + mean_in
     return cads.psi * rescaled + (1.0 - cads.psi) * corrupted

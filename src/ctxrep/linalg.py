@@ -163,6 +163,21 @@ def jacobi_eigh(m: SymMatrix, max_sweeps: int = _MAX_SWEEPS) -> EigenDecompositi
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenpairs of a symmetric array: eigenvalues descending, and
+    C-contiguous eigenvectors as columns in the same order.
+
+    The caller vouches for symmetry; a LAPACK failure raises
+    :class:`NonConvergence`.
+    """
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK eigh failed: {exc}") from exc
+    # a negative-stride view can send a later matmul off the BLAS path
+    return eigenvalues[::-1], np.ascontiguousarray(vectors[:, ::-1])
+
+
 def eigh(m: SymMatrix) -> EigenDecomposition:
     """Full eigendecomposition from LAPACK, in :func:`jacobi_eigh`'s canonical form.
 
@@ -170,36 +185,38 @@ def eigh(m: SymMatrix) -> EigenDecomposition:
     1e-12 in magnitude is made non-negative. A LAPACK failure raises
     :class:`NonConvergence`.
     """
-    try:
-        eigenvalues, vectors = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"LAPACK eigh failed: {exc}") from exc
-    vectors = vectors[:, ::-1]
+    eigenvalues, vectors = _eigh_descending(m.entries)
     # a unit column always has a component above 1e-12, so argmax finds it
     leading = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(m.dim)]
     signs = np.where(leading < 0.0, -1.0, 1.0)
-    return EigenDecomposition(eigenvalues=eigenvalues[::-1], eigenvectors=vectors * signs)
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors * signs)
 
 
-def _unit_rows_and_cosine(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, SymMatrix]:
-    """Row norms, unit rows and the cosine kernel of a batch of vectors."""
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0.0):
+def _unit_rows_and_cosine(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row norms, unit rows and the cosine kernel of a batch of finite vectors.
+
+    The kernel is exactly symmetric and finite with a unit diagonal: numpy
+    computes ``unit @ unit.T`` as a symmetric rank-k update and mirrors one
+    triangle, and the elementwise snap and the diagonal fill keep it so.
+    """
+    # the same bits as np.linalg.norm(vectors, axis=1), without its dispatch
+    norms = np.sqrt((vectors * vectors).sum(axis=1))
+    if (norms == 0.0).any():
         raise DegenerateVector("zero-norm sample vector")
     unit = vectors / norms[:, None]
     k = unit @ unit.T
-    np.clip(k, -1.0, 1.0, out=k)
     # directions closer than 1e-12 in cosine are numerically identical;
-    # snapping makes duplicate samples give an exactly rank-deficient kernel
+    # snapping makes duplicate samples give an exactly rank-deficient kernel,
+    # and it also clips roundoff past +-1
     k[k > 1.0 - 1e-12] = 1.0
     k[k < -1.0 + 1e-12] = -1.0
     np.fill_diagonal(k, 1.0)
-    return norms, unit, SymMatrix(k)
+    return norms, unit, k
 
 
 def cosine_kernel(batch: ContextBatch) -> SymMatrix:
     """Pairwise cosine similarities; unit diagonal, entries in [-1, 1]."""
-    return _unit_rows_and_cosine(batch.vectors)[2]
+    return SymMatrix(_unit_rows_and_cosine(batch.vectors)[2])
 
 
 def rbf_kernel(points: ContextBatch, bandwidth: float) -> SymMatrix:

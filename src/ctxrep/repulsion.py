@@ -116,15 +116,19 @@ def repulse(batch: ContextBatch, cfg: RepulsionConfig) -> ContextBatch:
     if batch.batch_size < 2 or cfg.eta == 0.0:
         return batch
     step = cfg.eta / cfg.inner_steps
-    vectors = batch.vectors.copy()
+    # never written to: each update below makes a new array
+    vectors = batch.vectors
     for _ in range(cfg.inner_steps):
+        # a fresh ContextBatch rejects a non-finite state, which the overflow
+        # guard (NaN > limit is false) lets through
         grad = entropy_gradient(ContextBatch(vectors))
         if cfg.gradient_normalization:
-            largest = float(np.max(np.linalg.norm(grad, axis=1)))
+            # the largest row norm, with np.linalg.norm's bits
+            largest = float(np.sqrt((grad * grad).sum(axis=1).max()))
             if largest > _NORMALIZATION_FLOOR:
                 grad = grad / largest
         vectors = vectors + step * grad
-        if float(np.max(np.abs(vectors))) > OVERFLOW_LIMIT:
+        if float(np.abs(vectors).max()) > OVERFLOW_LIMIT:
             raise NumericOverflow(f"updated entries exceed {OVERFLOW_LIMIT:.0e}")
     return ContextBatch(vectors)
 

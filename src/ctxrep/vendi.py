@@ -14,9 +14,9 @@ import numpy as np
 from .linalg import (
     ContextBatch,
     SymMatrix,
+    _eigh_descending,
     _unit_rows_and_cosine,
     cosine_kernel,
-    eigh,
     rbf_kernel,
 )
 
@@ -65,24 +65,23 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     diagonal contributes nothing). Symmetry of K doubles the off-diagonal
     terms. Returns an array with the same shape as ``batch.vectors``. Raises
     :class:`DegenerateVector` on a zero row, where the cosine is undefined.
-    The eigenpairs come from LAPACK (:func:`ctxrep.linalg.eigh`).
+    The eigenpairs come from LAPACK, as in :func:`ctxrep.linalg.eigh`.
+
+    The kernel goes to LAPACK as built (exactly symmetric, see
+    ``_unit_rows_and_cosine``), and the eigenvectors keep LAPACK's signs:
+    negating column k of U negates both factors of u_k f'_k u_k^T, so dL/dK
+    does not change by a single bit.
     """
     b = batch.batch_size
     if b < 2:
         raise ValueError("gradient requires at least two samples")
-    norms, unit, cosine = _unit_rows_and_cosine(batch.vectors)
-    kernel = cosine.entries
-    decomposition = eigh(SymMatrix(kernel / b))
-    safe = np.maximum(decomposition.eigenvalues, EIGENVALUE_FLOOR)
-    f_prime = -(np.log(safe) + 1.0)
-    u = decomposition.eigenvectors
+    norms, unit, kernel = _unit_rows_and_cosine(batch.vectors)
+    eigenvalues, u = _eigh_descending(kernel / b)
+    f_prime = -(np.log(np.maximum(eigenvalues, EIGENVALUE_FLOOR)) + 1.0)
     dl_dk = (u * f_prime) @ u.T / b
-
-    off = dl_dk.copy()
-    np.fill_diagonal(off, 0.0)
-    radial = np.sum(off * kernel, axis=1)
-    grad = 2.0 * (off @ unit - radial[:, None] * unit) / norms[:, None]
-    return grad
+    np.fill_diagonal(dl_dk, 0.0)  # the unit diagonal contributes nothing
+    radial = (dl_dk * kernel).sum(axis=1)
+    return 2.0 * (dl_dk @ unit - radial[:, None] * unit) / norms[:, None]
 
 
 def average_pair_vendi(

@@ -418,6 +418,51 @@ class TestSteerCommand:
         assert "apply interval" in json.loads(capsys.readouterr().err)["error"]
 
 
+def flag_argv(flag: str, value: str, form: str) -> list[str]:
+    return [flag, value] if form == "spaced" else [f"{flag}={value}"]
+
+
+class TestNegativeExponentValues:
+    """argparse on its own takes -0.5 as a value but reads -5e-1 as an option."""
+
+    @pytest.mark.parametrize("form", ["spaced", "equals"])
+    def test_steer_alpha(self, tmp_path, form):
+        cfg = small_gmm_config(tmp_path)
+        base = ["steer", "--source-seed", "0", "--target-seed", "3", "--config", cfg]
+        plain, exponent = tmp_path / "plain.csv", tmp_path / "exponent.csv"
+        assert run_command(base + ["--alpha", "-0.5", "--output", str(plain)]) == 0
+        argv = base + flag_argv("--alpha", "-5e-1", form) + ["--output", str(exponent)]
+        assert run_command(argv) == 0
+        assert exponent.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("form", ["spaced", "equals"])
+    def test_grad_check_fd_step(self, capsys, form):
+        argv = ["grad-check", "--seeds", "1"] + flag_argv("--fd-step", "-1e-5", form)
+        assert run_command(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "fd-step must be finite and positive" in error
+
+    @pytest.mark.parametrize("form", ["spaced", "equals"])
+    def test_repulse_eta(self, tmp_path, capsys, form):
+        src = tmp_path / "in.csv"
+        write_vector_csv(str(src), np.array([[1.0, 0.0], [0.6, 0.8]]))
+        argv = ["repulse", "--input", str(src), "--output", str(tmp_path / "out.csv"),
+                "--steps", "1"] + flag_argv("--eta", "-1e-3", form)
+        assert run_command(argv) == 2
+        assert "eta must be finite and non-negative" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-e", "-5e", "-1e-", "-e5"])
+    @pytest.mark.parametrize("form", ["spaced", "equals"])
+    def test_non_numbers_stay_usage_errors(self, tmp_path, capsys, value, form):
+        cfg = small_gmm_config(tmp_path)
+        argv = ["steer", "--source-seed", "0", "--target-seed", "3", "--config", cfg,
+                "--output", str(tmp_path / "out.csv")] + flag_argv("--alpha", value, form)
+        assert run_command(argv) == 2
+        assert "--alpha" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestModuleEntryPoint:
     @staticmethod
     def run_module(*argv):

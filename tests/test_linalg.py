@@ -9,6 +9,8 @@ from ctxrep.linalg import (
     DegenerateVector,
     NonConvergence,
     SymMatrix,
+    _eigh_descending,
+    _unit_rows_and_cosine,
     cosine_kernel,
     eigh,
     jacobi_eigh,
@@ -118,9 +120,22 @@ class TestEigh:
             rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
             assert np.max(np.abs(rebuilt - m.entries)) <= 1e-12 * n
             assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(n))) <= 1e-12 * n
+            assert dec.eigenvectors.flags.c_contiguous
             for k in range(n):
                 column = dec.eigenvectors[:, k]
                 assert column[np.abs(column) > 1e-12][0] >= 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16))
+    def test_raw_helper_is_eigh_before_the_sign_step(self, seed, n):
+        m = random_symmetric(np.random.default_rng(seed), n)
+        eigenvalues, vectors = _eigh_descending(m.entries)
+        dec = eigh(m)
+        assert np.array_equal(eigenvalues, dec.eigenvalues)
+        assert vectors.flags.c_contiguous
+        # the sign step negates whole columns and nothing else
+        flipped = np.all(vectors == -dec.eigenvectors, axis=0)
+        assert np.all(flipped | np.all(vectors == dec.eigenvectors, axis=0))
 
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
         def failing(_):
@@ -129,6 +144,8 @@ class TestEigh:
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(NonConvergence, match="did not converge"):
             eigh(SymMatrix(np.eye(3)))
+        with pytest.raises(NonConvergence, match="did not converge"):
+            _eigh_descending(np.eye(3))
 
 
 class TestContextBatch:
@@ -182,6 +199,35 @@ class TestCosineKernel:
         base = cosine_kernel(ContextBatch(vectors)).entries
         shuffled = cosine_kernel(ContextBatch(vectors[perm])).entries
         assert np.max(np.abs(shuffled - base[np.ix_(perm, perm)])) <= 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(2, 16),
+        width=st.integers(1, 600),
+        duplicate=st.booleans(),
+        antipodal=st.booleans(),
+        data=st.data(),
+    )
+    def test_raw_kernel_is_exactly_symmetric(self, seed, batch, width, duplicate, antipodal, data):
+        # the gradient hands this kernel to LAPACK unchecked, so the checks
+        # SymMatrix would make must already hold for it as built
+        directions = np.random.default_rng(seed).standard_normal((batch, width))
+        if duplicate:
+            directions[1] = directions[0]  # snapped to exactly 1
+        if antipodal:
+            directions[-1] = -directions[0]  # snapped to exactly -1
+        exponents = data.draw(st.lists(st.integers(-150, 150), min_size=batch, max_size=batch))
+        vectors = directions * 10.0 ** np.array(exponents, dtype=float)[:, None]
+        k = _unit_rows_and_cosine(vectors)[2]
+        assert np.array_equal(k, k.T)
+        assert np.isfinite(k).all()
+        assert np.array_equal(np.diag(k), np.ones(batch))
+        assert np.abs(k).max() <= 1.0
+        if duplicate and not (antipodal and batch == 2):
+            assert k[0, 1] == 1.0
+        if antipodal:
+            assert k[0, -1] == -1.0
 
 
 class TestRbfKernel:

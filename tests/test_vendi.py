@@ -13,7 +13,12 @@ from ctxrep.linalg import (
     jacobi_eigh,
     rbf_kernel,
 )
-from ctxrep.vendi import average_pair_vendi, entropy_and_score, entropy_gradient
+from ctxrep.vendi import (
+    EIGENVALUE_FLOOR,
+    average_pair_vendi,
+    entropy_and_score,
+    entropy_gradient,
+)
 
 from ._oracles import (
     average_pair_vendi_loop,
@@ -134,11 +139,33 @@ class TestEntropyGradient:
         scaled = entropy_and_score(cosine_kernel(ContextBatch(vectors * scales[:, None])))
         assert abs(base.entropy - scaled.entropy) <= 1e-9
 
-    def test_shared_unit_rows_match_cosine_kernel_bitwise(self):
-        for seed in range(20):
-            vectors = random_points(seed, 2 + seed % 9, 1 + seed % 5, 3.0)
-            got = entropy_gradient(ContextBatch(vectors))
-            assert np.array_equal(got, entropy_gradient_with(vectors, eigh))
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 10), dim=st.integers(1, 5))
+    def test_shared_unit_rows_match_cosine_kernel_bitwise(self, seed, batch, dim):
+        # the oracle validates both kernels as SymMatrix and takes canonical
+        # eigenvector signs; the gradient skips both and must not move a bit
+        vectors = random_points(seed, batch, dim, 3.0)
+        got = entropy_gradient(ContextBatch(vectors))
+        assert np.array_equal(got, entropy_gradient_with(vectors, eigh))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(2, 16),
+        dim=st.integers(1, 20),
+        spread=st.sampled_from([1e-3, 1.0, 3.0]),
+    )
+    def test_eigenvector_signs_cannot_move_dl_dk(self, seed, batch, dim, spread):
+        # negating column k of U negates both factors of u_k f'_k u_k^T, and
+        # negation is exact, so (U * f') @ U^T is the same to the bit
+        vectors = random_points(seed, batch, dim, spread) + 1.0
+        kernel = cosine_kernel(ContextBatch(vectors)).entries / batch
+        dec = eigh(SymMatrix(kernel))
+        f_prime = -(np.log(np.maximum(dec.eigenvalues, EIGENVALUE_FLOOR)) + 1.0)
+        u = dec.eigenvectors
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=batch)
+        flipped = u * signs
+        assert np.array_equal((flipped * f_prime) @ flipped.T, (u * f_prime) @ u.T)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 12), extra=st.integers(0, 12))
