@@ -126,8 +126,8 @@ def _toy_config(cfg: ExperimentConfig) -> toydit.ToyDiTConfig:
     )
 
 
-def _run_one_simulation(args) -> dict:
-    cfg, method, seed, run_id = args
+def _simulate_seeds(cfg: ExperimentConfig, method: str, run_ids: range) -> list[dict]:
+    """Records of runs ``run_ids`` (seed ``seed_start + run_id``), sampled as one seed block."""
     world = _world_from_config(cfg)
     prompts = gmmflow.one_hot_prompts(
         world, cfg.batch_size, mode=cfg.prompt_mode, strength=cfg.prompt_strength
@@ -140,15 +140,40 @@ def _run_one_simulation(args) -> dict:
     elif method == "cads":
         kwargs["cads"] = _cads_from_config(cfg)
         kwargs["cads_interval"] = cfg.cads_interval
-    trajectories = gmmflow.sample_batch(world, prompts, method, seed=seed, **kwargs)
-    metrics = gmmflow.evaluate(trajectories, world)
-    return {"run_id": run_id, "seed": seed, "method": method, **metrics.as_dict()}
+    seeds = [cfg.seed_start + i for i in run_ids]
+    blocks = gmmflow.sample_seed_block(world, prompts, method, seeds=seeds, **kwargs)
+    return [
+        {"run_id": run_id, "seed": seed, "method": method,
+         **gmmflow.evaluate(trajectories, world).as_dict()}
+        for run_id, seed, trajectories in zip(run_ids, seeds, blocks)
+    ]
 
 
-def _map_runs(work: list, jobs: int, run=_run_one_simulation) -> list:
-    """``run`` over the work items in order, on ``jobs`` worker processes."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+def _run_simulation_chunk(args) -> list[dict]:
+    cfg, method, run_ids = args
+    try:
+        return _simulate_seeds(cfg, method, run_ids)
+    except (ArithmeticError, ValueError):
+        # the block stops at the first failing step of any seed; re-run seed
+        # by seed so that the error raised is the first failing seed's, as
+        # when each seed ran on its own
+        for run_id in run_ids:
+            _simulate_seeds(cfg, method, range(run_id, run_id + 1))
+        raise
+
+
+def _seed_chunks(seeds: int, jobs: int) -> list[range]:
+    """``min(jobs, seeds)`` contiguous ranges of run ids that cover ``range(seeds)``."""
+    n = min(jobs, seeds)
+    return [range(k * seeds // n, (k + 1) * seeds // n) for k in range(n)]
+
+
+def _map_runs(work: list, jobs: int, run) -> list:
+    """``run`` over the work items in order, on ``min(jobs, len(work))`` worker
+    processes, or in this process when that is one."""
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, work))
     return [run(item) for item in work]
 
@@ -240,10 +265,8 @@ def _cmd_repulse(args) -> int:
     return EXIT_OK
 
 
-def _toy_block_report(
-    cfg: ExperimentConfig, repulsion: RepulsionConfig | None, weight_seed: int, noise_base: int
-):
-    """The batch's shared prompt encoding and its forward pass (states, snapshots).
+def _toy_inputs(cfg: ExperimentConfig, weight_seed: int, noise_base: int):
+    """Weights, the batch's shared prompt encoding and its image tokens.
 
     Sample i's image noise is seeded with ``noise_base + i``.
     """
@@ -253,7 +276,13 @@ def _toy_block_report(
     images = np.stack(
         [toydit.seed_image_tokens(model_cfg, noise_base + i) for i in range(cfg.toy_batch)]
     )
-    states, snapshots = toydit.forward_with_hooks(
+    return weights, prompt, images
+
+
+def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsion: RepulsionConfig | None):
+    """The snapshots of one forward pass over ``_toy_inputs``; the inputs are not changed."""
+    weights, prompt, images = inputs
+    _, snapshots = toydit.forward_with_hooks(
         [prompt] * cfg.toy_batch,
         images,
         weights,
@@ -261,7 +290,7 @@ def _toy_block_report(
         step_index=cfg.toy_step_index,
         total_steps=cfg.toy_total_steps,
     )
-    return prompt, states, snapshots
+    return snapshots
 
 
 def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
@@ -270,9 +299,9 @@ def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
 
 def _cmd_toy_run(args) -> int:
     cfg = load_config(args.config)
-    repulsion = repulsion_from_config(cfg)
-    _, _, snaps_on = _toy_block_report(cfg, repulsion, cfg.toy_seed, cfg.seed_start)
-    _, _, snaps_off = _toy_block_report(cfg, None, cfg.toy_seed, cfg.seed_start)
+    inputs = _toy_inputs(cfg, cfg.toy_seed, cfg.seed_start)
+    snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
+    snaps_off = _toy_snapshots(cfg, inputs, None)
 
     toydit.write_snapshots_csv(snaps_on, cfg.output_snapshots, _toy_config(cfg))
     off_scores = {(s.block_index, s.stream): _snapshot_score(s) for s in snaps_off}
@@ -311,11 +340,8 @@ def _cmd_simulate(args) -> int:
     if method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {method!r}")
     seeds, jobs = _seeds_and_jobs(args, cfg)
-    work = [
-        (cfg, method, cfg.seed_start + i, i)
-        for i in range(seeds)
-    ]
-    records = _map_runs(work, jobs)
+    work = [(cfg, method, chunk) for chunk in _seed_chunks(seeds, jobs)]
+    records = [r for chunk in _map_runs(work, jobs, _run_simulation_chunk) for r in chunk]
     _emit_lines([json.dumps(r) for r in records], args.output or cfg.output)
     return EXIT_OK
 
@@ -331,7 +357,6 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
         values = cfg.sweep_intervals
     else:
         values = cfg.sweep_batch_sizes
-    run_id = 0
     work = []
     labels = []
     for value in values:
@@ -345,11 +370,10 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
         else:
             variant.batch_size = int(value)
             label = str(int(value))
-        for i in range(cfg.seeds):
-            work.append((variant, cfg.method, cfg.seed_start + i, run_id))
-            labels.append(label)
-            run_id += 1
-    records = _map_runs(work, jobs)
+        for chunk in _seed_chunks(cfg.seeds, jobs):
+            work.append((variant, cfg.method, chunk))
+            labels += [label] * len(chunk)
+    records = [r for chunk in _map_runs(work, jobs, _run_simulation_chunk) for r in chunk]
     for label, record in zip(labels, records):
         rows.append(
             {
@@ -366,34 +390,39 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
     return header, rows
 
 
-def _run_one_block_group(args) -> dict:
-    cfg, repulsion, seed = args
+def _run_block_groups(args) -> list[dict]:
+    """One seed's row for each block group, all on the seed's one set of inputs."""
+    cfg, repulsions, seed = args
     # vary weights and image noise together per seed
-    prompt, _, snaps = _toy_block_report(cfg, repulsion, cfg.toy_seed + seed, seed * 1000)
-    final = [s for s in snaps if s.stream == "text"][-1]
-    prompt_vec = prompt.tokens.reshape(-1)
-    sims = [
-        float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
-        for row in final.vectors
-    ]
-    return {
-        "axis": "blocks",
-        "value": repulsion.block_selector,
-        "seed": seed,
-        "text_vendi": _snapshot_score(final),
-        "prompt_similarity": float(np.mean(sims)),
-    }
+    inputs = _toy_inputs(cfg, cfg.toy_seed + seed, seed * 1000)
+    prompt_vec = inputs[1].tokens.reshape(-1)
+    rows = []
+    for repulsion in repulsions:
+        final = [s for s in _toy_snapshots(cfg, inputs, repulsion) if s.stream == "text"][-1]
+        sims = [
+            float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
+            for row in final.vectors
+        ]
+        rows.append({
+            "axis": "blocks",
+            "value": repulsion.block_selector,
+            "seed": seed,
+            "text_vendi": _snapshot_score(final),
+            "prompt_similarity": float(np.mean(sims)),
+        })
+    return rows
 
 
 def _ablate_rows_blocks(cfg: ExperimentConfig, jobs: int) -> tuple[list[str], list[dict]]:
     header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
     base = repulsion_from_config(cfg)
-    work = [
-        (cfg, dataclasses.replace(base, block_selector=group), cfg.seed_start + i)
-        for group in cfg.sweep_block_groups
-        for i in range(cfg.seeds)
+    repulsions = [
+        dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
     ]
-    return header, _map_runs(work, jobs, _run_one_block_group)
+    work = [(cfg, repulsions, cfg.seed_start + i) for i in range(cfg.seeds)]
+    per_seed = _map_runs(work, jobs, _run_block_groups)
+    # group-then-seed order
+    return header, [rows[g] for g in range(len(repulsions)) for rows in per_seed]
 
 
 def _cmd_ablate(args) -> int:

@@ -14,6 +14,10 @@ distinct. Interventions hook in per step: contextual repulsion acts on the
 enriched logits and its deltas persist in the context state, latent repulsion
 acts on the positions directly, and the noise-injection baseline corrupts the
 prompt upstream with an annealed schedule.
+
+The step helpers take any leading axes, so :func:`sample_seed_block` runs a
+block of seeds as one array program on (S, B, .) states, each seed bit for
+bit its own :func:`sample_batch` run.
 """
 
 from __future__ import annotations
@@ -152,15 +156,15 @@ def _noise_scale_sq(world: MixtureWorld, t: float) -> float:
 
 def _offsets(world: MixtureWorld, z: np.ndarray, t: float):
     """Offsets z - (1-t) mu_k of each latent from the time-scaled mode centers,
-    shape (B, K, 2), and their squared lengths, shape (B, K)."""
+    shape (..., B, K, 2), and their squared lengths, shape (..., B, K)."""
     z2 = np.atleast_2d(np.asarray(z, dtype=float))
-    diff = z2[:, None, :] - (1.0 - t) * world.mode_centers
-    return diff, (diff * diff).sum(axis=2)
+    diff = z2[..., None, :] - (1.0 - t) * world.mode_centers
+    return diff, (diff * diff).sum(axis=-1)
 
 
 def _feedback(sq: np.ndarray) -> np.ndarray:
     affinity = -sq / 2.0
-    return affinity - affinity.mean(axis=1, keepdims=True)
+    return affinity - affinity.mean(axis=-1, keepdims=True)
 
 
 def _log_joint(world: MixtureWorld, sq: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
@@ -183,7 +187,7 @@ def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.nda
     """
     resp = _softmax(_log_joint(world, sq_resp, t_resp, weights))
     shrink = (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
-    x0 = (resp[:, :, None] * (world.mode_centers + shrink * offsets)).sum(axis=1)
+    x0 = (resp[..., None] * (world.mode_centers + shrink * offsets)).sum(axis=-2)
     return x0, resp
 
 
@@ -263,8 +267,45 @@ def sample_batch(
     the latent positions directly; ``cads`` corrupts the prompt with annealed
     seeded noise; ``none`` leaves the model alone. The optional hooks replace
     the context or latent at each step (used by the steering operator) and run
-    after the method intervention.
+    after the method intervention; they see (B, 2) latents and (B, M)
+    contexts.
     """
+    prompts = _checked_prompts(world, prompts, method, repulsion)
+    return _trajectories(*_integrate(
+        world, prompts, method, [seed], repulsion, cads, cads_interval, context_hook, latent_hook
+    ))
+
+
+def sample_seed_block(
+    world: MixtureWorld,
+    prompts: np.ndarray,
+    method: str = "none",
+    *,
+    seeds,
+    repulsion: RepulsionConfig | None = None,
+    cads: CadsParams | None = None,
+    cads_interval: tuple[float, float] = (0.0, 1.0),
+) -> list[list[SampleTrajectory]]:
+    """:func:`sample_batch` at each of ``seeds`` on the same (B, M) prompts,
+    run as one array program on (S, B, 2) latents and (S, B, M) contexts.
+
+    Each seed keeps its own noise streams, and each repulsion normalizes
+    per seed, so entry s is bit for bit ``sample_batch(..., seed=seeds[s])``.
+    A non-finite state or an overflow in any seed raises, as a solo call of
+    that seed would.
+    """
+    prompts = _checked_prompts(world, prompts, method, repulsion)
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    stacked = np.broadcast_to(prompts, (len(seeds),) + prompts.shape).copy()
+    times, latents, contexts = _integrate(
+        world, stacked, method, seeds, repulsion, cads, cads_interval
+    )
+    return [_trajectories(times, latents[:, s], contexts[:, s]) for s in range(len(seeds))]
+
+
+def _checked_prompts(world: MixtureWorld, prompts, method: str, repulsion) -> np.ndarray:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     prompts = np.array(prompts, dtype=float)
@@ -272,21 +313,35 @@ def sample_batch(
         raise ValueError(f"prompts must have shape (B, {world.n_modes})")
     if method in ("contextual", "latent") and repulsion is None:
         raise ValueError(f"method {method!r} requires a repulsion config")
+    return prompts
+
+
+def _normals(rngs: list, shape: tuple[int, ...]) -> np.ndarray:
+    """One standard-normal draw of shape ``shape[-2:]`` per generator, in
+    order, laid out as ``shape``."""
+    out = np.empty(shape)
+    for rng, block in zip(rngs, out.reshape((-1,) + shape[-2:])):
+        rng.standard_normal(out=block)
+    return out
+
+
+def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
+               context_hook=None, latent_hook=None):
+    """The sampler loop on prompts of shape (B, M) for one seed or (S, B, M)
+    for S seeds; returns the times and the (T + 1, ..., B, .) latents and
+    contexts."""
+    t_steps = world.n_steps
+    z = _normals([np.random.default_rng(seed) for seed in seeds], prompts.shape[:-1] + (2,))
     if method == "cads":
         cads = CadsParams() if cads is None else cads
+        cads_rngs = [np.random.default_rng(derive_seed(seed, _CADS_SALT)) for seed in seeds]
         # fixed for the run: the row mean and std that the psi rescaling restores
-        prompt_stats = [stat(prompts, axis=1, keepdims=True) for stat in (np.mean, np.std)]
-
-    batch = prompts.shape[0]
-    t_steps = world.n_steps
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((batch, 2))
-    cads_rng = np.random.default_rng(derive_seed(seed, _CADS_SALT))
+        prompt_stats = [stat(prompts, axis=-1, keepdims=True) for stat in (np.mean, np.std)]
 
     context_state = prompts.copy()
     times = 1.0 - np.arange(t_steps + 1) / t_steps
-    latents = np.empty((t_steps + 1, batch, 2))
-    contexts = np.empty((t_steps + 1, batch, world.n_modes))
+    latents = np.empty((t_steps + 1,) + z.shape)
+    contexts = np.empty((t_steps + 1,) + prompts.shape)
     latents[0] = z
 
     for j in range(t_steps):
@@ -304,7 +359,8 @@ def sample_batch(
 
         base = context_state
         if method == "cads" and fraction_in_interval(j, t_steps, cads_interval):
-            base = _cads_corrupt(prompts, prompt_stats, t, cads, cads_rng)
+            noise = _normals(cads_rngs, prompts.shape)
+            base = _cads_corrupt(prompts, prompt_stats, t, cads, noise)
         effective = base + world.feedback_scale * _feedback(sq)
         if method == "contextual" and in_window:
             repelled = repulse(ContextBatch(effective), repulsion).vectors
@@ -322,23 +378,28 @@ def sample_batch(
         latents[j + 1] = z
 
     contexts[t_steps] = contexts[t_steps - 1]
+    return times, latents, contexts
+
+
+def _trajectories(times: np.ndarray, latents: np.ndarray, contexts: np.ndarray):
+    """One :class:`SampleTrajectory` per sample of (T + 1, B, .) records."""
     return [
         SampleTrajectory(
             times=times.copy(), latents=latents[:, i, :].copy(), contexts=contexts[:, i, :].copy()
         )
-        for i in range(batch)
+        for i in range(latents.shape[1])
     ]
 
 
-def _cads_corrupt(prompts: np.ndarray, prompt_stats, t: float, cads: CadsParams, rng) -> np.ndarray:
+def _cads_corrupt(prompts: np.ndarray, prompt_stats, t: float, cads: CadsParams,
+                  noise: np.ndarray) -> np.ndarray:
     gamma_c = cads.corruption(t)
-    noise = rng.standard_normal(prompts.shape)
     corrupted = math.sqrt(gamma_c) * prompts + cads.scale * math.sqrt(1.0 - gamma_c) * noise
     if cads.psi == 0.0:
         return corrupted
     mean_in, std_in = prompt_stats
-    mean_c = corrupted.mean(axis=1, keepdims=True)
-    std_c = corrupted.std(axis=1, keepdims=True)
+    mean_c = corrupted.mean(axis=-1, keepdims=True)
+    std_c = corrupted.std(axis=-1, keepdims=True)
     safe_std = np.where(std_c > 0.0, std_c, 1.0)
     rescaled = (corrupted - mean_c) / safe_std * std_in + mean_in
     return cads.psi * rescaled + (1.0 - cads.psi) * corrupted

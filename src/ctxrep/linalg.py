@@ -62,6 +62,11 @@ class EigenDecomposition:
 class ContextBatch:
     """Batch of flattened per-sample context vectors, one row per sample.
 
+    Leading axes, if any, stack independent batches of the same shape (one
+    per seed): :func:`ctxrep.repulsion.repulse` and
+    :func:`ctxrep.vendi.entropy_gradient` treat each on its own, while the
+    kernels and scores take a single (B, D) batch.
+
     Rows may have zero Euclidean norm: the RBF kernel is defined there. The
     cosine kernel and the entropy gradient divide by the norms and raise
     :class:`DegenerateVector` on such a row.
@@ -69,9 +74,9 @@ class ContextBatch:
 
     def __init__(self, vectors):
         v = np.array(vectors, dtype=float)
-        if v.ndim != 2:
+        if v.ndim < 2:
             raise ValueError(f"expected a 2-d batch, got shape {v.shape}")
-        if v.shape[0] < 1:
+        if 0 in v.shape[:-1]:
             raise ValueError("batch must contain at least one sample")
         if not np.all(np.isfinite(v)):
             raise ValueError("batch entries must be finite")
@@ -79,11 +84,11 @@ class ContextBatch:
 
     @property
     def batch_size(self) -> int:
-        return int(self.vectors.shape[0])
+        return int(self.vectors.shape[-2])
 
     @property
     def vector_dim(self) -> int:
-        return int(self.vectors.shape[1])
+        return int(self.vectors.shape[-1])
 
     def __repr__(self) -> str:
         return f"ContextBatch(batch_size={self.batch_size}, vector_dim={self.vector_dim})"
@@ -164,8 +169,10 @@ def jacobi_eigh(m: SymMatrix, max_sweeps: int = _MAX_SWEEPS) -> EigenDecompositi
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigenpairs of a symmetric array: eigenvalues descending, and
-    C-contiguous eigenvectors as columns in the same order.
+    """LAPACK eigenpairs of a symmetric array, or of each matrix in a stack
+    (one LAPACK call per matrix, so each gets the bits of a solo call):
+    eigenvalues descending, and C-contiguous eigenvectors as columns in the
+    same order.
 
     The caller vouches for symmetry; a LAPACK failure raises
     :class:`NonConvergence`.
@@ -175,7 +182,7 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"LAPACK eigh failed: {exc}") from exc
     # a negative-stride view can send a later matmul off the BLAS path
-    return eigenvalues[::-1], np.ascontiguousarray(vectors[:, ::-1])
+    return eigenvalues[..., ::-1], np.ascontiguousarray(vectors[..., ::-1])
 
 
 def eigh(m: SymMatrix) -> EigenDecomposition:
@@ -192,25 +199,37 @@ def eigh(m: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors * signs)
 
 
+def _fill_diagonal(a: np.ndarray, value: float) -> None:
+    """``np.fill_diagonal`` on the last two axes, for each matrix of a
+    C-contiguous stack."""
+    # the reshape is a view only of a contiguous array; a copy would lose the fill
+    if not a.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous array")
+    a.reshape(a.shape[:-2] + (-1,))[..., :: a.shape[-1] + 1] = value
+
+
 def _unit_rows_and_cosine(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row norms, unit rows and the cosine kernel of a batch of finite vectors.
+    """Row norms (as a column), unit rows and the cosine kernel of a batch of
+    finite vectors, or of each batch in a stack on leading axes.
 
     The kernel is exactly symmetric and finite with a unit diagonal: numpy
     computes ``unit @ unit.T`` as a symmetric rank-k update and mirrors one
-    triangle, and the elementwise snap and the diagonal fill keep it so.
+    triangle (per matrix of a stack too), and the elementwise snap and the
+    diagonal fill keep it so.
     """
-    # the same bits as np.linalg.norm(vectors, axis=1), without its dispatch
-    norms = np.sqrt((vectors * vectors).sum(axis=1))
+    # the same bits as np.linalg.norm(vectors, axis=-1, keepdims=True),
+    # without its dispatch
+    norms = np.sqrt((vectors * vectors).sum(axis=-1, keepdims=True))
     if (norms == 0.0).any():
         raise DegenerateVector("zero-norm sample vector")
-    unit = vectors / norms[:, None]
-    k = unit @ unit.T
+    unit = vectors / norms
+    k = unit @ unit.swapaxes(-1, -2)
     # directions closer than 1e-12 in cosine are numerically identical;
     # snapping makes duplicate samples give an exactly rank-deficient kernel,
     # and it also clips roundoff past +-1
     k[k > 1.0 - 1e-12] = 1.0
     k[k < -1.0 + 1e-12] = -1.0
-    np.fill_diagonal(k, 1.0)
+    _fill_diagonal(k, 1.0)
     return norms, unit, k
 
 

@@ -112,6 +112,10 @@ def repulse(batch: ContextBatch, cfg: RepulsionConfig) -> ContextBatch:
     Normalization divides by the largest per-sample gradient norm, except
     below a 1e-12 floor where the batch is degenerate and the "gradient" is
     eigensolver roundoff.
+
+    A stack of batches on leading axes (one per seed) is repelled batch by
+    batch, each with its own normalization and floor, bit for bit as solo
+    calls; a non-finite state or an overflow anywhere in the stack raises.
     """
     if batch.batch_size < 2 or cfg.eta == 0.0:
         return batch
@@ -123,10 +127,11 @@ def repulse(batch: ContextBatch, cfg: RepulsionConfig) -> ContextBatch:
         # guard (NaN > limit is false) lets through
         grad = entropy_gradient(ContextBatch(vectors))
         if cfg.gradient_normalization:
-            # the largest row norm, with np.linalg.norm's bits
-            largest = float(np.sqrt((grad * grad).sum(axis=1).max()))
-            if largest > _NORMALIZATION_FLOOR:
-                grad = grad / largest
+            # each batch's largest row norm, with np.linalg.norm's bits;
+            # dividing by 1.0 leaves a batch under the floor as it is
+            largest = np.sqrt((grad * grad).sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True))
+            largest[largest <= _NORMALIZATION_FLOOR] = 1.0
+            grad = grad / largest
         vectors = vectors + step * grad
         if float(np.abs(vectors).max()) > OVERFLOW_LIMIT:
             raise NumericOverflow(f"updated entries exceed {OVERFLOW_LIMIT:.0e}")

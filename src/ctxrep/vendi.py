@@ -15,6 +15,7 @@ from .linalg import (
     ContextBatch,
     SymMatrix,
     _eigh_descending,
+    _fill_diagonal,
     _unit_rows_and_cosine,
     cosine_kernel,
     rbf_kernel,
@@ -63,9 +64,11 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     K/B and floored eigenvalues, dL/dK = U diag(-(log lambda + 1)) U^T / B,
     and dK_ij/dc_i = c_j/(|c_i||c_j|) - K_ij c_i/|c_i|^2 for i != j (the unit
     diagonal contributes nothing). Symmetry of K doubles the off-diagonal
-    terms. Returns an array with the same shape as ``batch.vectors``. Raises
-    :class:`DegenerateVector` on a zero row, where the cosine is undefined.
-    The eigenpairs come from LAPACK, as in :func:`ctxrep.linalg.eigh`.
+    terms. Returns an array with the same shape as ``batch.vectors``; a
+    stack of batches on leading axes gets each batch's gradient, bit for bit
+    what a solo call returns. Raises :class:`DegenerateVector` on a zero row,
+    where the cosine is undefined. The eigenpairs come from LAPACK, as in
+    :func:`ctxrep.linalg.eigh`.
 
     The kernel goes to LAPACK as built (exactly symmetric, see
     ``_unit_rows_and_cosine``), and the eigenvectors keep LAPACK's signs:
@@ -78,10 +81,10 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     norms, unit, kernel = _unit_rows_and_cosine(batch.vectors)
     eigenvalues, u = _eigh_descending(kernel / b)
     f_prime = -(np.log(np.maximum(eigenvalues, EIGENVALUE_FLOOR)) + 1.0)
-    dl_dk = (u * f_prime) @ u.T / b
-    np.fill_diagonal(dl_dk, 0.0)  # the unit diagonal contributes nothing
-    radial = (dl_dk * kernel).sum(axis=1)
-    return 2.0 * (dl_dk @ unit - radial[:, None] * unit) / norms[:, None]
+    dl_dk = (u * f_prime[..., None, :]) @ u.swapaxes(-1, -2) / b
+    _fill_diagonal(dl_dk, 0.0)  # the unit diagonal contributes nothing
+    radial = (dl_dk * kernel).sum(axis=-1, keepdims=True)
+    return 2.0 * (dl_dk @ unit - radial * unit) / norms
 
 
 def average_pair_vendi(

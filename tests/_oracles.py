@@ -4,9 +4,9 @@ These deliberately avoid the production code path they check: gradients
 come from central finite differences and numpy's LAPACK eigenvalues, while
 scores and gradient eigenpairs (which the package takes from LAPACK) are
 checked against the Jacobi solver. The one-draw-at-a-time SplitMix64 normals,
-the pair-by-pair Vendi average and the serial blocks ablation are the
-straightforward forms of what the package computes in blocks or shares; the
-tests hold those forms to them.
+the pair-by-pair Vendi average, the serial blocks ablation and the
+seed-by-seed simulation records are the straightforward forms of what the
+package computes in blocks or shares; the tests hold those forms to them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from ctxrep import toydit
-from ctxrep.config import repulsion_from_config
+from ctxrep import gmmflow, toydit
+from ctxrep.config import latent_repulsion_from_config, repulsion_from_config
 from ctxrep.linalg import ContextBatch, SymMatrix, cosine_kernel, jacobi_eigh, rbf_kernel
 from ctxrep.repulsion import RepulsionConfig
 from ctxrep.vendi import entropy_and_score
@@ -188,3 +188,33 @@ def ablate_blocks_rows(cfg) -> list[dict]:
                 }
             )
     return rows
+
+
+def simulation_record(cfg, method: str, run_id: int) -> dict:
+    """One ``ctxrep simulate`` record, from ``sample_batch`` at the run's own seed."""
+    world = gmmflow.MixtureWorld(
+        n_modes=cfg.world_modes,
+        radius=cfg.world_radius,
+        mode_sigma=cfg.world_sigma,
+        guidance_gamma=cfg.world_gamma,
+        n_steps=cfg.world_steps,
+        feedback_scale=cfg.world_feedback,
+    )
+    prompts = gmmflow.one_hot_prompts(
+        world, cfg.batch_size, mode=cfg.prompt_mode, strength=cfg.prompt_strength
+    )
+    kwargs = {
+        "none": {},
+        "contextual": {"repulsion": repulsion_from_config(cfg)},
+        "latent": {"repulsion": latent_repulsion_from_config(cfg)},
+        "cads": {
+            "cads": gmmflow.CadsParams(
+                scale=cfg.cads_scale, tau1=cfg.cads_tau1, tau2=cfg.cads_tau2, psi=cfg.cads_psi
+            ),
+            "cads_interval": cfg.cads_interval,
+        },
+    }[method]
+    seed = cfg.seed_start + run_id
+    trajectories = gmmflow.sample_batch(world, prompts, method, seed=seed, **kwargs)
+    metrics = gmmflow.evaluate(trajectories, world).as_dict()
+    return {"run_id": run_id, "seed": seed, "method": method, **metrics}

@@ -13,7 +13,7 @@ import numpy as np
 import ctxrep.gmmflow as gf
 import ctxrep.toydit as td
 from ctxrep.cli import run_command
-from ctxrep.linalg import ContextBatch, SymMatrix, cosine_kernel, jacobi_eigh
+from ctxrep.linalg import ContextBatch, SymMatrix, cosine_kernel, eigh
 from ctxrep.repulsion import RepulsionConfig, repulse
 from ctxrep.steering import SteeringSpec, blend, steered_run
 from ctxrep.vendi import entropy_and_score, entropy_gradient
@@ -89,6 +89,7 @@ def test_criterion_2_vendi_exactness():
 
 
 def test_criterion_3_eigensolver_residuals():
+    # the solver the package runs: LAPACK through linalg.eigh
     rng = np.random.default_rng(7)
     worst_recon = 0.0
     worst_orth = 0.0
@@ -96,7 +97,7 @@ def test_criterion_3_eigensolver_residuals():
         n = int(rng.integers(2, 33))
         a = rng.standard_normal((n, n))
         m = SymMatrix((a + a.T) / 2.0)
-        dec = jacobi_eigh(m)
+        dec = eigh(m)
         scale = max(1.0, float(np.max(np.abs(m.entries))))
         rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
         worst_recon = max(worst_recon, float(np.max(np.abs(rebuilt - m.entries))) / scale)
@@ -105,7 +106,7 @@ def test_criterion_3_eigensolver_residuals():
 
     worst_pair = 0.0
     for rho in np.linspace(-0.99, 0.99, 34):
-        dec = jacobi_eigh(SymMatrix(np.array([[1.0, rho], [rho, 1.0]])))
+        dec = eigh(SymMatrix(np.array([[1.0, rho], [rho, 1.0]])))
         expected = np.array([1.0 + abs(rho), 1.0 - abs(rho)])
         worst_pair = max(worst_pair, float(np.max(np.abs(dec.eigenvalues - expected))))
 

@@ -1,9 +1,11 @@
+import copy
 import csv
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 import typing
 
 import numpy as np
@@ -20,7 +22,7 @@ from ctxrep.config import (
     repulsion_from_config,
 )
 
-from ._oracles import ablate_blocks_rows
+from ._oracles import ablate_blocks_rows, simulation_record
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -40,6 +42,26 @@ def small_gmm_config(tmp_path, **extra):
     path = tmp_path / "exp.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     return str(path)
+
+
+def recorded_pools(monkeypatch) -> list:
+    """The worker count of every process pool the CLI starts from now on."""
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def write_rows(path, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def config_text(value, kind) -> str:
@@ -249,6 +271,19 @@ class TestToyRunCommand:
             header = next(csv.reader(handle))
         assert header == ["sample", "block", "stream", "token", "dim", "value"]
 
+    def test_one_set_of_weights_for_both_passes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seeds = []
+        original = cli.toydit.init_weights
+
+        def counting(model_cfg):
+            seeds.append(model_cfg.weight_seed)
+            return original(model_cfg)
+
+        monkeypatch.setattr(cli.toydit, "init_weights", counting)
+        assert run_command(["toy-run", "--config", str(CONFIG_DIR / "toy.cfg")]) == 0
+        assert seeds == [0]
+
 
 class TestSimulateCommand:
     def test_json_lines_and_determinism(self, tmp_path, capsys):
@@ -275,6 +310,80 @@ class TestSimulateCommand:
              "--output", str(parallel)]
         ) == 0
         assert serial.read_text() == parallel.read_text()
+
+    @pytest.mark.parametrize("method", ["none", "cads", "contextual", "latent"])
+    def test_every_jobs_value_writes_the_seed_by_seed_records(self, tmp_path, method):
+        # each worker's chunk of seeds runs as one array program; no seeds,
+        # fewer seeds than workers and more seeds than workers
+        for seeds in (0, 2, 5):
+            cfg = small_gmm_config(tmp_path, seeds=seeds, seed_start=40)
+            expected = "".join(
+                json.dumps(simulation_record(load_config(cfg), method, i)) + "\n"
+                for i in range(seeds)
+            )
+            for jobs in ("1", "2", "3"):
+                out = tmp_path / f"runs-{seeds}-{jobs}.jsonl"
+                assert run_command(
+                    ["simulate", "--config", cfg, "--method", method, "--jobs", jobs,
+                     "--output", str(out)]
+                ) == 0
+                assert out.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "seeds, jobs, pools", [(5, 1, []), (1, 3, []), (2, 3, [2]), (5, 2, [2]), (5, 3, [3])]
+    )
+    def test_one_worker_per_seed_chunk(self, tmp_path, monkeypatch, seeds, jobs, pools):
+        started = recorded_pools(monkeypatch)
+        cfg = small_gmm_config(tmp_path, seeds=seeds)
+        assert run_command(
+            ["simulate", "--config", cfg, "--method", "none", "--jobs", str(jobs),
+             "--output", str(tmp_path / "runs.jsonl")]
+        ) == 0
+        assert started == pools
+
+    @pytest.mark.parametrize("method", ["contextual", "latent"])
+    def test_overflow_exit_3_at_every_jobs_value(self, tmp_path, capsys, method):
+        cfg = small_gmm_config(tmp_path, seeds=3, repulsion_eta="1e31", latent_eta="1e31")
+        out = tmp_path / "runs.jsonl"
+        for jobs in ("1", "2", "3"):
+            assert run_command(
+                ["simulate", "--config", cfg, "--method", method, "--jobs", jobs,
+                 "--output", str(out)]
+            ) == 3
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "updated entries exceed 1e+30"
+            }
+            assert not out.exists()
+
+    def test_error_is_the_first_failing_seeds(self, tmp_path, capsys, monkeypatch):
+        # run 1 starts from latents near 1e31 and overflows (exit 3); run 2
+        # starts from NaN latents (exit 2). The seed block meets run 2's NaN
+        # first, at the first step's state check, yet the error reported
+        # must be run 1's, as when each seed ran on its own.
+        planted = {11: 1e31, 12: np.nan}
+        default_rng = np.random.default_rng
+
+        def rng_with_planted_latents(seed):
+            rng = default_rng(seed)
+            if seed not in planted:
+                return rng
+
+            def standard_normal(*args, **kwargs):
+                values = rng.standard_normal(*args, **kwargs)
+                values *= planted[seed]
+                return values
+
+            return types.SimpleNamespace(standard_normal=standard_normal)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_with_planted_latents)
+        cfg = small_gmm_config(tmp_path, seeds=3, seed_start=10)
+        assert run_command(["simulate", "--config", cfg, "--method", "latent"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "updated entries exceed 1e+30"}
+        assert captured.out == ""
+        cfg = small_gmm_config(tmp_path, seeds=1, seed_start=12)
+        assert run_command(["simulate", "--config", cfg, "--method", "latent"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "batch entries must be finite"}
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -336,14 +445,7 @@ class TestAblateCommand:
             toy_dual_blocks=2,
             toy_single_blocks=1,
         )
-        pools = []
-
-        class RecordingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        pools = recorded_pools(monkeypatch)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"blocks{jobs}.csv"
@@ -356,14 +458,42 @@ class TestAblateCommand:
         assert outputs[0] == outputs[1]
 
         reference = tmp_path / "reference.csv"
-        rows = ablate_blocks_rows(load_config(cfg))
-        with open(reference, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_rows(reference, ablate_blocks_rows(load_config(cfg)))
         assert outputs[0] == reference.read_bytes()
 
-    def test_blocks_axis_encodes_prompt_once_per_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "axis, field, settings",
+        [
+            ("batch", "batch_size", {"sweep_batch_sizes": "2,4", "method": "latent"}),
+            ("timestep", "cads_interval", {"sweep_intervals": "0:0.5,0.25:1", "method": "cads"}),
+        ],
+    )
+    def test_mixture_axes_jobs_and_seed_by_seed_reference(self, tmp_path, axis, field, settings):
+        cfg = small_gmm_config(tmp_path, seeds=3, seed_start=7, **settings)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{axis}{jobs}.csv"
+            assert run_command(
+                ["ablate", "--axis", axis, "--config", cfg, "--jobs", jobs, "--output", str(out)]
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+        loaded = load_config(cfg)
+        rows = []
+        for value in getattr(loaded, "sweep_batch_sizes" if axis == "batch" else "sweep_intervals"):
+            variant = copy.copy(loaded)
+            setattr(variant, field, value)
+            label = str(value) if axis == "batch" else f"{value[0]:g}:{value[1]:g}"
+            for i in range(loaded.seeds):
+                record = simulation_record(variant, loaded.method, i)
+                rows.append({"axis": axis, "value": label, "seed": record["seed"],
+                             **{k: record[k] for k in list(record)[3:]}})
+        reference = tmp_path / "reference.csv"
+        write_rows(reference, rows)
+        assert outputs[0] == reference.read_bytes()
+
+    def test_blocks_axis_encodes_prompt_once_per_seed(self, tmp_path, monkeypatch):
         cfg = small_gmm_config(
             tmp_path, seeds=2, sweep_block_groups="middle_third,all", toy_batch=5
         )
@@ -378,7 +508,8 @@ class TestAblateCommand:
         assert run_command(
             ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(tmp_path / "b.csv")]
         ) == 0
-        assert len(calls) == 4
+        # one encoding per seed, shared by both block groups
+        assert len(calls) == 2
 
     def test_missing_output_exit_2(self, tmp_path, capsys):
         cfg = small_gmm_config(tmp_path)

@@ -212,6 +212,26 @@ class TestSampleBatch:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.latents, tb.latents)
 
+    @pytest.mark.parametrize("method", gf.METHODS)
+    def test_seed_block_matches_sample_batch(self, method):
+        # a repeated seed, a batch of 3 and the uniform world's 5 modes
+        world = gf.MixtureWorld(n_modes=5, n_steps=24)
+        prompts = gf.one_hot_prompts(world, 3, strength=4.0)
+        kwargs = METHOD_KWARGS[method]
+        seeds = [3, 1, 3, 12]
+        blocks = gf.sample_seed_block(world, prompts, method, seeds=seeds, **kwargs)
+        for seed, block in zip(seeds, blocks):
+            solo = gf.sample_batch(world, prompts, method, seed=seed, **kwargs)
+            assert trajectory_digest(block) == trajectory_digest(solo)
+        assert gf.sample_seed_block(world, prompts, method, seeds=[], **kwargs) == []
+
+    def test_seed_block_validates_like_sample_batch(self):
+        world = gf.MixtureWorld()
+        with pytest.raises(ValueError, match="shape"):
+            gf.sample_seed_block(world, np.zeros((2, 3)), "none", seeds=[0])
+        with pytest.raises(ValueError, match="requires a repulsion"):
+            gf.sample_seed_block(world, gf.one_hot_prompts(world, 2), "latent", seeds=[0])
+
     def test_prompt_validation(self):
         world = gf.MixtureWorld()
         with pytest.raises(ValueError):
@@ -360,6 +380,18 @@ class TestGoldenTrajectories:
             world, gf.one_hot_prompts(world, 8), method, seed=seed, **METHOD_KWARGS[method]
         )
         assert trajectory_digest(trajectories) == GOLDEN_TRAJECTORIES[method, seed]
+
+    @pytest.mark.parametrize("method", gf.METHODS)
+    def test_seed_block(self, method):
+        # one array program over the seeds, each entry the seed's own golden run
+        world = gf.MixtureWorld()
+        seeds = (0, 7, 19)
+        blocks = gf.sample_seed_block(
+            world, gf.one_hot_prompts(world, 8), method, seeds=seeds, **METHOD_KWARGS[method]
+        )
+        assert [trajectory_digest(b) for b in blocks] == [
+            GOLDEN_TRAJECTORIES[method, seed] for seed in seeds
+        ]
 
     @pytest.mark.parametrize("space", ("contextual", "latent"))
     def test_steered_run(self, space):

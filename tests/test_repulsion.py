@@ -145,6 +145,50 @@ class TestRepulse:
         assert np.array_equal(batch.vectors, vectors)
 
     @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("steps", (1, 3))
+    def test_stacked_batches_match_solo_calls_bitwise(self, normalize, steps):
+        # per-batch normalization: the identical-row batch's gradient is
+        # roundoff under the 1e-12 floor and stays unscaled, while its
+        # neighbours are scaled by their own largest row norm
+        random = np.random.default_rng(11).standard_normal((6, 8))
+        identical = np.tile(random[0], (6, 1))
+        batches = np.stack([random, identical, golden_vectors(6, 8)])
+        largest = np.linalg.norm(entropy_gradient(ContextBatch(identical)), axis=1).max()
+        assert largest < 1e-12
+        cfg = RepulsionConfig(eta=0.5, inner_steps=steps, gradient_normalization=normalize)
+        stacked = repulse(ContextBatch(batches), cfg).vectors
+        for s in range(len(batches)):
+            assert np.array_equal(stacked[s], repulse(ContextBatch(batches[s]), cfg).vectors)
+
+    @pytest.mark.parametrize(
+        "value, normalize, error",
+        [
+            (np.nan, False, ValueError),
+            (np.nan, True, ValueError),
+            (np.inf, False, NumericOverflow),
+            # inf / inf normalizes to NaN, which the next state check rejects
+            (np.inf, True, ValueError),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_in_one_stacked_batch(self, monkeypatch, value, normalize, error):
+        # planted in the second batch of a stack, or in that batch alone: the
+        # same exception with the same message either way
+        def poisoned(batch):
+            grad = entropy_gradient(batch)
+            (grad if grad.ndim == 2 else grad[1])[-1, 0] = value
+            return grad
+
+        monkeypatch.setattr(repulsion, "entropy_gradient", poisoned)
+        cfg = RepulsionConfig(eta=0.1, inner_steps=2, gradient_normalization=normalize)
+        batches = np.stack([golden_vectors(4, 8) + s for s in range(3)])
+        with pytest.raises(error) as solo:
+            repulse(ContextBatch(batches[1]), cfg)
+        with pytest.raises(error) as stacked:
+            repulse(ContextBatch(batches), cfg)
+        assert str(stacked.value) == str(solo.value)
+
+    @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("call", (1, 2))
     def test_nan_gradient_is_rejected(self, monkeypatch, normalize, call):
         # NaN > 1e30 is false, so the overflow guard alone would pass it on

@@ -168,6 +168,30 @@ class TestEntropyGradient:
         assert np.array_equal((flipped * f_prime) @ flipped.T, (u * f_prime) @ u.T)
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.integers(1, 5),
+        batch=st.integers(2, 12),
+        dim=st.integers(1, 20),
+    )
+    def test_stacked_batches_match_solo_calls_bitwise(self, seed, stack, batch, dim):
+        # one stacked LAPACK call and leading-axis reductions, per batch the
+        # bits of a solo call; duplicates give rank-deficient kernels too
+        batches = np.stack([random_points(seed + s, batch, dim, 3.0) for s in range(stack)])
+        got = entropy_gradient(ContextBatch(batches))
+        assert got.shape == batches.shape
+        for s in range(stack):
+            assert np.array_equal(got[s], entropy_gradient(ContextBatch(batches[s])))
+
+    def test_zero_row_in_one_stacked_batch_rejected(self):
+        batches = np.random.default_rng(3).standard_normal((3, 4, 5))
+        batches[1, 2] = 0.0
+        with pytest.raises(DegenerateVector, match="zero-norm"):
+            entropy_gradient(ContextBatch(batches[1]))
+        with pytest.raises(DegenerateVector, match="zero-norm"):
+            entropy_gradient(ContextBatch(batches))
+
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 12), extra=st.integers(0, 12))
     def test_matches_jacobi_eigenpair_reference(self, seed, batch, extra):
         vectors = np.random.default_rng(seed).standard_normal((batch, batch + extra))
