@@ -109,17 +109,18 @@ def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
 
     Blocks are filled in order (dual first, then single), matrices within a
     block in the documented name order, entries row-major, each a standard
-    normal scaled by 1/sqrt(token_dim).
+    normal scaled by 1/sqrt(token_dim). The stream is drawn as one
+    (matrices, d, d) fill, and each matrix is a C-contiguous (d, d) view of it.
     """
-    rng = SplitMix64(cfg.weight_seed)
     d = cfg.token_dim
-    scale = 1.0 / np.sqrt(d)
-
-    def make_block(names):
-        return {name: normal_array(rng, (d, d), scale) for name in names}
-
-    dual = tuple(make_block(DUAL_MATRIX_NAMES) for _ in range(cfg.n_dual_blocks))
-    single = tuple(make_block(SINGLE_MATRIX_NAMES) for _ in range(cfg.n_single_blocks))
+    n_matrices = (len(DUAL_MATRIX_NAMES) * cfg.n_dual_blocks
+                  + len(SINGLE_MATRIX_NAMES) * cfg.n_single_blocks)
+    fill = normal_array(SplitMix64(cfg.weight_seed), (n_matrices, d, d), 1.0 / np.sqrt(d))
+    matrices = iter(fill)
+    dual = tuple({name: next(matrices) for name in DUAL_MATRIX_NAMES}
+                 for _ in range(cfg.n_dual_blocks))
+    single = tuple({name: next(matrices) for name in SINGLE_MATRIX_NAMES}
+                   for _ in range(cfg.n_single_blocks))
     return ModelWeights(config=cfg, dual_blocks=dual, single_blocks=single)
 
 

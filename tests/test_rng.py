@@ -46,6 +46,18 @@ class TestNormalArray:
         parts = [normal_array(rng, (n,)) for n in counts]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, -1), (2.5,), (-2,), (2, "3"), (4, None)], ids=str)
+    @pytest.mark.parametrize("spare", [False, True], ids=["no_spare", "spare"])
+    def test_rejected_shape_leaves_stream_untouched(self, shape, spare):
+        rng, reference = SplitMix64(99), SplitMix64(99)
+        if spare:  # an odd fill leaves a sine for the next call
+            normal_array(rng, (3,))
+            normal_array(reference, (3,))
+        with pytest.raises(ValueError, match="dimension"):
+            normal_array(rng, shape)
+        assert_same_stream(rng, reference)
+        assert normal_array(rng, (5,)).tobytes() == normal_array(reference, (5,)).tobytes()
+
 
 def digest(arrays) -> str:
     h = hashlib.sha256()

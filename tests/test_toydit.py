@@ -2,13 +2,17 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxrep.toydit as td
 from ctxrep.linalg import ContextBatch, cosine_kernel
 from ctxrep.repulsion import RepulsionConfig
+from ctxrep.rng import SplitMix64
 from ctxrep.vendi import entropy_and_score
 
-from .test_rng import digest
+from . import _oracles
+from .test_rng import SEEDS, digest
 
 
 def small_config(**overrides):
@@ -60,6 +64,53 @@ class TestInitWeights:
         assert entries.size >= 10_000
         target = 1.0 / cfg.token_dim
         assert abs(entries.var() - target) <= 0.2 * target
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        dims=st.integers(1, 5).flatmap(lambda d: st.tuples(
+            st.just(d), st.sampled_from([h for h in range(1, d + 1) if d % h == 0])
+        )),
+        n_dual=st.integers(1, 3),
+        n_single=st.integers(0, 2),
+    )
+    def test_matches_scalar_oracle_matrix_by_matrix(self, seed, dims, n_dual, n_single):
+        d, heads = dims
+        cfg = small_config(token_dim=d, attention_heads=heads, n_dual_blocks=n_dual,
+                           n_single_blocks=n_single, weight_seed=seed)
+        weights = td.init_weights(cfg)
+        blocks = [(blk, td.DUAL_MATRIX_NAMES) for blk in weights.dual_blocks]
+        blocks += [(blk, td.SINGLE_MATRIX_NAMES) for blk in weights.single_blocks]
+        stream = SplitMix64(seed)
+        matrices = []
+        for block, names in blocks:
+            assert tuple(block) == names
+            for name in names:
+                want = _oracles.normal_array(stream, (d, d), 1.0 / np.sqrt(d))
+                got = block[name]
+                assert got.shape == (d, d)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+                matrices.append(got)
+        for i, a in enumerate(matrices):
+            for b in matrices[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_one_fill_for_all_matrices(self, monkeypatch):
+        # per-matrix fills pay the fill's fixed cost once per matrix
+        cfg = small_config()
+        calls = []
+        original = td.normal_array
+
+        def counting(rng, shape, scale=1.0):
+            calls.append(shape)
+            return original(rng, shape, scale)
+
+        monkeypatch.setattr(td, "normal_array", counting)
+        td.init_weights(cfg)
+        n = 8 * cfg.n_dual_blocks + 4 * cfg.n_single_blocks
+        assert len(calls) == 1
+        assert np.prod(calls[0]) == n * cfg.token_dim * cfg.token_dim
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
