@@ -7,7 +7,6 @@ check failures. Errors go to stderr as single-line JSON.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import json
@@ -347,47 +346,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[str], list[dict]]:
-    header = [
-        "axis", "value", "seed",
-        "vendi_rbf", "mode_coverage", "off_manifold_rate",
-        "mean_nearest_mode_distance", "avg_pair_vendi",
-    ]
-    rows = []
+    metrics = [field.name for field in dataclasses.fields(gmmflow.RunMetrics)]
     if axis == "timestep":
-        values = cfg.sweep_intervals
+        variants = [
+            (f"{a:g}:{b:g}", dataclasses.replace(
+                cfg, repulsion_interval=(a, b), latent_interval=(a, b), cads_interval=(a, b)
+            ))
+            for a, b in cfg.sweep_intervals
+        ]
     else:
-        values = cfg.sweep_batch_sizes
+        variants = [
+            (str(size), dataclasses.replace(cfg, batch_size=size)) for size in cfg.sweep_batch_sizes
+        ]
     work = []
     labels = []
-    for value in values:
-        variant = copy.copy(cfg)
-        if axis == "timestep":
-            variant.repulsion_interval = value
-            variant.latent_interval = value
-            variant.cads_interval = value
-            variant.explicit_keys = set(cfg.explicit_keys) | {"repulsion_interval"}
-            label = f"{value[0]:g}:{value[1]:g}"
-        else:
-            variant.batch_size = int(value)
-            label = str(int(value))
+    for label, variant in variants:
         for chunk in _seed_chunks(cfg.seeds, jobs):
             work.append((variant, cfg.method, chunk))
             labels += [label] * len(chunk)
     records = [r for chunk in _map_runs(work, jobs, _run_simulation_chunk) for r in chunk]
-    for label, record in zip(labels, records):
-        rows.append(
-            {
-                "axis": axis,
-                "value": label,
-                "seed": record["seed"],
-                "vendi_rbf": record["vendi_rbf"],
-                "mode_coverage": record["mode_coverage"],
-                "off_manifold_rate": record["off_manifold_rate"],
-                "mean_nearest_mode_distance": record["mean_nearest_mode_distance"],
-                "avg_pair_vendi": record["avg_pair_vendi"],
-            }
-        )
-    return header, rows
+    rows = [
+        {"axis": axis, "value": label, "seed": record["seed"], **{k: record[k] for k in metrics}}
+        for label, record in zip(labels, records)
+    ]
+    return ["axis", "value", "seed", *metrics], rows
 
 
 def _run_block_groups(args) -> list[dict]:

@@ -32,6 +32,7 @@ class ExperimentConfig:
     prompt_strength: float = 10.0
     batch_size: int = 8
     # contextual repulsion
+    # parse_config fills the three keys below from it; a config built in code does not
     repulsion_preset: str = ""
     repulsion_eta: float = 2.0
     repulsion_steps: int = 2
@@ -76,9 +77,6 @@ class ExperimentConfig:
     toy_total_steps: int = 1
     output_snapshots: str = "toy_snapshots.csv"
     output_report: str = "toy_report.json"
-
-    def __post_init__(self):
-        self.explicit_keys: set[str] = set()
 
 
 def parse_interval(text: str) -> tuple[float, float]:
@@ -125,9 +123,12 @@ FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text, rejecting unknown keys and unknown presets."""
-    cfg = ExperimentConfig()
-    explicit: set[str] = set()
+    """Parse config text, rejecting unknown keys and unknown presets.
+
+    A ``repulsion_preset`` fills whichever of ``repulsion_eta``,
+    ``repulsion_steps`` and ``repulsion_interval`` the text leaves unset.
+    """
+    values: dict = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -139,15 +140,22 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in explicit:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        explicit.add(key)
-        setattr(cfg, key, _parse_value(key, raw, FIELD_TYPES[key]))
+        values[key] = _parse_value(key, raw, FIELD_TYPES[key])
 
-    if cfg.repulsion_preset and cfg.repulsion_preset not in PRESETS:
-        raise ConfigError(f"unknown repulsion preset {cfg.repulsion_preset!r}")
-    cfg.explicit_keys = explicit
-    return cfg
+    preset = values.get("repulsion_preset")
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown repulsion preset {preset!r}")
+        base = PRESETS[preset]
+        values = {
+            "repulsion_eta": base.eta,
+            "repulsion_steps": base.inner_steps,
+            "repulsion_interval": base.timestep_interval,
+            **values,
+        }
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -160,25 +168,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def repulsion_from_config(cfg: ExperimentConfig) -> RepulsionConfig:
-    """Contextual repulsion settings: preset values first, explicit keys win."""
-    explicit = getattr(cfg, "explicit_keys", set())
-    if cfg.repulsion_preset:
-        base = PRESETS[cfg.repulsion_preset]
-        eta = cfg.repulsion_eta if "repulsion_eta" in explicit else base.eta
-        steps = cfg.repulsion_steps if "repulsion_steps" in explicit else base.inner_steps
-        interval = (
-            cfg.repulsion_interval
-            if "repulsion_interval" in explicit
-            else base.timestep_interval
-        )
-    else:
-        eta = cfg.repulsion_eta
-        steps = cfg.repulsion_steps
-        interval = cfg.repulsion_interval
     return RepulsionConfig(
-        eta=eta,
-        inner_steps=steps,
-        timestep_interval=interval,
+        eta=cfg.repulsion_eta,
+        inner_steps=cfg.repulsion_steps,
+        timestep_interval=cfg.repulsion_interval,
         block_selector=cfg.repulsion_block_selector,
         target_stream=cfg.repulsion_target_stream,
         gradient_normalization=cfg.repulsion_normalize,

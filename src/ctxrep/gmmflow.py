@@ -31,7 +31,7 @@ import numpy as np
 from .linalg import ContextBatch, rbf_kernel
 from .repulsion import RepulsionConfig, fraction_in_interval, repulse
 from .rng import derive_seed
-from .vendi import entropy_and_score, kernel_average_pair_vendi
+from .vendi import average_pair_vendi, entropy_and_score
 
 METHODS = ("none", "contextual", "latent", "cads")
 
@@ -43,7 +43,7 @@ class MixtureWorld:
     """Conditional 2-D Gaussian mixture with modes on a circle.
 
     ``guidance_gamma`` is the softmax temperature applied to context logits;
-    ``feedback_scale`` weights the per-step image-feedback enrichment of the
+    ``feedback_scale`` weights the per-step image-feedback term of the
     context. ``context_dim`` equals ``n_modes``.
     """
 
@@ -111,13 +111,7 @@ class RunMetrics:
     avg_pair_vendi: float
 
     def as_dict(self) -> dict:
-        return {
-            "vendi_rbf": self.vendi_rbf,
-            "mode_coverage": self.mode_coverage,
-            "off_manifold_rate": self.off_manifold_rate,
-            "mean_nearest_mode_distance": self.mean_nearest_mode_distance,
-            "avg_pair_vendi": self.avg_pair_vendi,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -163,6 +157,12 @@ def _offsets(world: MixtureWorld, z: np.ndarray, t: float):
 
 
 def _feedback(sq: np.ndarray) -> np.ndarray:
+    """Image feedback in logit space: centered negative half squared offsets.
+
+    Deliberately omits the 1/s_t^2 likelihood precision so the feedback stays
+    commensurate with prompt logits for the whole trajectory instead of
+    dominating them as t -> 0.
+    """
     affinity = -sq / 2.0
     return affinity - affinity.mean(axis=-1, keepdims=True)
 
@@ -189,18 +189,6 @@ def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.nda
     shrink = (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
     x0 = (resp[..., None] * (world.mode_centers + shrink * offsets)).sum(axis=-2)
     return x0, resp
-
-
-def enrichment(world: MixtureWorld, z: np.ndarray, t: float) -> np.ndarray:
-    """Image feedback in logit space: centered negative half squared distances
-    to the time-scaled mode centers.
-
-    Deliberately omits the 1/s_t^2 likelihood precision so the feedback stays
-    commensurate with prompt logits for the whole trajectory instead of
-    dominating them as t -> 0.
-    """
-    out = _feedback(_offsets(world, z, t)[1])
-    return out if np.asarray(z).ndim == 2 else out[0]
 
 
 def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray):
@@ -261,8 +249,8 @@ def sample_batch(
 
     Each of the T uniform steps moves z by -dt * (z - x0_hat)/t, where the
     denoiser pull uses arrival-time responsibilities (see :func:`_denoise`);
-    one offsets array at the departure time feeds both the enrichment and the
-    component posterior means. ``contextual`` repels the batch of enriched
+    one offsets array at the departure time feeds both the image feedback and
+    the component posterior means. ``contextual`` repels the batch of enriched
     context logits and keeps the deltas as context state; ``latent`` repels
     the latent positions directly; ``cads`` corrupts the prompt with annealed
     seeded noise; ``none`` leaves the model alone. The optional hooks replace
@@ -424,7 +412,7 @@ def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMe
 
     kernel = rbf_kernel(ContextBatch(finals), world.radius / 2.0)
     vendi = entropy_and_score(kernel).score
-    pair = kernel_average_pair_vendi(kernel) if batch >= 2 else 1.0
+    pair = average_pair_vendi(kernel) if batch >= 2 else 1.0
     return RunMetrics(
         vendi_rbf=float(vendi),
         mode_coverage=coverage,

@@ -17,8 +17,6 @@ from .linalg import (
     _eigh_descending,
     _fill_diagonal,
     _unit_rows_and_cosine,
-    cosine_kernel,
-    rbf_kernel,
 )
 
 EIGENVALUE_FLOOR = 1e-12
@@ -87,28 +85,12 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     return 2.0 * (dl_dk @ unit - radial * unit) / norms
 
 
-def average_pair_vendi(
-    points: ContextBatch,
-    kernel_kind: str = "cosine",
-    bandwidth: float | None = None,
-) -> float:
-    """Mean 2-sample score over all unordered pairs; lies in [1, 2].
+def average_pair_vendi(kernel: SymMatrix) -> float:
+    """Mean 2-sample score over all unordered pairs behind a unit-diagonal
+    kernel; lies in [1, 2].
 
     Each pair's score comes from the closed-form spectrum of its 2 x 2 kernel.
     """
-    if kernel_kind == "cosine":
-        kernel = cosine_kernel(points)
-    elif kernel_kind == "rbf":
-        if bandwidth is None:
-            raise ValueError("rbf kernel requires a bandwidth")
-        kernel = rbf_kernel(points, bandwidth)
-    else:
-        raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-    return kernel_average_pair_vendi(kernel)
-
-
-def kernel_average_pair_vendi(kernel: SymMatrix) -> float:
-    """:func:`average_pair_vendi` of the samples behind a unit-diagonal kernel."""
     if kernel.dim < 2:
         raise ValueError("pair average requires at least two samples")
     # the spectrum of [[1, k], [k, 1]]/2 is (1 + k)/2, (1 - k)/2

@@ -1,5 +1,5 @@
-import copy
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -17,10 +17,12 @@ from ctxrep.config import (
     FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
+    latent_repulsion_from_config,
     load_config,
     parse_config,
     repulsion_from_config,
 )
+from ctxrep.repulsion import PRESETS
 
 from ._oracles import ablate_blocks_rows, simulation_record
 
@@ -86,9 +88,7 @@ class TestConfigParsing:
             f"{key} = {config_text(getattr(defaults, key), kind)}\n"
             for key, kind in FIELD_TYPES.items()
         )
-        parsed = parse_config(text)
-        assert parsed == defaults
-        assert parsed.explicit_keys == set(FIELD_TYPES)
+        assert parse_config(text) == defaults
 
     def test_list_items_parse_by_item_type(self):
         cfg = parse_config(
@@ -131,6 +131,40 @@ class TestConfigParsing:
         assert repulsion.eta == 0.5
         assert repulsion.inner_steps == 100
         assert repulsion.timestep_interval == (0.0, 0.25)
+
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [
+            ("repulsion_eta", "0.5", 0.5),
+            ("repulsion_steps", "3", 3),
+            ("repulsion_interval", "0.5:1", (0.5, 1.0)),
+        ],
+    )
+    def test_preset_fills_only_unset_keys(self, key, text, value):
+        cfg = parse_config(f"repulsion_preset = sd35-turbo\n{key} = {text}\n")
+        preset = PRESETS["sd35-turbo"]
+        expected = {
+            "repulsion_eta": preset.eta,
+            "repulsion_steps": preset.inner_steps,
+            "repulsion_interval": preset.timestep_interval,
+            key: value,
+        }
+        assert {k: getattr(cfg, k) for k in expected} == expected
+
+    def test_replace_keeps_explicit_values_under_preset(self):
+        parsed = parse_config("repulsion_preset = sd35-turbo\nrepulsion_eta = 0.5\n")
+        variant = dataclasses.replace(parsed, seeds=3)
+        assert repulsion_from_config(variant) == repulsion_from_config(parsed)
+        assert variant.repulsion_eta == 0.5
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_builds_every_cli_object(self, path):
+        cfg = load_config(str(path))
+        cli._world_from_config(cfg)
+        repulsion_from_config(cfg)
+        latent_repulsion_from_config(cfg)
+        cli._cads_from_config(cfg)
+        cli._toy_config(cfg)
 
     def test_bad_values(self):
         with pytest.raises(ConfigError):
@@ -466,6 +500,10 @@ class TestAblateCommand:
         [
             ("batch", "batch_size", {"sweep_batch_sizes": "2,4", "method": "latent"}),
             ("timestep", "cads_interval", {"sweep_intervals": "0:0.5,0.25:1", "method": "cads"}),
+            ("timestep", "repulsion_interval", {
+                "sweep_intervals": "0:0.5,0.25:1", "method": "contextual",
+                "repulsion_preset": "sd35-turbo", "repulsion_eta": "0.05", "world_steps": 12,
+            }),
         ],
     )
     def test_mixture_axes_jobs_and_seed_by_seed_reference(self, tmp_path, axis, field, settings):
@@ -482,8 +520,7 @@ class TestAblateCommand:
         loaded = load_config(cfg)
         rows = []
         for value in getattr(loaded, "sweep_batch_sizes" if axis == "batch" else "sweep_intervals"):
-            variant = copy.copy(loaded)
-            setattr(variant, field, value)
+            variant = dataclasses.replace(loaded, **{field: value})
             label = str(value) if axis == "batch" else f"{value[0]:g}:{value[1]:g}"
             for i in range(loaded.seeds):
                 record = simulation_record(variant, loaded.method, i)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import ctxrep.gmmflow as gf
-import ctxrep.vendi as vendi
-from ctxrep.linalg import ContextBatch
+from ctxrep.linalg import ContextBatch, rbf_kernel
 from ctxrep.repulsion import RepulsionConfig
 from ctxrep.steering import SteeringSpec, steered_run
 from ctxrep.vendi import average_pair_vendi
@@ -330,12 +329,11 @@ class TestEvaluate:
             built.append(bandwidth)
             return original(points, bandwidth)
 
-        for module in (gf, vendi):
-            monkeypatch.setattr(module, "rbf_kernel", counting)
+        monkeypatch.setattr(gf, "rbf_kernel", counting)
         metrics = gf.evaluate(trajectories, world)
         assert built == [world.radius / 2.0]
         finals = ContextBatch(np.stack([tr.latents[-1] for tr in trajectories]))
-        assert metrics.avg_pair_vendi == average_pair_vendi(finals, "rbf", world.radius / 2.0)
+        assert metrics.avg_pair_vendi == average_pair_vendi(rbf_kernel(finals, world.radius / 2.0))
 
 
 # sha256 of every trajectory's latents, then every trajectory's contexts, on

@@ -246,10 +246,10 @@ class TestEntropyGradient:
 class TestAveragePairVendi:
     def test_identical_batch(self):
         batch = ContextBatch(np.tile([1.0, 1.0], (4, 1)))
-        assert average_pair_vendi(batch) == 1.0
+        assert average_pair_vendi(cosine_kernel(batch)) == 1.0
 
     def test_orthogonal_triple(self):
-        assert abs(average_pair_vendi(ContextBatch(np.eye(3))) - 2.0) <= 1e-9
+        assert abs(average_pair_vendi(cosine_kernel(ContextBatch(np.eye(3)))) - 2.0) <= 1e-9
 
     def test_half_cosine_triple(self):
         vectors = np.array(
@@ -259,18 +259,13 @@ class TestAveragePairVendi:
                 [0.5, np.sqrt(3.0) / 6.0, np.sqrt(6.0) / 3.0],
             ]
         )
-        value = average_pair_vendi(ContextBatch(vectors))
+        value = average_pair_vendi(cosine_kernel(ContextBatch(vectors)))
         assert abs(value - 1.75477) <= 1e-4
-
-    def test_rbf_requires_bandwidth(self):
-        batch = ContextBatch(np.eye(3))
-        with pytest.raises(ValueError, match="bandwidth"):
-            average_pair_vendi(batch, "rbf")
 
     def test_value_range(self):
         rng = np.random.default_rng(3)
         batch = ContextBatch(rng.standard_normal((6, 4)))
-        value = average_pair_vendi(batch)
+        value = average_pair_vendi(cosine_kernel(batch))
         assert 1.0 <= value <= 2.0 + 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -282,12 +277,13 @@ class TestAveragePairVendi:
     )
     def test_closed_form_matches_pair_loop(self, seed, batch, dim, spread):
         points = ContextBatch(random_points(seed, batch, dim, spread) + 1.0)
-        cosine = average_pair_vendi(points)
+        cosine = average_pair_vendi(cosine_kernel(points))
         assert abs(cosine - average_pair_vendi_loop(points)) <= 1e-12
-        rbf = average_pair_vendi(points, "rbf", bandwidth=0.7)
+        rbf = average_pair_vendi(rbf_kernel(points, 0.7))
         assert abs(rbf - average_pair_vendi_loop(points, "rbf", bandwidth=0.7)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["cosine", "rbf"])
     def test_identical_rows_exactly_one(self, kind):
         batch = ContextBatch(np.tile([0.3, -2.0, 1.7], (6, 1)))
-        assert average_pair_vendi(batch, kind, bandwidth=1.0) == 1.0
+        kernel = cosine_kernel(batch) if kind == "cosine" else rbf_kernel(batch, 1.0)
+        assert average_pair_vendi(kernel) == 1.0
