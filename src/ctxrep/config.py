@@ -31,9 +31,7 @@ class ExperimentConfig:
     prompt_mode: int = 0
     prompt_strength: float = 10.0
     batch_size: int = 8
-    # contextual repulsion
-    # parse_config fills the three keys below from it; a config built in code does not
-    repulsion_preset: str = ""
+    # contextual repulsion; a config file's repulsion_preset fills the first three
     repulsion_eta: float = 2.0
     repulsion_steps: int = 2
     repulsion_interval: tuple[float, float] = (0.0, 0.25)
@@ -120,13 +118,17 @@ def _parse_value(name: str, raw: str, kind):
 
 # each key's annotated type, which picks its parser
 FIELD_TYPES = get_type_hints(ExperimentConfig)
+# a file may also set repulsion_preset, a directive that parse_config applies
+# and drops: no config field holds it
+_FILE_KEYS = {**FIELD_TYPES, "repulsion_preset": str}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text, rejecting unknown keys and unknown presets.
 
     A ``repulsion_preset`` fills whichever of ``repulsion_eta``,
-    ``repulsion_steps`` and ``repulsion_interval`` the text leaves unset.
+    ``repulsion_steps`` and ``repulsion_interval`` the text leaves unset. It
+    is a directive of the file, not a field of the returned config.
     """
     values: dict = {}
 
@@ -138,13 +140,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in FIELD_TYPES:
+        if key not in _FILE_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, FIELD_TYPES[key])
+        values[key] = _parse_value(key, raw, _FILE_KEYS[key])
 
-    preset = values.get("repulsion_preset")
+    preset = values.pop("repulsion_preset", "")
     if preset:
         if preset not in PRESETS:
             raise ConfigError(f"unknown repulsion preset {preset!r}")

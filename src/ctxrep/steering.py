@@ -108,8 +108,11 @@ def steered_toy_run(
 
     The target run's per-block text tokens are recorded first; the source run
     keeps its own image noise and replaces its text tokens after each block in
-    the apply window.
+    the apply window. The text stream is the toy model's contextual space, so
+    any other ``spec.space`` raises ValueError.
     """
+    if spec.space != "contextual":
+        raise ValueError(f"a toy run steers only the contextual space, not {spec.space!r}")
     cfg = weights.config
     target_images = toydit.seed_image_tokens(cfg, target_noise_seed)[None, :, :]
     _, target_snaps = toydit.forward_with_hooks(

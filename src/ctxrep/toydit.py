@@ -143,17 +143,23 @@ def _rms_normalize(tokens: np.ndarray) -> np.ndarray:
 
 
 def _joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """Softmax attention of every token over all tokens, per head.
+
+    Each head is a (tokens, head_dim) view, so both contractions are stacked
+    matmuls. numpy's matmul makes the same call on every 2-D slice, so each
+    sample gets the bits of a call on that sample alone.
+    """
     *lead, n_tokens, dim = q.shape
     head_dim = dim // heads
-    qh = q.reshape(*lead, n_tokens, heads, head_dim)
-    kh = k.reshape(*lead, n_tokens, heads, head_dim)
-    vh = v.reshape(*lead, n_tokens, heads, head_dim)
-    scores = np.einsum("...thd,...shd->...hts", qh, kh) / np.sqrt(head_dim)
+    qh = q.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
+    kh = k.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
+    vh = v.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
+    scores = (qh @ kh.swapaxes(-2, -1)) / np.sqrt(head_dim)
     scores = scores - np.max(scores, axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights = weights / np.sum(weights, axis=-1, keepdims=True)
-    out = np.einsum("...hts,...shd->...thd", weights, vh)
-    return out.reshape(*lead, n_tokens, dim)
+    out = weights @ vh
+    return out.swapaxes(-3, -2).reshape(*lead, n_tokens, dim)
 
 
 def mm_block_forward(state: TokenState, weights: ModelWeights, block: int) -> TokenState:

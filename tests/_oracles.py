@@ -7,6 +7,9 @@ checked against the Jacobi solver. The one-draw-at-a-time SplitMix64 normals,
 the pair-by-pair Vendi average, the serial blocks ablation and the
 seed-by-seed simulation records are the straightforward forms of what the
 package computes in blocks or shares; the tests hold those forms to them.
+The einsum joint attention is the straightforward form of the toy model's
+stacked-matmul attention; it sums in another order, so the tests hold the
+shipped form to it within a roundoff tolerance.
 """
 
 from __future__ import annotations
@@ -47,6 +50,21 @@ def normal_array(rng, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
     count = int(np.prod(shape, dtype=np.int64))
     values = [scale * next_gauss(rng) for _ in range(count)]
     return np.array(values, dtype=float).reshape(shape)
+
+
+def einsum_joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """``ctxrep.toydit._joint_attention`` as two ellipsis einsums over a tokens-first layout."""
+    *lead, n_tokens, dim = q.shape
+    head_dim = dim // heads
+    qh = q.reshape(*lead, n_tokens, heads, head_dim)
+    kh = k.reshape(*lead, n_tokens, heads, head_dim)
+    vh = v.reshape(*lead, n_tokens, heads, head_dim)
+    scores = np.einsum("...thd,...shd->...hts", qh, kh) / np.sqrt(head_dim)
+    scores = scores - np.max(scores, axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights = weights / np.sum(weights, axis=-1, keepdims=True)
+    out = np.einsum("...hts,...shd->...thd", weights, vh)
+    return out.reshape(*lead, n_tokens, dim)
 
 
 def jacobi_entropy(k: np.ndarray) -> float:

@@ -157,6 +157,12 @@ class TestConfigParsing:
         assert repulsion_from_config(variant) == repulsion_from_config(parsed)
         assert variant.repulsion_eta == 0.5
 
+    def test_preset_is_a_file_directive_not_a_field(self):
+        # a config built in code cannot name a preset that nothing would apply
+        with pytest.raises(TypeError):
+            ExperimentConfig(repulsion_preset="nope")
+        assert not hasattr(parse_config("repulsion_preset = sd35-turbo\n"), "repulsion_preset")
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_builds_every_cli_object(self, path):
         cfg = load_config(str(path))

@@ -107,3 +107,8 @@ class TestSteeredToyRun:
         steered = steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=1.0))
         assert np.array_equal(steered.text_tokens, target[0].text_tokens)
         assert not np.array_equal(steered.image_tokens, target[0].image_tokens)
+
+    def test_non_contextual_space_rejected(self):
+        weights = td.init_weights(td.ToyDiTConfig(n_dual_blocks=1, n_single_blocks=0))
+        with pytest.raises(ValueError, match="latent"):
+            steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=0.5, space="latent"))

@@ -136,6 +136,43 @@ class TestPromptEncoding:
         assert not np.array_equal(a.tokens, b.tokens)
 
 
+class TestJointAttention:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+        n_tokens=st.integers(1, 32),
+        dim=st.integers(1, 16),
+        scale=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_einsum_oracle_and_solo_calls(self, lead, n_tokens, dim, scale, seed):
+        rng = np.random.default_rng(seed)
+        q, k, v = (scale * rng.standard_normal((*lead, n_tokens, dim)) for _ in range(3))
+        # the sums run in another order than the oracle's; about 20x the worst gap measured
+        tolerance = 1e-13 * max(1.0, float(np.max(np.abs(v))))
+        for heads in [h for h in range(1, dim + 1) if dim % h == 0]:
+            got = td._joint_attention(q, k, v, heads)
+            want = _oracles.einsum_joint_attention(q, k, v, heads)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tolerance
+            for index in np.ndindex(*lead):
+                solo = td._joint_attention(q[index], k[index], v[index], heads)
+                assert solo.tobytes() == got[index].tobytes()
+
+    def test_forward_makes_no_einsum_call(self, monkeypatch):
+        # an ellipsis einsum takes about 6x the time of the stacked matmuls here
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called in the forward pass")
+
+        cfg = small_config()
+        weights = td.init_weights(cfg)
+        prompts, images = batch_inputs(cfg, 3)
+        cfgr = RepulsionConfig(eta=0.04, inner_steps=2, target_stream="all_tokens",
+                               gradient_normalization=True)
+        monkeypatch.setattr(np, "einsum", refuse)
+        td.forward_with_hooks(prompts, images, weights, cfgr)
+
+
 class TestBlockForward:
     def test_zero_tokens_propagate(self):
         cfg = small_config()
@@ -369,8 +406,19 @@ class TestForwardWithHooks:
 
 
 # Hashes of the forward snapshots of a 3-sample batch through two dual blocks
-# and one single-stream block, recorded when every block ran once per sample.
+# and one single-stream block, recorded when attention ran as stacked matmuls
+# over a heads-first layout.
 GOLDEN_SNAPSHOTS = {
+    "text": "90b6fee99ed84cd38098e179dc64912b34228593c7a2b937baab24d865b0f25a",
+    "image": "4984db1f1e571362d3cbd2d20bd39e534d3ad3c5bf83164d019889453675fccc",
+    "all_tokens": "ba97e26bbabf9022f068788ecc273560d660dca3d8d8b5d2f428fcb5c2bb1541",
+    None: "9a33de1c4c5bba463ff95faaa048edae97a95425ad98b4899a58b5bba3e64c71",
+}
+
+# The same snapshots with attention computed by the einsum oracle. These are the
+# digests recorded when the package itself attended by einsum, so the attention
+# contraction is the only source of the bits that moved.
+GOLDEN_SNAPSHOTS_EINSUM = {
     "text": "66294be28095a23151995665f166f69eb8aa0426db45b37fc8490a3f046b19b4",
     "image": "e58f465fff29d8801c7081b7762f29c4a3cf8dd11da1d401e41b178db90da5e5",
     "all_tokens": "4ba008e73dfdb382646c471496b6a5662abf2110bd653584d0e6ea2001ef9130",
@@ -378,8 +426,7 @@ GOLDEN_SNAPSHOTS = {
 }
 
 
-@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS), ids=str)
-def test_golden_snapshots(stream):
+def snapshot_digest(stream) -> str:
     cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
     weights = td.init_weights(cfg)
     prompts, images = batch_inputs(cfg, 3)
@@ -390,7 +437,18 @@ def test_golden_snapshots(stream):
             target_stream=stream, gradient_normalization=True,
         )
     _, snaps = td.forward_with_hooks(prompts, images, weights, cfgr)
-    assert digest(s.vectors for s in snaps) == GOLDEN_SNAPSHOTS[stream]
+    return digest(s.vectors for s in snaps)
+
+
+@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS), ids=str)
+def test_golden_snapshots(stream):
+    assert snapshot_digest(stream) == GOLDEN_SNAPSHOTS[stream]
+
+
+@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS_EINSUM), ids=str)
+def test_golden_snapshots_with_einsum_attention(stream, monkeypatch):
+    monkeypatch.setattr(td, "_joint_attention", _oracles.einsum_joint_attention)
+    assert snapshot_digest(stream) == GOLDEN_SNAPSHOTS_EINSUM[stream]
 
 
 class TestSnapshotCsv:
