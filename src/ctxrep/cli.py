@@ -41,6 +41,12 @@ EXIT_NUMERIC = 3
 
 GRAD_CHECK_THRESHOLD = 1e-4
 
+# Runs (one variant at one seed) that pay for one worker process. A worker
+# pays its own start-up, while one seed block costs barely more at 10 seeds
+# than at 5, so small runs are faster in-process. Fitted on a 2-CPU machine;
+# README, `--jobs`, has the crossovers.
+MIN_RUNS_PER_WORKER = 10
+
 
 class _UsageError(ValueError):
     """Bad flags or malformed input files."""
@@ -159,6 +165,12 @@ def _run_simulation_chunk(args) -> list[dict]:
         for run_id in run_ids:
             _simulate_seeds(cfg, method, range(run_id, run_id + 1))
         raise
+
+
+def _workers(runs: int, jobs: int) -> int:
+    """Worker processes for ``runs`` runs: one per ``MIN_RUNS_PER_WORKER``
+    runs, at least one and at most ``jobs``."""
+    return max(1, min(jobs, runs // MIN_RUNS_PER_WORKER))
 
 
 def _seed_chunks(seeds: int, jobs: int) -> list[range]:
@@ -322,7 +334,7 @@ def _cmd_toy_run(args) -> int:
 
 
 def _seeds_and_jobs(args, cfg: ExperimentConfig) -> tuple[int, int]:
-    """Seed count and worker count, flags over config keys; bad values are usage errors."""
+    """Seed count and worker ceiling, flags over config keys; bad values are usage errors."""
     seeds = getattr(args, "seeds", None)
     seeds = cfg.seeds if seeds is None else seeds
     jobs = cfg.jobs if args.jobs is None else args.jobs
@@ -339,8 +351,9 @@ def _cmd_simulate(args) -> int:
     if method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {method!r}")
     seeds, jobs = _seeds_and_jobs(args, cfg)
-    work = [(cfg, method, chunk) for chunk in _seed_chunks(seeds, jobs)]
-    records = [r for chunk in _map_runs(work, jobs, _run_simulation_chunk) for r in chunk]
+    workers = _workers(seeds, jobs)
+    work = [(cfg, method, chunk) for chunk in _seed_chunks(seeds, workers)]
+    records = [r for chunk in _map_runs(work, workers, _run_simulation_chunk) for r in chunk]
     _emit_lines([json.dumps(r) for r in records], args.output or cfg.output)
     return EXIT_OK
 
@@ -358,13 +371,14 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
         variants = [
             (str(size), dataclasses.replace(cfg, batch_size=size)) for size in cfg.sweep_batch_sizes
         ]
+    workers = _workers(cfg.seeds * len(variants), jobs)
     work = []
     labels = []
     for label, variant in variants:
-        for chunk in _seed_chunks(cfg.seeds, jobs):
+        for chunk in _seed_chunks(cfg.seeds, workers):
             work.append((variant, cfg.method, chunk))
             labels += [label] * len(chunk)
-    records = [r for chunk in _map_runs(work, jobs, _run_simulation_chunk) for r in chunk]
+    records = [r for chunk in _map_runs(work, workers, _run_simulation_chunk) for r in chunk]
     rows = [
         {"axis": axis, "value": label, "seed": record["seed"], **{k: record[k] for k in metrics}}
         for label, record in zip(labels, records)
@@ -402,7 +416,7 @@ def _ablate_rows_blocks(cfg: ExperimentConfig, jobs: int) -> tuple[list[str], li
         dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
     ]
     work = [(cfg, repulsions, cfg.seed_start + i) for i in range(cfg.seeds)]
-    per_seed = _map_runs(work, jobs, _run_block_groups)
+    per_seed = _map_runs(work, _workers(cfg.seeds * len(repulsions), jobs), _run_block_groups)
     # group-then-seed order
     return header, [rows[g] for g in range(len(repulsions)) for rows in per_seed]
 

@@ -258,7 +258,7 @@ def sample_batch(
     after the method intervention; they see (B, 2) latents and (B, M)
     contexts.
     """
-    prompts = _checked_prompts(world, prompts, method, repulsion)
+    prompts = _checked_prompts(world, prompts, method, repulsion, cads_interval)
     return _trajectories(*_integrate(
         world, prompts, method, [seed], repulsion, cads, cads_interval, context_hook, latent_hook
     ))
@@ -282,7 +282,7 @@ def sample_seed_block(
     A non-finite state or an overflow in any seed raises, as a solo call of
     that seed would.
     """
-    prompts = _checked_prompts(world, prompts, method, repulsion)
+    prompts = _checked_prompts(world, prompts, method, repulsion, cads_interval)
     seeds = list(seeds)
     if not seeds:
         return []
@@ -293,9 +293,14 @@ def sample_seed_block(
     return [_trajectories(times, latents[:, s], contexts[:, s]) for s in range(len(seeds))]
 
 
-def _checked_prompts(world: MixtureWorld, prompts, method: str, repulsion) -> np.ndarray:
+def _checked_prompts(world: MixtureWorld, prompts, method: str, repulsion,
+                     cads_interval: tuple[float, float]) -> np.ndarray:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "cads":
+        a, b = cads_interval
+        if not (0.0 <= a < b <= 1.0):
+            raise ValueError(f"cads interval must satisfy 0 <= a < b <= 1, got ({a}, {b})")
     prompts = np.array(prompts, dtype=float)
     if prompts.ndim != 2 or prompts.shape[1] != world.n_modes:
         raise ValueError(f"prompts must have shape (B, {world.n_modes})")
@@ -406,7 +411,8 @@ def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMe
     nearest_dist = dist[np.arange(batch), nearest]
     on_manifold = nearest_dist <= 3.0 * world.mode_sigma
 
-    coverage = int(np.unique(nearest[on_manifold]).size)
+    # bincount, not np.unique: np.unique imports numpy.ma on its first call
+    coverage = int(np.count_nonzero(np.bincount(nearest[on_manifold], minlength=world.n_modes)))
     off_rate = float(np.mean(~on_manifold))
     mean_dist = float(np.mean(nearest_dist))
 

@@ -59,6 +59,17 @@ def recorded_pools(monkeypatch) -> list:
     return pools
 
 
+def one_run_per_worker(monkeypatch) -> list:
+    """Let every run pay for a worker, so that small runs start pools; returns
+    the pools started, as ``recorded_pools`` does."""
+    monkeypatch.setattr(cli, "MIN_RUNS_PER_WORKER", 1)
+    return recorded_pools(monkeypatch)
+
+
+# the fewest runs that start two workers
+TWO_WORKERS = 2 * cli.MIN_RUNS_PER_WORKER
+
+
 def write_rows(path, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
@@ -338,7 +349,8 @@ class TestSimulateCommand:
         assert all(r["method"] == "none" for r in records)
         assert all(1.0 <= r["vendi_rbf"] <= 4.0 + 1e-9 for r in records)
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        pools = one_run_per_worker(monkeypatch)
         cfg = small_gmm_config(tmp_path)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
@@ -349,12 +361,14 @@ class TestSimulateCommand:
             ["simulate", "--config", cfg, "--method", "contextual", "--jobs", "2",
              "--output", str(parallel)]
         ) == 0
+        assert pools == [2]
         assert serial.read_text() == parallel.read_text()
 
     @pytest.mark.parametrize("method", ["none", "cads", "contextual", "latent"])
-    def test_every_jobs_value_writes_the_seed_by_seed_records(self, tmp_path, method):
+    def test_every_jobs_value_writes_the_seed_by_seed_records(self, tmp_path, monkeypatch, method):
         # each worker's chunk of seeds runs as one array program; no seeds,
         # fewer seeds than workers and more seeds than workers
+        pools = one_run_per_worker(monkeypatch)
         for seeds in (0, 2, 5):
             cfg = small_gmm_config(tmp_path, seeds=seeds, seed_start=40)
             expected = "".join(
@@ -368,11 +382,25 @@ class TestSimulateCommand:
                      "--output", str(out)]
                 ) == 0
                 assert out.read_text() == expected
+        assert pools == [2, 2, 2, 3]
 
     @pytest.mark.parametrize(
-        "seeds, jobs, pools", [(5, 1, []), (1, 3, []), (2, 3, [2]), (5, 2, [2]), (5, 3, [3])]
+        "seeds, jobs, pools",
+        [
+            (5, 1, []),
+            (1, 3, []),
+            (2, 3, []),
+            (5, 2, []),
+            (5, 3, []),
+            (TWO_WORKERS - 1, 3, []),
+            (TWO_WORKERS, 3, [2]),
+            (3 * cli.MIN_RUNS_PER_WORKER, 2, [2]),
+            (3 * cli.MIN_RUNS_PER_WORKER, 3, [3]),
+            (3 * TWO_WORKERS, 1, []),
+        ],
     )
     def test_one_worker_per_seed_chunk(self, tmp_path, monkeypatch, seeds, jobs, pools):
+        # --jobs is a ceiling: one worker per MIN_RUNS_PER_WORKER seeds
         started = recorded_pools(monkeypatch)
         cfg = small_gmm_config(tmp_path, seeds=seeds)
         assert run_command(
@@ -382,7 +410,8 @@ class TestSimulateCommand:
         assert started == pools
 
     @pytest.mark.parametrize("method", ["contextual", "latent"])
-    def test_overflow_exit_3_at_every_jobs_value(self, tmp_path, capsys, method):
+    def test_overflow_exit_3_at_every_jobs_value(self, tmp_path, capsys, monkeypatch, method):
+        pools = one_run_per_worker(monkeypatch)
         cfg = small_gmm_config(tmp_path, seeds=3, repulsion_eta="1e31", latent_eta="1e31")
         out = tmp_path / "runs.jsonl"
         for jobs in ("1", "2", "3"):
@@ -394,6 +423,7 @@ class TestSimulateCommand:
                 "error": "updated entries exceed 1e+30"
             }
             assert not out.exists()
+        assert pools == [2, 3]
 
     def test_error_is_the_first_failing_seeds(self, tmp_path, capsys, monkeypatch):
         # run 1 starts from latents near 1e31 and overflows (exit 3); run 2
@@ -424,6 +454,20 @@ class TestSimulateCommand:
         cfg = small_gmm_config(tmp_path, seeds=1, seed_start=12)
         assert run_command(["simulate", "--config", cfg, "--method", "latent"]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "batch entries must be finite"}
+
+    @pytest.mark.parametrize("interval", ["0.8:0.2", "0.3:0.3", "-0.1:0.5", "0.5:1.5", "nan:1"])
+    def test_bad_cads_interval_exit_2(self, tmp_path, capsys, interval):
+        # the cads window is checked like the repulsion windows, also when a
+        # timestep sweep sets it
+        cfg = small_gmm_config(
+            tmp_path, method="cads", cads_interval=interval, sweep_intervals=interval
+        )
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["ablate", "--axis", "timestep"]):
+            assert run_command(argv + ["--config", cfg, "--output", str(out)]) == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error.startswith("cads interval must satisfy 0 <= a < b <= 1")
+            assert not out.exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -485,7 +529,7 @@ class TestAblateCommand:
             toy_dual_blocks=2,
             toy_single_blocks=1,
         )
-        pools = recorded_pools(monkeypatch)
+        pools = one_run_per_worker(monkeypatch)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"blocks{jobs}.csv"
@@ -512,7 +556,10 @@ class TestAblateCommand:
             }),
         ],
     )
-    def test_mixture_axes_jobs_and_seed_by_seed_reference(self, tmp_path, axis, field, settings):
+    def test_mixture_axes_jobs_and_seed_by_seed_reference(
+        self, tmp_path, monkeypatch, axis, field, settings
+    ):
+        pools = one_run_per_worker(monkeypatch)
         cfg = small_gmm_config(tmp_path, seeds=3, seed_start=7, **settings)
         outputs = []
         for jobs in ("1", "2"):
@@ -521,6 +568,7 @@ class TestAblateCommand:
                 ["ablate", "--axis", axis, "--config", cfg, "--jobs", jobs, "--output", str(out)]
             ) == 0
             outputs.append(out.read_bytes())
+        assert pools == [2]
         assert outputs[0] == outputs[1]
 
         loaded = load_config(cfg)
@@ -535,6 +583,33 @@ class TestAblateCommand:
         reference = tmp_path / "reference.csv"
         write_rows(reference, rows)
         assert outputs[0] == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "axis, sweep",
+        [
+            ("batch", {"sweep_batch_sizes": ("2", "3")}),
+            ("timestep", {"sweep_intervals": ("0:0.5", "0.5:1")}),
+            ("blocks", {"sweep_block_groups": ("first_third", "all")}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "seeds, variants, pools",
+        [(TWO_WORKERS - 1, 1, []), (TWO_WORKERS // 2, 2, [2])],
+    )
+    def test_one_worker_per_min_runs(self, tmp_path, monkeypatch, axis, sweep, seeds, variants,
+                                     pools):
+        # a run is one variant at one seed, so the sweep's variants count too
+        started = recorded_pools(monkeypatch)
+        settings = {key: ",".join(values[:variants]) for key, values in sweep.items()}
+        cfg = small_gmm_config(
+            tmp_path, seeds=seeds, method="none", toy_dual_blocks=2, toy_single_blocks=0,
+            toy_batch=3, **settings
+        )
+        assert run_command(
+            ["ablate", "--axis", axis, "--config", cfg, "--jobs", "3",
+             "--output", str(tmp_path / "out.csv")]
+        ) == 0
+        assert started == pools
 
     def test_blocks_axis_encodes_prompt_once_per_seed(self, tmp_path, monkeypatch):
         cfg = small_gmm_config(
@@ -639,14 +714,18 @@ class TestNegativeExponentValues:
 
 class TestModuleEntryPoint:
     @staticmethod
-    def run_module(*argv):
+    def run_python(*argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
         )
         return subprocess.run(
-            [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
         )
+
+    @classmethod
+    def run_module(cls, *argv):
+        return cls.run_python("-m", *argv)
 
     def test_no_arguments_exit_2(self):
         result = self.run_module("ctxrep")
@@ -660,6 +739,21 @@ class TestModuleEntryPoint:
 
     def test_cli_module_runs_too(self):
         assert self.run_module("ctxrep.cli").returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--method", "cads"], ["ablate", "--axis", "batch"]]
+    )
+    def test_scoring_leaves_numpy_ma_unimported(self, tmp_path, argv):
+        # numpy.ma takes tens of ms to import, paid by every fresh process
+        # and by each worker forked from one
+        cfg = small_gmm_config(tmp_path, seeds=1, sweep_batch_sizes="2")
+        argv = argv + ["--config", cfg, "--output", str(tmp_path / "out")]
+        result = self.run_python("-c", (
+            "import sys; from ctxrep.cli import run_command; "
+            f"assert run_command({argv!r}) == 0; print('numpy.ma' in sys.modules)"
+        ))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
 
 class TestRunCounts:

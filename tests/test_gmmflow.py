@@ -230,6 +230,14 @@ class TestSampleBatch:
             gf.sample_seed_block(world, np.zeros((2, 3)), "none", seeds=[0])
         with pytest.raises(ValueError, match="requires a repulsion"):
             gf.sample_seed_block(world, gf.one_hot_prompts(world, 2), "latent", seeds=[0])
+        prompts = gf.one_hot_prompts(world, 2)
+        for bad in [(0.8, 0.2), (0.5, 0.5), (-0.1, 0.5), (0.0, 1.5)]:
+            with pytest.raises(ValueError, match="cads interval"):
+                gf.sample_batch(world, prompts, "cads", cads_interval=bad)
+            with pytest.raises(ValueError, match="cads interval"):
+                gf.sample_seed_block(world, prompts, "cads", seeds=[0], cads_interval=bad)
+            # other methods ignore the cads window
+            gf.sample_batch(gf.MixtureWorld(n_steps=2), prompts, "none", cads_interval=bad)
 
     def test_prompt_validation(self):
         world = gf.MixtureWorld()
