@@ -11,12 +11,9 @@ rectified-flow testbed (``gmmflow``), and a command-line front end (``cli``).
 from .linalg import (
     ContextBatch,
     DegenerateVector,
-    EigenDecomposition,
     NonConvergence,
     SymMatrix,
     cosine_kernel,
-    eigh,
-    jacobi_eigh,
     rbf_kernel,
 )
 from .vendi import (
@@ -37,7 +34,6 @@ __all__ = [
     "ContextBatch",
     "DegenerateVector",
     "DiversityValue",
-    "EigenDecomposition",
     "NonConvergence",
     "NumericOverflow",
     "PRESETS",
@@ -45,10 +41,8 @@ __all__ = [
     "SymMatrix",
     "average_pair_vendi",
     "cosine_kernel",
-    "eigh",
     "entropy_and_score",
     "entropy_gradient",
-    "jacobi_eigh",
     "rbf_kernel",
     "repulse",
     "should_apply",

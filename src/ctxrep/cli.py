@@ -189,6 +189,16 @@ def _map_runs(work: list, jobs: int, run) -> list:
     return [run(item) for item in work]
 
 
+def _simulate_variants(
+    variants: list[ExperimentConfig], method: str, seeds: int, jobs: int
+) -> list[dict]:
+    """Records of ``seeds`` runs of ``method`` on each config, variant then
+    seed; each variant's seeds split into one contiguous chunk per worker."""
+    workers = _workers(seeds * len(variants), jobs)
+    work = [(cfg, method, chunk) for cfg in variants for chunk in _seed_chunks(seeds, workers)]
+    return [r for chunk in _map_runs(work, workers, _run_simulation_chunk) for r in chunk]
+
+
 def _emit_lines(lines: list[str], output: str) -> None:
     if output:
         with open(output, "w") as handle:
@@ -351,9 +361,7 @@ def _cmd_simulate(args) -> int:
     if method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {method!r}")
     seeds, jobs = _seeds_and_jobs(args, cfg)
-    workers = _workers(seeds, jobs)
-    work = [(cfg, method, chunk) for chunk in _seed_chunks(seeds, workers)]
-    records = [r for chunk in _map_runs(work, workers, _run_simulation_chunk) for r in chunk]
+    records = _simulate_variants([cfg], method, seeds, jobs)
     _emit_lines([json.dumps(r) for r in records], args.output or cfg.output)
     return EXIT_OK
 
@@ -371,14 +379,8 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
         variants = [
             (str(size), dataclasses.replace(cfg, batch_size=size)) for size in cfg.sweep_batch_sizes
         ]
-    workers = _workers(cfg.seeds * len(variants), jobs)
-    work = []
-    labels = []
-    for label, variant in variants:
-        for chunk in _seed_chunks(cfg.seeds, workers):
-            work.append((variant, cfg.method, chunk))
-            labels += [label] * len(chunk)
-    records = [r for chunk in _map_runs(work, workers, _run_simulation_chunk) for r in chunk]
+    records = _simulate_variants([variant for _, variant in variants], cfg.method, cfg.seeds, jobs)
+    labels = [label for label, _ in variants for _ in range(cfg.seeds)]
     rows = [
         {"axis": axis, "value": label, "seed": record["seed"], **{k: record[k] for k in metrics}}
         for label, record in zip(labels, records)

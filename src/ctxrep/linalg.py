@@ -1,13 +1,12 @@
 """Symmetric eigendecomposition and kernel-matrix construction.
 
 Everything here operates on dense float64 arrays at batch scale (a few dozen
-samples). :func:`eigh` takes its eigenpairs from LAPACK; the cyclic Jacobi
-solver :func:`jacobi_eigh` is the reference the tests hold it to.
+samples). ``_eigh_descending`` takes its eigenpairs from LAPACK and is the
+package's one eigensolver; the cyclic Jacobi solver :func:`jacobi_eigh` is the
+reference the tests hold it to.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +50,6 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectrum of a symmetric matrix: descending eigenvalues, orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 class ContextBatch:
     """Batch of flattened per-sample context vectors, one row per sample.
 
@@ -99,14 +90,14 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def jacobi_eigh(m: SymMatrix, max_sweeps: int = _MAX_SWEEPS) -> EigenDecomposition:
-    """Full eigendecomposition by row-cyclic Jacobi rotations.
+def jacobi_eigh(m: SymMatrix, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition by row-cyclic Jacobi rotations, in the form of
+    ``_eigh_descending``: eigenvalues descending, and eigenvectors as columns
+    in the same order, with the signs the rotations leave.
 
     Converges when the off-diagonal Frobenius norm drops below 1e-14 times the
     Frobenius norm of the input; raises :class:`NonConvergence` after
-    ``max_sweeps`` sweeps otherwise. Output ordering is deterministic:
-    eigenvalues descend, and each eigenvector's first component larger than
-    1e-12 in magnitude is made non-negative.
+    ``max_sweeps`` sweeps otherwise.
     """
     n = m.dim
     if n > MAX_EIGH_DIM:
@@ -156,16 +147,9 @@ def jacobi_eigh(m: SymMatrix, max_sweeps: int = _MAX_SWEEPS) -> EigenDecompositi
                 v[:, q] = s * vec_p + c * vec_q
         sweeps += 1
 
-    eigenvalues = np.diag(a).copy()
+    eigenvalues = np.diag(a)
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
-    for k in range(n):
-        column = vectors[:, k]
-        nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
-        if nonzero.size and column[nonzero[0]] < 0.0:
-            vectors[:, k] = -column
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+    return eigenvalues[order], v[:, order]
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,20 +167,6 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonConvergence(f"LAPACK eigh failed: {exc}") from exc
     # a negative-stride view can send a later matmul off the BLAS path
     return eigenvalues[..., ::-1], np.ascontiguousarray(vectors[..., ::-1])
-
-
-def eigh(m: SymMatrix) -> EigenDecomposition:
-    """Full eigendecomposition from LAPACK, in :func:`jacobi_eigh`'s canonical form.
-
-    Eigenvalues descend, and each eigenvector's first component larger than
-    1e-12 in magnitude is made non-negative. A LAPACK failure raises
-    :class:`NonConvergence`.
-    """
-    eigenvalues, vectors = _eigh_descending(m.entries)
-    # a unit column always has a component above 1e-12, so argmax finds it
-    leading = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(m.dim)]
-    signs = np.where(leading < 0.0, -1.0, 1.0)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors * signs)
 
 
 def _fill_diagonal(a: np.ndarray, value: float) -> None:

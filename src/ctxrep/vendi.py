@@ -38,12 +38,15 @@ def entropy_and_score(k: SymMatrix) -> DiversityValue:
     Eigenvalues are floored at 1e-12 before the log, which realizes the
     0 log 0 = 0 convention for rank-deficient kernels (identical samples).
     """
-    diag = np.diag(k.entries)
-    if float(np.max(np.abs(diag - 1.0))) > _UNIT_DIAGONAL_TOLERANCE:
-        raise ValueError("kernel must have unit diagonal")
+    _check_unit_diagonal(k)
     lam = np.linalg.eigvalsh(k.entries / k.dim)
     entropy = float(_entropies(lam[None, :])[0])
     return DiversityValue(entropy=entropy, score=float(np.exp(entropy)))
+
+
+def _check_unit_diagonal(k: SymMatrix) -> None:
+    if float(np.max(np.abs(np.diag(k.entries) - 1.0))) > _UNIT_DIAGONAL_TOLERANCE:
+        raise ValueError("kernel must have unit diagonal")
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
@@ -65,8 +68,8 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     terms. Returns an array with the same shape as ``batch.vectors``; a
     stack of batches on leading axes gets each batch's gradient, bit for bit
     what a solo call returns. Raises :class:`DegenerateVector` on a zero row,
-    where the cosine is undefined. The eigenpairs come from LAPACK, as in
-    :func:`ctxrep.linalg.eigh`.
+    where the cosine is undefined. The eigenpairs come from LAPACK through
+    ``linalg._eigh_descending``, the package's one eigensolver.
 
     The kernel goes to LAPACK as built (exactly symmetric, see
     ``_unit_rows_and_cosine``), and the eigenvectors keep LAPACK's signs:
@@ -87,12 +90,14 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
 
 def average_pair_vendi(kernel: SymMatrix) -> float:
     """Mean 2-sample score over all unordered pairs behind a unit-diagonal
-    kernel; lies in [1, 2].
+    kernel; lies in [1, 2]. Any other diagonal raises ValueError, as in
+    :func:`entropy_and_score`.
 
     Each pair's score comes from the closed-form spectrum of its 2 x 2 kernel.
     """
     if kernel.dim < 2:
         raise ValueError("pair average requires at least two samples")
+    _check_unit_diagonal(kernel)
     # the spectrum of [[1, k], [k, 1]]/2 is (1 + k)/2, (1 - k)/2
     k = kernel.entries[np.triu_indices(kernel.dim, 1)]
     lam = np.stack([(1.0 + k) / 2.0, (1.0 - k) / 2.0], axis=-1)

@@ -3,7 +3,10 @@
 These deliberately avoid the production code path they check: gradients
 come from central finite differences and numpy's LAPACK eigenvalues, while
 scores and gradient eigenpairs (which the package takes from LAPACK) are
-checked against the Jacobi solver. The one-draw-at-a-time SplitMix64 normals,
+checked against the Jacobi solver. Eigenvectors are fixed only up to sign, so
+a test that compares them compares both solvers' columns in the sign form of
+``canonical_signs``; the package itself keeps LAPACK's signs, which its
+gradient cannot see. The one-draw-at-a-time SplitMix64 normals,
 the pair-by-pair Vendi average, the serial blocks ablation and the
 seed-by-seed simulation records are the straightforward forms of what the
 package computes in blocks or shares; the tests hold those forms to them.
@@ -20,7 +23,14 @@ import numpy as np
 
 from ctxrep import gmmflow, toydit
 from ctxrep.config import latent_repulsion_from_config, repulsion_from_config
-from ctxrep.linalg import ContextBatch, SymMatrix, cosine_kernel, jacobi_eigh, rbf_kernel
+from ctxrep.linalg import (
+    ContextBatch,
+    SymMatrix,
+    _eigh_descending,
+    cosine_kernel,
+    jacobi_eigh,
+    rbf_kernel,
+)
 from ctxrep.repulsion import RepulsionConfig
 from ctxrep.vendi import entropy_and_score
 
@@ -67,9 +77,23 @@ def einsum_joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: i
     return out.reshape(*lead, n_tokens, dim)
 
 
+def canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Eigenvector columns with whole columns negated so that each column's
+    first component larger than 1e-12 in magnitude is non-negative."""
+    # a unit column always has a component above 1e-12, so argmax finds it
+    leading = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(leading < 0.0, -1.0, 1.0)
+
+
+def canonical_eigh(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The package's LAPACK eigenpairs of ``m``, with ``canonical_signs``."""
+    eigenvalues, vectors = _eigh_descending(m.entries)
+    return eigenvalues, canonical_signs(vectors)
+
+
 def jacobi_entropy(k: np.ndarray) -> float:
     """Floored spectral entropy of K/B from the Jacobi solver, not LAPACK."""
-    lam = jacobi_eigh(SymMatrix(k / k.shape[0])).eigenvalues
+    lam = jacobi_eigh(SymMatrix(k / k.shape[0]))[0]
     safe = np.maximum(lam, EIGENVALUE_FLOOR)
     entropy = max(float(-np.sum(lam * np.log(safe))), 0.0)
     return 0.0 if entropy < 1e-14 else entropy
@@ -135,7 +159,9 @@ def fd_entropy_gradient(vectors: np.ndarray, step: float) -> np.ndarray:
 
 
 def entropy_gradient_with(vectors: np.ndarray, solver) -> np.ndarray:
-    """The analytic entropy gradient with eigenpairs of K/B from ``solver``.
+    """The analytic entropy gradient with eigenpairs of K/B from ``solver``,
+    which maps a :class:`SymMatrix` to descending eigenvalues and eigenvector
+    columns, as ``jacobi_eigh`` and ``canonical_eigh`` do.
 
     Kernel and unit rows come from ``cosine_kernel`` and a separate
     normalisation, not from the package's shared helper.
@@ -144,10 +170,9 @@ def entropy_gradient_with(vectors: np.ndarray, solver) -> np.ndarray:
     norms = np.linalg.norm(vectors, axis=1)
     unit = vectors / norms[:, None]
     kernel = cosine_kernel(ContextBatch(vectors)).entries
-    decomposition = solver(SymMatrix(kernel / b))
-    safe = np.maximum(decomposition.eigenvalues, EIGENVALUE_FLOOR)
+    eigenvalues, u = solver(SymMatrix(kernel / b))
+    safe = np.maximum(eigenvalues, EIGENVALUE_FLOOR)
     f_prime = -(np.log(safe) + 1.0)
-    u = decomposition.eigenvectors
     dl_dk = (u * f_prime) @ u.T / b
     off = dl_dk.copy()
     np.fill_diagonal(off, 0.0)

@@ -8,8 +8,8 @@ from ctxrep.linalg import (
     DegenerateVector,
     NonConvergence,
     SymMatrix,
+    _eigh_descending,
     cosine_kernel,
-    eigh,
     jacobi_eigh,
     rbf_kernel,
 )
@@ -22,6 +22,7 @@ from ctxrep.vendi import (
 
 from ._oracles import (
     average_pair_vendi_loop,
+    canonical_eigh,
     entropy_gradient_with,
     entropy_of_vectors,
     fd_entropy_gradient,
@@ -58,9 +59,12 @@ class TestEntropyAndScore:
         assert abs(value.score - np.exp(TWO_SAMPLE_HALF_ENTROPY)) <= 1e-12
         assert abs(value.score - 1.75477) <= 1e-4
 
-    def test_requires_unit_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            entropy_and_score(SymMatrix(np.diag([2.0, 1.0])))
+    @pytest.mark.parametrize(
+        "score", [entropy_and_score, average_pair_vendi], ids=lambda f: f.__name__
+    )
+    def test_requires_unit_diagonal(self, score):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            score(SymMatrix(np.diag([2.0, 1.0])))
 
     def test_score_bounds_random_kernels(self):
         rng = np.random.default_rng(10)
@@ -146,7 +150,7 @@ class TestEntropyGradient:
         # eigenvector signs; the gradient skips both and must not move a bit
         vectors = random_points(seed, batch, dim, 3.0)
         got = entropy_gradient(ContextBatch(vectors))
-        assert np.array_equal(got, entropy_gradient_with(vectors, eigh))
+        assert np.array_equal(got, entropy_gradient_with(vectors, canonical_eigh))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -160,9 +164,8 @@ class TestEntropyGradient:
         # negation is exact, so (U * f') @ U^T is the same to the bit
         vectors = random_points(seed, batch, dim, spread) + 1.0
         kernel = cosine_kernel(ContextBatch(vectors)).entries / batch
-        dec = eigh(SymMatrix(kernel))
-        f_prime = -(np.log(np.maximum(dec.eigenvalues, EIGENVALUE_FLOOR)) + 1.0)
-        u = dec.eigenvectors
+        eigenvalues, u = _eigh_descending(kernel)
+        f_prime = -(np.log(np.maximum(eigenvalues, EIGENVALUE_FLOOR)) + 1.0)
         signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=batch)
         flipped = u * signs
         assert np.array_equal((flipped * f_prime) @ flipped.T, (u * f_prime) @ u.T)
