@@ -18,7 +18,6 @@ import numpy as np
 
 from . import gmmflow, steering, toydit
 from .config import (
-    ConfigError,
     ExperimentConfig,
     latent_repulsion_from_config,
     load_config,
@@ -27,7 +26,6 @@ from .config import (
 )
 from .linalg import (
     ContextBatch,
-    DegenerateVector,
     NonConvergence,
     cosine_kernel,
     rbf_kernel,
@@ -211,16 +209,12 @@ def _emit_lines(lines: list[str], output: str) -> None:
 def _cmd_vendi(args) -> int:
     if args.kernel == "rbf" and args.bandwidth is None:
         raise _UsageError("--kernel rbf requires --bandwidth")
-    vectors = read_vector_csv(args.input)
-    try:
-        batch = ContextBatch(vectors)
-        if args.kernel == "cosine":
-            kernel = cosine_kernel(batch)
-        else:
-            kernel = rbf_kernel(batch, args.bandwidth)
-        value = entropy_and_score(kernel)
-    except (DegenerateVector, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+    batch = ContextBatch(read_vector_csv(args.input))
+    if args.kernel == "cosine":
+        kernel = cosine_kernel(batch)
+    else:
+        kernel = rbf_kernel(batch, args.bandwidth)
+    value = entropy_and_score(kernel)
     print(json.dumps({"entropy": value.entropy, "score": value.score}))
     return EXIT_OK
 
@@ -271,17 +265,13 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_repulse(args) -> int:
-    vectors = read_vector_csv(args.input)
-    try:
-        batch = ContextBatch(vectors)
-        cfg = RepulsionConfig(
-            eta=args.eta,
-            inner_steps=args.steps,
-            gradient_normalization=args.normalize,
-        )
-        updated = repulse(batch, cfg)
-    except (DegenerateVector, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+    batch = ContextBatch(read_vector_csv(args.input))
+    cfg = RepulsionConfig(
+        eta=args.eta,
+        inner_steps=args.steps,
+        gradient_normalization=args.normalize,
+    )
+    updated = repulse(batch, cfg)
     write_vector_csv(args.output, updated.vectors)
     return EXIT_OK
 
@@ -338,8 +328,7 @@ def _cmd_toy_run(args) -> int:
                 }
             )
         )
-    with open(cfg.output_report, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _emit_lines(lines, cfg.output_report)
     return EXIT_OK
 
 
@@ -534,14 +523,12 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (_UsageError, ConfigError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
     except (NonConvergence, NumericOverflow) as exc:
         _fail(str(exc))
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # domain validation (bad world geometry, degenerate inputs, ...)
+    except (ValueError, OSError) as exc:
+        # bad flags, configs and domain values, degenerate inputs, and files
+        # that cannot be read or written
         _fail(str(exc))
         return EXIT_USAGE
 

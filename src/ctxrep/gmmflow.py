@@ -29,13 +29,20 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import ContextBatch, rbf_kernel
-from .repulsion import RepulsionConfig, fraction_in_interval, repulse
+from .repulsion import RepulsionConfig, check_interval, fraction_in_interval, repulse
 from .rng import derive_seed
 from .vendi import average_pair_vendi, entropy_and_score
 
 METHODS = ("none", "contextual", "latent", "cads")
 
 _CADS_SALT = 0x63616473
+
+
+def _check_finite(params, names: tuple[str, ...], prefix: str = "") -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,7 @@ class MixtureWorld:
             raise ValueError("n_steps must be >= 1")
         if not (self.mode_sigma > 0.0):
             raise ValueError("mode_sigma must be positive")
+        _check_finite(self, ("radius", "guidance_gamma", "feedback_scale"))
         if self.guidance_gamma < 0.0:
             raise ValueError("guidance_gamma must be >= 0")
         if self.n_modes > 1:
@@ -123,6 +131,9 @@ class CadsParams:
     tau1: float = 0.3
     tau2: float = 0.8
     psi: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self, ("scale", "tau1", "tau2", "psi"), prefix="cads ")
 
     def corruption(self, t: float) -> float:
         """Clean fraction gamma_c(t): 1 below tau1, 0 above tau2, linear between."""
@@ -228,9 +239,7 @@ def one_hot_prompts(world: MixtureWorld, batch: int, mode: int = 0, strength: fl
 
 def seed_prompt(world: MixtureWorld, seed: int, strength: float = 10.0) -> np.ndarray:
     """A one-hot prompt whose mode is derived from the seed (for steering runs)."""
-    prompt = np.zeros(world.n_modes)
-    prompt[seed % world.n_modes] = strength
-    return prompt
+    return one_hot_prompts(world, 1, mode=seed, strength=strength)[0]
 
 
 def sample_batch(
@@ -298,12 +307,14 @@ def _checked_prompts(world: MixtureWorld, prompts, method: str, repulsion,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "cads":
-        a, b = cads_interval
-        if not (0.0 <= a < b <= 1.0):
-            raise ValueError(f"cads interval must satisfy 0 <= a < b <= 1, got ({a}, {b})")
+        check_interval(cads_interval, "cads")
     prompts = np.array(prompts, dtype=float)
     if prompts.ndim != 2 or prompts.shape[1] != world.n_modes:
         raise ValueError(f"prompts must have shape (B, {world.n_modes})")
+    if prompts.shape[0] < 1:
+        raise ValueError("prompts must hold at least one sample")
+    if not np.all(np.isfinite(prompts)):
+        raise ValueError("prompt entries must be finite")
     if method in ("contextual", "latent") and repulsion is None:
         raise ValueError(f"method {method!r} requires a repulsion config")
     return prompts

@@ -1,9 +1,11 @@
 """Symmetric eigendecomposition and kernel-matrix construction.
 
 Everything here operates on dense float64 arrays at batch scale (a few dozen
-samples). ``_eigh_descending`` takes its eigenpairs from LAPACK and is the
-package's one eigensolver; the cyclic Jacobi solver :func:`jacobi_eigh` is the
-reference the tests hold it to.
+samples). Every LAPACK call of the package goes through this module, so that
+a LAPACK failure raises :class:`NonConvergence` wherever it happens.
+``_eigh_descending`` takes its eigenpairs from LAPACK and is the package's one
+eigensolver, and ``_eigvalsh`` its eigenvalues-only sibling; the cyclic Jacobi
+solver :func:`jacobi_eigh` is the reference the tests hold them to.
 """
 
 from __future__ import annotations
@@ -169,6 +171,18 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[..., ::-1], np.ascontiguousarray(vectors[..., ::-1])
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of a symmetric array, ascending.
+
+    The caller vouches for symmetry; a LAPACK failure raises
+    :class:`NonConvergence`.
+    """
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK eigvalsh failed: {exc}") from exc
+
+
 def _fill_diagonal(a: np.ndarray, value: float) -> None:
     """``np.fill_diagonal`` on the last two axes, for each matrix of a
     C-contiguous stack."""
@@ -203,16 +217,26 @@ def _unit_rows_and_cosine(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return norms, unit, k
 
 
+def _single_batch(batch: ContextBatch) -> np.ndarray:
+    """The (B, D) vectors of a batch that is not a stack of batches."""
+    if batch.vectors.ndim != 2:
+        raise ValueError(
+            f"a kernel takes one (B, D) batch, got a stack of batches of shape "
+            f"{batch.vectors.shape}"
+        )
+    return batch.vectors
+
+
 def cosine_kernel(batch: ContextBatch) -> SymMatrix:
     """Pairwise cosine similarities; unit diagonal, entries in [-1, 1]."""
-    return SymMatrix(_unit_rows_and_cosine(batch.vectors)[2])
+    return SymMatrix(_unit_rows_and_cosine(_single_batch(batch))[2])
 
 
 def rbf_kernel(points: ContextBatch, bandwidth: float) -> SymMatrix:
     """Gaussian kernel exp(-||x_i - x_j||^2 / (2 h^2)); unit diagonal."""
     if not (bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    x = points.vectors
+    x = _single_batch(points)
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)

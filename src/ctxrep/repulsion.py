@@ -30,6 +30,23 @@ class NumericOverflow(ArithmeticError):
     """An updated entry exceeded the overflow guard of 1e30."""
 
 
+def fraction_in_interval(step_index: int, total_steps: int, interval: tuple[float, float]) -> bool:
+    """True iff step_index/total_steps lies in the half-open [a, b)."""
+    if not (0 <= step_index < total_steps):
+        raise ValueError(f"step index {step_index} out of range for {total_steps} steps")
+    fraction = step_index / total_steps
+    a, b = interval
+    return a <= fraction < b
+
+
+def check_interval(interval: tuple[float, float], name: str) -> None:
+    """Reject ``interval`` unless it is a fraction range with 0 <= a < b <= 1;
+    the message calls it the ``name`` interval."""
+    a, b = interval
+    if not (0.0 <= a < b <= 1.0):
+        raise ValueError(f"{name} interval must satisfy 0 <= a < b <= 1, got ({a}, {b})")
+
+
 @dataclass(frozen=True)
 class RepulsionConfig:
     """Knobs of the repulsion schedule.
@@ -54,9 +71,7 @@ class RepulsionConfig:
             raise ValueError(f"eta must be finite and non-negative, got {self.eta}")
         if self.inner_steps < 1:
             raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
-        a, b = self.timestep_interval
-        if not (0.0 <= a < b <= 1.0):
-            raise ValueError(f"timestep interval must satisfy 0 <= a < b <= 1, got ({a}, {b})")
+        check_interval(self.timestep_interval, "timestep")
         if isinstance(self.block_selector, str):
             if self.block_selector not in BLOCK_GROUPS:
                 raise ValueError(f"unknown block group {self.block_selector!r}")
@@ -136,15 +151,6 @@ def repulse(batch: ContextBatch, cfg: RepulsionConfig) -> ContextBatch:
         if float(np.abs(vectors).max()) > OVERFLOW_LIMIT:
             raise NumericOverflow(f"updated entries exceed {OVERFLOW_LIMIT:.0e}")
     return ContextBatch(vectors)
-
-
-def fraction_in_interval(step_index: int, total_steps: int, interval: tuple[float, float]) -> bool:
-    """True iff step_index/total_steps lies in the half-open [a, b)."""
-    if not (0 <= step_index < total_steps):
-        raise ValueError(f"step index {step_index} out of range for {total_steps} steps")
-    fraction = step_index / total_steps
-    a, b = interval
-    return a <= fraction < b
 
 
 def _block_selected(block_index: int, total_blocks: int, selector) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmmflow, toydit
-from .repulsion import fraction_in_interval
+from .repulsion import check_interval, fraction_in_interval
 
 SPACES = ("contextual", "latent")
 
@@ -34,9 +34,7 @@ class SteeringSpec:
             raise ValueError("alpha must be finite")
         if self.space not in SPACES:
             raise ValueError(f"unknown steering space {self.space!r}")
-        a, b = self.apply_interval
-        if not (0.0 <= a < b <= 1.0):
-            raise ValueError(f"apply interval must satisfy 0 <= a < b <= 1, got ({a}, {b})")
+        check_interval(self.apply_interval, "apply")
 
 
 def blend(h_source, h_target, alpha: float) -> np.ndarray:
@@ -70,29 +68,22 @@ def steered_run(
         "none",
         seed=target_seed,
     )[0]
-    total = world.n_steps
+    if spec.space == "contextual":
+        recorded, hook_name = target.contexts, "context_hook"
+    else:
+        recorded, hook_name = target.latents, "latent_hook"
 
-    def context_hook(step, t, effective):
-        if spec.space != "contextual":
-            return effective
-        if not fraction_in_interval(step, total, spec.apply_interval):
-            return effective
-        return blend(effective[0], target.contexts[step], spec.alpha)[None, :]
-
-    def latent_hook(step, t, z):
-        if spec.space != "latent":
-            return z
-        if not fraction_in_interval(step, total, spec.apply_interval):
-            return z
-        return blend(z[0], target.latents[step], spec.alpha)[None, :]
+    def hook(step, t, current):
+        if not fraction_in_interval(step, world.n_steps, spec.apply_interval):
+            return current
+        return blend(current[0], recorded[step], spec.alpha)[None, :]
 
     return gmmflow.sample_batch(
         world,
         gmmflow.seed_prompt(world, source_seed, prompt_strength)[None, :],
         "none",
         seed=source_seed,
-        context_hook=context_hook,
-        latent_hook=latent_hook,
+        **{hook_name: hook},
     )[0]
 
 
@@ -128,10 +119,7 @@ def steered_toy_run(
         0,
     )
     for block in range(cfg.total_blocks):
-        if block < cfg.n_dual_blocks:
-            state = toydit.mm_block_forward(state, weights, block)
-        else:
-            state = toydit.single_block_forward(state, weights, block - cfg.n_dual_blocks)
+        state, _ = toydit.block_forward(state, weights, block)
         if fraction_in_interval(block, cfg.total_blocks, spec.apply_interval):
             blended = blend(state.text_tokens.reshape(-1), target_text[block], spec.alpha)
             state.text_tokens = blended.reshape(cfg.n_text_tokens, cfg.token_dim)

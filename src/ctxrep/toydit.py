@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ContextBatch
-from .repulsion import RepulsionConfig, repulse, should_apply
+from .repulsion import STREAM_TAGS, RepulsionConfig, repulse, should_apply
 from .rng import SplitMix64, derive_seed, normal_array
 
 _RMS_EPSILON = 1e-8
@@ -200,6 +200,21 @@ def single_block_forward(state: TokenState, weights: ModelWeights, block: int) -
     return TokenState(merged[..., :n, :], merged[..., n:, :], state.block_index + 1)
 
 
+def block_forward(
+    state: TokenState, weights: ModelWeights, block: int
+) -> tuple[TokenState, tuple[str, ...]]:
+    """Block ``block`` of the stack, dual blocks first, then single blocks.
+
+    Returns the new state and the streams it exposes to a hook: ``text``,
+    ``image`` and ``all_tokens`` after a dual block, only ``all_tokens``
+    after a single-stream block, whose token streams are merged.
+    """
+    n_dual = weights.config.n_dual_blocks
+    if block < n_dual:
+        return mm_block_forward(state, weights, block), STREAM_TAGS
+    return single_block_forward(state, weights, block - n_dual), ("all_tokens",)
+
+
 def forward_with_hooks(
     prompts: list[PromptEncoding],
     image_init: np.ndarray,
@@ -210,10 +225,9 @@ def forward_with_hooks(
 ) -> tuple[list[TokenState], list[StreamSnapshot]]:
     """Run all blocks on the whole batch, repelling the configured stream between blocks.
 
-    Dual blocks expose the ``text``, ``image``, and ``all_tokens`` streams to
-    the hook; single-stream blocks expose only ``all_tokens`` because their
-    token streams are merged. A stream is one row per sample, token t and dim
-    d at column t * D + d, with ``all_tokens`` the text row then the image
+    The hook sees the streams that :func:`block_forward` says each block
+    exposes. A stream is one row per sample, token t and dim d at column
+    t * D + d, with ``all_tokens`` the text row then the image
     row. Snapshots of the text and image streams are recorded after every
     block, post-repulsion. The final states are returned one per sample.
     """
@@ -234,13 +248,7 @@ def forward_with_hooks(
     columns = {"text": np.s_[:split], "image": np.s_[split:], "all_tokens": np.s_[:]}
 
     for block in range(cfg.total_blocks):
-        if block < cfg.n_dual_blocks:
-            state = mm_block_forward(state, weights, block)
-            available = ("text", "image", "all_tokens")
-        else:
-            state = single_block_forward(state, weights, block - cfg.n_dual_blocks)
-            available = ("all_tokens",)
-
+        state, available = block_forward(state, weights, block)
         if repulsion_cfg is not None:
             for stream in available:
                 if not should_apply(

@@ -15,6 +15,7 @@ from .linalg import (
     ContextBatch,
     SymMatrix,
     _eigh_descending,
+    _eigvalsh,
     _fill_diagonal,
     _unit_rows_and_cosine,
 )
@@ -39,7 +40,7 @@ def entropy_and_score(k: SymMatrix) -> DiversityValue:
     0 log 0 = 0 convention for rank-deficient kernels (identical samples).
     """
     _check_unit_diagonal(k)
-    lam = np.linalg.eigvalsh(k.entries / k.dim)
+    lam = _eigvalsh(k.entries / k.dim)
     entropy = float(_entropies(lam[None, :])[0])
     return DiversityValue(entropy=entropy, score=float(np.exp(entropy)))
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -321,6 +322,17 @@ class TestToyRunCommand:
         with open("toy_snapshots.csv", newline="") as handle:
             header = next(csv.reader(handle))
         assert header == ["sample", "block", "stream", "token", "dim", "value"]
+
+    def test_empty_output_report_prints_to_stdout(self, tmp_path, monkeypatch, capsys):
+        # as simulate prints its records without an output path
+        monkeypatch.chdir(tmp_path)
+        shipped = (CONFIG_DIR / "toy.cfg").read_text()
+        assert run_command(["toy-run", "--config", str(CONFIG_DIR / "toy.cfg")]) == 0
+        written = (tmp_path / "toy_report.json").read_text()
+        cfg = tmp_path / "stdout.cfg"
+        cfg.write_text(shipped.replace("output_report = toy_report.json", "output_report ="))
+        assert run_command(["toy-run", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == written
 
     def test_one_set_of_weights_for_both_passes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -802,3 +814,175 @@ class TestUsageErrors:
         cfg = small_gmm_config(tmp_path)
         assert run_command(["simulate", "--config", cfg, "--method", "magic"]) == 2
         capsys.readouterr()
+
+
+class TestFaultExitCodes:
+    """Faults that once ended in a traceback or in the wrong exit code."""
+
+    @pytest.mark.parametrize("command", ["simulate", "ablate", "toy-run", "steer", "repulse"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing" / "out"
+        cfg = small_gmm_config(
+            tmp_path, seeds=1, sweep_batch_sizes="2", output_snapshots=missing,
+            output_report=tmp_path / "report.jsonl",
+        )
+        vectors = tmp_path / "in.csv"
+        write_vector_csv(str(vectors), np.array([[1.0, 0.0], [0.6, 0.8]]))
+        argv = {
+            "simulate": ["simulate", "--config", cfg],
+            "ablate": ["ablate", "--axis", "batch", "--config", cfg],
+            "toy-run": ["toy-run", "--config", cfg],
+            "steer": ["steer", "--alpha", "0.5", "--source-seed", "0", "--target-seed", "3",
+                      "--config", cfg],
+            "repulse": ["repulse", "--input", str(vectors), "--eta", "0.01", "--steps", "1"],
+        }[command]
+        if command != "toy-run":
+            argv += ["--output", str(missing)]
+        assert run_command(argv) == 2
+        assert str(missing) in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command", ["vendi", "simulate"])
+    def test_lapack_eigenvalue_failure_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        def failing(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        vectors = tmp_path / "in.csv"
+        write_vector_csv(str(vectors), np.array([[1.0, 0.0], [0.6, 0.8]]))
+        argv = {
+            "vendi": ["vendi", "--input", str(vectors)],
+            "simulate": ["simulate", "--config", small_gmm_config(tmp_path), "--method", "none"],
+        }[command]
+        assert run_command(argv) == 3
+        captured = capsys.readouterr()
+        assert "did not converge" in json.loads(captured.err)["error"]
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "setting, method, message",
+        [
+            ("batch_size = 0", "contextual", "prompts must hold at least one sample"),
+            ("prompt_strength = inf", "none", "prompt entries must be finite"),
+            ("world_radius = nan", "none", "radius must be finite, got nan"),
+            ("world_gamma = inf", "none", "guidance_gamma must be finite, got inf"),
+            ("world_feedback = nan", "latent", "feedback_scale must be finite, got nan"),
+            ("cads_scale = nan", "cads", "cads scale must be finite, got nan"),
+            ("cads_tau1 = nan", "cads", "cads tau1 must be finite, got nan"),
+            ("cads_tau2 = -inf", "cads", "cads tau2 must be finite, got -inf"),
+            ("cads_psi = inf", "cads", "cads psi must be finite, got inf"),
+        ],
+    )
+    def test_mixture_values_outside_the_maths_exit_2(self, tmp_path, capsys, setting, method,
+                                                     message):
+        # named by the check, before any step can warn or fail on them
+        key, _, value = setting.partition(" = ")
+        cfg = small_gmm_config(tmp_path, **{key: value})
+        assert run_command(["simulate", "--config", cfg, "--method", method]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": message}
+
+
+def golden_cases(tmp_path) -> dict:
+    """Each case's argv and the output files it writes under ``tmp_path / "out"``."""
+    gmm = small_gmm_config(
+        tmp_path, seeds=3, seed_start=4, sweep_batch_sizes="2,4",
+        sweep_intervals="0:0.5,0.25:1", sweep_block_groups="first_third,all",
+        toy_dual_blocks=2, toy_single_blocks=1, toy_batch=3,
+    )
+    timestep = str(tmp_path / "timestep.cfg")
+    pathlib.Path(timestep).write_text(pathlib.Path(gmm).read_text() + "method = cads\n")
+    out = tmp_path / "out"
+    toy = tmp_path / "toy.cfg"
+    shipped = (CONFIG_DIR / "toy.cfg").read_text().splitlines(keepends=True)
+    toy.write_text(
+        "".join(line for line in shipped if not line.startswith("output_"))
+        + f"output_snapshots = {out / 'snaps.csv'}\noutput_report = {out / 'report.jsonl'}\n"
+    )
+    vectors = tmp_path / "vectors.csv"
+    write_vector_csv(str(vectors), np.random.default_rng(3).standard_normal((5, 3)))
+    repulse = ["repulse", "--input", str(vectors), "--output", str(out / "out.csv"),
+               "--eta", "0.3", "--steps", "3"]
+    steer = ["steer", "--alpha", "0.5", "--source-seed", "1", "--target-seed", "6",
+             "--config", gmm, "--output", str(out / "traj.csv")]
+    cases = {
+        f"simulate-{method}": (["simulate", "--config", gmm, "--method", method], [])
+        for method in ("none", "cads")
+    }
+    cases.update({
+        f"simulate-{method}": (
+            ["simulate", "--config", gmm, "--method", method,
+             "--output", str(out / "runs.jsonl")],
+            ["runs.jsonl"],
+        )
+        for method in ("contextual", "latent")
+    })
+    cases.update({
+        f"ablate-{axis}": (
+            ["ablate", "--axis", axis, "--config", timestep if axis == "timestep" else gmm,
+             "--output", str(out / "sweep.csv")],
+            ["sweep.csv"],
+        )
+        for axis in ("batch", "timestep", "blocks")
+    })
+    cases.update({
+        "toy-run": (["toy-run", "--config", str(toy)], ["snaps.csv", "report.jsonl"]),
+        "steer-contextual": (steer, ["traj.csv"]),
+        "steer-latent": (steer + ["--space", "latent", "--apply-interval", "0.25:1"],
+                         ["traj.csv"]),
+        "repulse": (repulse, ["out.csv"]),
+        "repulse-normalize": (repulse + ["--normalize"], ["out.csv"]),
+        "vendi-cosine": (["vendi", "--input", str(vectors)], []),
+        "vendi-rbf": (["vendi", "--input", str(vectors), "--kernel", "rbf",
+                       "--bandwidth", "1.5"], []),
+        "grad-check": (["grad-check", "--batch", "3", "--dim", "4", "--seeds", "3"], []),
+    })
+    return cases
+
+
+# sha256 of each command's stdout and of every file it writes, at --jobs 1.
+GOLDEN_CLI = {
+    ("simulate-none", "stdout"): "03db9a409c4122c0992661fb445455043d8edf47ee181d98f4f1f9714fc96a1b",
+    ("simulate-cads", "stdout"): "69d871db20f28b5a9c39c73414f22fc57ffd988ea4eb062ec7388f8375bac88d",
+    ("simulate-contextual", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("simulate-contextual", "runs.jsonl"): "bfc1c68505ca3b8491626fc7d587785564e21da7f94968a370b67795d8cf57a9",
+    ("simulate-latent", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("simulate-latent", "runs.jsonl"): "12acf3e44ef549d2d30dad2615c4888497d0864db41133db670ab694f256d2e3",
+    ("ablate-batch", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-batch", "sweep.csv"): "f761c9e5d55e88599a18918a9fb32cc73c1ddafddb65488065b30002b2686a57",
+    ("ablate-timestep", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-timestep", "sweep.csv"): "2eb5055af84ce06ff79928748742e58341b315aa7a024caed638100308cbd701",
+    ("ablate-blocks", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-blocks", "sweep.csv"): "595c67e461bc1c6cd313d1d8f5f98c8a5e946e4139bb43b5992e03b46178ea80",
+    ("toy-run", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("toy-run", "snaps.csv"): "6653266ac02a89c99a4a985658c09c0bb21554d3f6c41fcf849ec2086e9a384e",
+    ("toy-run", "report.jsonl"): "e932dcca3367137374e0179f85ad31b27276ce5a87403d95cc978e15591446f0",
+    ("steer-contextual", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("steer-contextual", "traj.csv"): "9f5f8ee1da1944bad9c837be5859e5255b4cae401d29a335464fa34a877e2f95",
+    ("steer-latent", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("steer-latent", "traj.csv"): "dbbe08172c95ebce567fe92145b432fdad90f01802cc9139b41ef8bdc36a972b",
+    ("repulse", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("repulse", "out.csv"): "adae178410d54bc2041b51b84fababd10c8d73d9bf49ec6609486163199b7b20",
+    ("repulse-normalize", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("repulse-normalize", "out.csv"): "bf69bb816e35576f58622cef766007de15acfe6eee01b5bbb76af2fc903bd915",
+    ("vendi-cosine", "stdout"): "bf2120d249a3df96d962d091645a32c5fe8c948929c954ca2858c372c86d69a8",
+    ("vendi-rbf", "stdout"): "1ca52b2a4c05105dbe2a7d1e5585dc7aa80154ce19afa37c35fa29a9c77083f1",
+    ("grad-check", "stdout"): "df999cc79272d38c6dba2b25187aa04b5b26588421646ec22151e0da5a7e5e79",
+}
+
+
+class TestGoldenOutputs:
+    def test_every_command_byte_for_byte(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        digests = {}
+        for name, (argv, files) in golden_cases(tmp_path).items():
+            out.mkdir()
+            assert run_command(argv) == 0, name
+            captured = capsys.readouterr()
+            assert captured.err == "", name
+            digests[name, "stdout"] = hashlib.sha256(captured.out.encode()).hexdigest()
+            assert sorted(p.name for p in out.iterdir()) == sorted(files), name
+            for file in files:
+                digests[name, file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
+                (out / file).unlink()
+            out.rmdir()
+        assert digests == GOLDEN_CLI

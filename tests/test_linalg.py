@@ -1,7 +1,11 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import ctxrep.linalg
 
 from ctxrep.linalg import (
     MAX_EIGH_DIM,
@@ -147,6 +151,22 @@ class TestEigh:
         with pytest.raises(NonConvergence, match="did not converge"):
             _eigh_descending(np.eye(3))
 
+    def test_eigenvalues_only_failure_is_nonconvergence(self, monkeypatch):
+        def failing(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        eigvalsh = ctxrep.linalg._eigvalsh
+        assert np.array_equal(eigvalsh(np.diag([2.0, 1.0])), [1.0, 2.0])
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            eigvalsh(np.eye(3))
+
+    def test_every_lapack_call_goes_through_linalg(self):
+        # so a LAPACK failure is NonConvergence (exit 3) wherever it happens
+        package = pathlib.Path(ctxrep.__file__).parent
+        callers = sorted(p.name for p in package.glob("*.py") if "np.linalg.eig" in p.read_text())
+        assert callers == ["linalg.py"]
+
 
 class TestContextBatch:
     def test_accepts_zero_vector(self):
@@ -164,6 +184,16 @@ class TestContextBatch:
         batch = ContextBatch(np.ones((3, 5)))
         assert batch.batch_size == 3
         assert batch.vector_dim == 5
+
+
+@pytest.mark.parametrize(
+    "kernel", [cosine_kernel, lambda batch: rbf_kernel(batch, 1.0)], ids=["cosine", "rbf"]
+)
+def test_kernels_reject_a_stack_of_batches(kernel):
+    with pytest.raises(
+        ValueError, match=r"one \(B, D\) batch, got a stack of batches of shape \(2, 3, 4\)"
+    ):
+        kernel(ContextBatch(np.ones((2, 3, 4))))
 
 
 class TestCosineKernel:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ctxrep.gmmflow as gf
 import ctxrep.repulsion as repulsion
 from ctxrep.linalg import ContextBatch, DegenerateVector, cosine_kernel
 from ctxrep.repulsion import (
@@ -11,6 +12,7 @@ from ctxrep.repulsion import (
     repulse,
     should_apply,
 )
+from ctxrep.steering import SteeringSpec
 from ctxrep.vendi import entropy_and_score, entropy_gradient
 
 from .test_rng import digest
@@ -266,6 +268,27 @@ class TestConfig:
             RepulsionConfig(block_selector="second_half")
         with pytest.raises(ValueError):
             RepulsionConfig(target_stream="audio")
+
+    @pytest.mark.parametrize(
+        "interval", [(0.5, 0.5), (0.8, 0.2), (-0.1, 0.5), (0.5, 1.5), (float("nan"), 1.0)]
+    )
+    def test_one_interval_rule_for_every_window(self, interval):
+        # the repulsion, steering and cads windows share check_interval
+        world = gf.MixtureWorld(n_steps=4)
+        windows = {
+            "timestep": lambda: RepulsionConfig(timestep_interval=interval),
+            "apply": lambda: SteeringSpec(alpha=0.5, apply_interval=interval),
+            "cads": lambda: gf.sample_batch(
+                world, gf.one_hot_prompts(world, 2), "cads", cads_interval=interval
+            ),
+        }
+        for name, build in windows.items():
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == (
+                f"{name} interval must satisfy 0 <= a < b <= 1, got {interval}"
+            )
+            repulsion.check_interval((0.0, 1.0), name)
 
     def test_presets_reflect_published_settings(self):
         assert set(PRESETS) == {"flux-dev", "sd35-large", "sd35-turbo"}

@@ -108,6 +108,21 @@ class TestSteeredToyRun:
         assert np.array_equal(steered.text_tokens, target[0].text_tokens)
         assert not np.array_equal(steered.image_tokens, target[0].image_tokens)
 
+    def test_both_runs_walk_the_stack_through_block_forward(self, monkeypatch):
+        cfg = td.ToyDiTConfig(n_dual_blocks=2, n_single_blocks=1)
+        weights = td.init_weights(cfg)
+        blocks = []
+        original = td.block_forward
+
+        def recording(state, w, block):
+            blocks.append(block)
+            return original(state, w, block)
+
+        monkeypatch.setattr(td, "block_forward", recording)
+        steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=0.5))
+        # the target run, then the steered source run
+        assert blocks == [0, 1, 2, 0, 1, 2]
+
     def test_non_contextual_space_rejected(self):
         weights = td.init_weights(td.ToyDiTConfig(n_dual_blocks=1, n_single_blocks=0))
         with pytest.raises(ValueError, match="latent"):

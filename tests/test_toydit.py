@@ -185,6 +185,24 @@ class TestBlockForward:
         assert np.array_equal(out.text_tokens, state.text_tokens)
         assert np.array_equal(out.image_tokens, state.image_tokens)
 
+    def test_block_forward_walks_dual_then_single_blocks(self):
+        cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
+        weights = td.init_weights(cfg)
+        prompts, images = batch_inputs(cfg, 3)
+        state = td.TokenState(np.stack([p.tokens for p in prompts]), images, 0)
+        expected = [
+            (td.mm_block_forward, 0, ("text", "image", "all_tokens")),
+            (td.mm_block_forward, 1, ("text", "image", "all_tokens")),
+            (td.single_block_forward, 0, ("all_tokens",)),
+        ]
+        for block, (forward, index, streams) in enumerate(expected):
+            reference = forward(state, weights, index)
+            state, exposed = td.block_forward(state, weights, block)
+            assert exposed == streams
+            assert np.array_equal(state.text_tokens, reference.text_tokens)
+            assert np.array_equal(state.image_tokens, reference.image_tokens)
+            assert state.block_index == block + 1
+
     def test_dimension_mismatch(self):
         cfg = small_config()
         weights = td.init_weights(cfg)
