@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import gmmflow, steering, toydit
 from .config import (
+    FIELD_TYPES,
     ExperimentConfig,
     latent_repulsion_from_config,
     load_config,
@@ -65,6 +68,24 @@ def _fail(message: str) -> None:
     print(json.dumps({"error": message}), file=sys.stderr)
 
 
+def _config(args) -> ExperimentConfig:
+    """``--config`` with every flag that names a config key folded in; an
+    absent flag or an empty ``--output`` leaves the key as it is."""
+    flags = {k: v for k, v in vars(args).items() if k in FIELD_TYPES and v not in (None, "")}
+    cfg = dataclasses.replace(load_config(args.config), **flags)
+    if cfg.seeds < 0:
+        raise _UsageError(f"seeds must be >= 0, got {cfg.seeds}")
+    if cfg.jobs < 1:
+        raise _UsageError(f"jobs must be >= 1, got {cfg.jobs}")
+    return cfg
+
+
+def _required_output(cfg: ExperimentConfig, command: str) -> str:
+    if not cfg.output:
+        raise _UsageError(f"{command} requires an output path (--output or config `output`)")
+    return cfg.output
+
+
 def read_vector_csv(path: str) -> np.ndarray:
     """Read one sample per row under a dim0,dim1,... header."""
     try:
@@ -92,12 +113,17 @@ def read_vector_csv(path: str) -> np.ndarray:
     return np.array(data)
 
 
-def write_vector_csv(path: str, vectors: np.ndarray) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows``: every CSV a command produces."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f"dim{i}" for i in range(vectors.shape[1])])
-        for row in vectors:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_vector_csv(path: str, vectors: np.ndarray) -> None:
+    header = [f"dim{i}" for i in range(vectors.shape[1])]
+    _write_csv(path, header, ([repr(float(v)) for v in row] for row in vectors))
 
 
 def _world_from_config(cfg: ExperimentConfig) -> gmmflow.MixtureWorld:
@@ -309,12 +335,10 @@ def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
 
 
 def _cmd_toy_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     inputs = _toy_inputs(cfg, cfg.toy_seed, cfg.seed_start)
     snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
     snaps_off = _toy_snapshots(cfg, inputs, None)
-
-    toydit.write_snapshots_csv(snaps_on, cfg.output_snapshots, _toy_config(cfg))
     off_scores = {(s.block_index, s.stream): _snapshot_score(s) for s in snaps_off}
     lines = []
     for snap in snaps_on:
@@ -328,34 +352,35 @@ def _cmd_toy_run(args) -> int:
                 }
             )
         )
-    _emit_lines(lines, cfg.output_report)
+
+    d = cfg.toy_dim
+    _write_csv(
+        cfg.output_snapshots,
+        ["sample", "block", "stream", "token", "dim", "value"],
+        ([sample, snap.block_index, snap.stream, i // d, i % d, repr(float(value))]
+         for snap in snaps_on
+         for sample, row in enumerate(snap.vectors)
+         for i, value in enumerate(row)),
+    )
+    try:
+        _emit_lines(lines, cfg.output_report)
+    except OSError:
+        # a failed run leaves no partial output set
+        os.remove(cfg.output_snapshots)
+        raise
     return EXIT_OK
-
-
-def _seeds_and_jobs(args, cfg: ExperimentConfig) -> tuple[int, int]:
-    """Seed count and worker ceiling, flags over config keys; bad values are usage errors."""
-    seeds = getattr(args, "seeds", None)
-    seeds = cfg.seeds if seeds is None else seeds
-    jobs = cfg.jobs if args.jobs is None else args.jobs
-    if seeds < 0:
-        raise _UsageError(f"seeds must be >= 0, got {seeds}")
-    if jobs < 1:
-        raise _UsageError(f"jobs must be >= 1, got {jobs}")
-    return seeds, jobs
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    method = args.method or cfg.method
-    if method not in gmmflow.METHODS:
-        raise _UsageError(f"unknown method {method!r}")
-    seeds, jobs = _seeds_and_jobs(args, cfg)
-    records = _simulate_variants([cfg], method, seeds, jobs)
-    _emit_lines([json.dumps(r) for r in records], args.output or cfg.output)
+    cfg = _config(args)
+    if cfg.method not in gmmflow.METHODS:
+        raise _UsageError(f"unknown method {cfg.method!r}")
+    records = _simulate_variants([cfg], cfg.method, cfg.seeds, cfg.jobs)
+    _emit_lines([json.dumps(r) for r in records], cfg.output)
     return EXIT_OK
 
 
-def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[str], list[dict]]:
+def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str) -> tuple[list[str], list[list]]:
     metrics = [field.name for field in dataclasses.fields(gmmflow.RunMetrics)]
     if axis == "timestep":
         variants = [
@@ -368,16 +393,16 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str, jobs: int) -> tuple[list[
         variants = [
             (str(size), dataclasses.replace(cfg, batch_size=size)) for size in cfg.sweep_batch_sizes
         ]
-    records = _simulate_variants([variant for _, variant in variants], cfg.method, cfg.seeds, jobs)
+    records = _simulate_variants([v for _, v in variants], cfg.method, cfg.seeds, cfg.jobs)
     labels = [label for label, _ in variants for _ in range(cfg.seeds)]
     rows = [
-        {"axis": axis, "value": label, "seed": record["seed"], **{k: record[k] for k in metrics}}
+        [axis, label, record["seed"], *(record[k] for k in metrics)]
         for label, record in zip(labels, records)
     ]
     return ["axis", "value", "seed", *metrics], rows
 
 
-def _run_block_groups(args) -> list[dict]:
+def _run_block_groups(args) -> list[list]:
     """One seed's row for each block group, all on the seed's one set of inputs."""
     cfg, repulsions, seed = args
     # vary weights and image noise together per seed
@@ -390,47 +415,36 @@ def _run_block_groups(args) -> list[dict]:
             float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
             for row in final.vectors
         ]
-        rows.append({
-            "axis": "blocks",
-            "value": repulsion.block_selector,
-            "seed": seed,
-            "text_vendi": _snapshot_score(final),
-            "prompt_similarity": float(np.mean(sims)),
-        })
+        rows.append([
+            "blocks", repulsion.block_selector, seed, _snapshot_score(final), float(np.mean(sims))
+        ])
     return rows
 
 
-def _ablate_rows_blocks(cfg: ExperimentConfig, jobs: int) -> tuple[list[str], list[dict]]:
+def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
     base = repulsion_from_config(cfg)
     repulsions = [
         dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
     ]
     work = [(cfg, repulsions, cfg.seed_start + i) for i in range(cfg.seeds)]
-    per_seed = _map_runs(work, _workers(cfg.seeds * len(repulsions), jobs), _run_block_groups)
+    per_seed = _map_runs(work, _workers(cfg.seeds * len(repulsions), cfg.jobs), _run_block_groups)
     # group-then-seed order
     return header, [rows[g] for g in range(len(repulsions)) for rows in per_seed]
 
 
 def _cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    _, jobs = _seeds_and_jobs(args, cfg)
+    cfg = _config(args)
     if args.axis == "blocks":
-        header, rows = _ablate_rows_blocks(cfg, jobs)
+        header, rows = _ablate_rows_blocks(cfg)
     else:
-        header, rows = _ablate_rows_gmm(cfg, args.axis, jobs)
-    output = args.output or cfg.output
-    if not output:
-        raise _UsageError("ablate requires an output path (--output or config `output`)")
-    with open(output, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+        header, rows = _ablate_rows_gmm(cfg, args.axis)
+    _write_csv(_required_output(cfg, "ablate"), header, rows)
     return EXIT_OK
 
 
 def _cmd_steer(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     world = _world_from_config(cfg)
     spec = steering.SteeringSpec(
         alpha=args.alpha, space=args.space, apply_interval=args.apply_interval
@@ -438,20 +452,18 @@ def _cmd_steer(args) -> int:
     trajectory = steering.steered_run(
         world, args.source_seed, args.target_seed, spec, prompt_strength=cfg.prompt_strength
     )
-    output = args.output or cfg.output
-    if not output:
-        raise _UsageError("steer requires an output path (--output or config `output`)")
-    with open(output, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "time", "zx", "zy"])
-        for j, t in enumerate(trajectory.times):
-            writer.writerow(
-                [j, repr(float(t)), repr(float(trajectory.latents[j, 0])), repr(float(trajectory.latents[j, 1]))]
-            )
+    _write_csv(
+        _required_output(cfg, "steer"),
+        ["step", "time", "zx", "zy"],
+        ([j, repr(float(t)), repr(float(zx)), repr(float(zy))]
+         for j, (t, (zx, zy)) in enumerate(zip(trajectory.times, trajectory.latents))),
+    )
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The whole parser, built once per process: parsing never changes it."""
     parser = _Parser(prog="ctxrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -334,6 +334,10 @@ def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
     """The sampler loop on prompts of shape (B, M) for one seed or (S, B, M)
     for S seeds; returns the times and the (T + 1, ..., B, .) latents and
     contexts."""
+    # numpy rejects a negative seed too, but its message does not name the seed
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     t_steps = world.n_steps
     z = _normals([np.random.default_rng(seed) for seed in seeds], prompts.shape[:-1] + (2,))
     if method == "cads":

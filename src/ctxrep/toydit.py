@@ -14,7 +14,6 @@ intervention mechanism, not image quality.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,18 +275,3 @@ def forward_with_hooks(
     ]
     return finals, snapshots
 
-
-def write_snapshots_csv(snapshots: list[StreamSnapshot], path: str, cfg: ToyDiTConfig) -> None:
-    """Dump snapshots as rows of (sample, block, stream, token, dim, value)."""
-    d = cfg.token_dim
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sample", "block", "stream", "token", "dim", "value"])
-        for snap in snapshots:
-            for sample in range(snap.vectors.shape[0]):
-                row = snap.vectors[sample]
-                for flat_index, value in enumerate(row):
-                    writer.writerow(
-                        [sample, snap.block_index, snap.stream,
-                         flat_index // d, flat_index % d, repr(float(value))]
-                    )

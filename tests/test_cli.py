@@ -347,6 +347,54 @@ class TestToyRunCommand:
         assert run_command(["toy-run", "--config", str(CONFIG_DIR / "toy.cfg")]) == 0
         assert seeds == [0]
 
+    def test_snapshot_csv_row_schema(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        passes = []
+        original = cli.toydit.forward_with_hooks
+
+        def recording(*args, **kwargs):
+            finals, snapshots = original(*args, **kwargs)
+            passes.append(snapshots)
+            return finals, snapshots
+
+        monkeypatch.setattr(cli.toydit, "forward_with_hooks", recording)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("toy_dual_blocks = 1\ntoy_single_blocks = 0\ntoy_batch = 2\n")
+        assert run_command(["toy-run", "--config", str(cfg)]) == 0
+
+        with open("toy_snapshots.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["sample", "block", "stream", "token", "dim", "value"]
+        model = cli._toy_config(parse_config(cfg.read_text()))
+        expected = 2 * (model.n_text_tokens + model.n_image_tokens) * model.token_dim
+        assert len(rows) - 1 == expected
+        streams = {row[2] for row in rows[1:]}
+        assert streams == {"text", "image"}
+        # spot-check one value against the snapshot tensor of the repelled pass
+        text = next(s for s in passes[0] if s.stream == "text")
+        sample, block, stream, token, dim, value = rows[1]
+        flat_idx = int(token) * model.token_dim + int(dim)
+        assert float(value) == text.vectors[int(sample), flat_idx]
+
+    @pytest.mark.parametrize("fault", ["output_snapshots", "output_report", "scoring"])
+    def test_a_failed_run_leaves_no_output(self, tmp_path, monkeypatch, capsys, fault):
+        paths = {"output_snapshots": tmp_path / "snaps.csv",
+                 "output_report": tmp_path / "report.jsonl"}
+        if fault == "scoring":
+            def failing(_):
+                raise ValueError("scoring failed")
+
+            monkeypatch.setattr(cli, "_snapshot_score", failing)
+        else:
+            paths[fault] = tmp_path / "missing" / "out"
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("toy_dual_blocks = 1\ntoy_single_blocks = 0\n"
+                       + "".join(f"{key} = {path}\n" for key, path in paths.items()))
+        assert run_command(["toy-run", "--config", str(cfg)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error == "scoring failed" if fault == "scoring" else str(paths[fault]) in error)
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.cfg"]
+
 
 class TestSimulateCommand:
     def test_json_lines_and_determinism(self, tmp_path, capsys):
@@ -791,6 +839,22 @@ class TestRunCounts:
         assert "seeds" in error or "jobs" in error
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["toy-run", "steer"])
+    @pytest.mark.parametrize("settings", [{"seeds": -1}, {"jobs": 0}])
+    def test_every_config_command_checks_seeds_and_jobs(self, tmp_path, capsys, command,
+                                                         settings):
+        out = tmp_path / "out"
+        cfg = small_gmm_config(tmp_path, output_snapshots=out, output_report=out, **settings)
+        argv = {
+            "toy-run": ["toy-run", "--config", cfg],
+            "steer": ["steer", "--alpha", "0.5", "--source-seed", "0", "--target-seed", "3",
+                      "--config", cfg, "--output", str(out)],
+        }[command]
+        assert run_command(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith("seeds" if "seeds" in settings else "jobs")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", ["0", None])
     def test_zero_seeds_write_an_empty_file(self, tmp_path, seeds):
         cfg = small_gmm_config(tmp_path, seeds=0)
@@ -814,6 +878,48 @@ class TestUsageErrors:
         cfg = small_gmm_config(tmp_path)
         assert run_command(["simulate", "--config", cfg, "--method", "magic"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, settings, seed",
+        [
+            (["simulate", "--method", "none"], {"seed_start": -3}, -3),
+            (["simulate", "--method", "cads", "--jobs", "2"], {"seed_start": -1}, -1),
+            (["steer", "--alpha", "0.5", "--source-seed", "-1", "--target-seed", "3"], {}, -1),
+            (["steer", "--alpha", "0.5", "--source-seed", "0", "--target-seed", "-2"], {}, -2),
+        ],
+    )
+    def test_negative_mixture_seed_is_named(self, tmp_path, capsys, argv, settings, seed):
+        cfg = small_gmm_config(tmp_path, **settings)
+        out = tmp_path / "out"
+        assert run_command(argv + ["--config", cfg, "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": f"seed must be >= 0, got {seed}"}
+        assert not out.exists()
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        builds = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                builds.append(kwargs.get("prog"))
+
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cli._build_parser.cache_clear()
+        try:
+            helps = []
+            for argv in (["--help"], ["simulate", "--help"]) * 2:
+                assert run_command(argv) == 0
+                helps.append(capsys.readouterr().out)
+            assert run_command(["vendi"]) == 2
+            assert run_command(["grad-check", "--batch", "2", "--dim", "2", "--seeds", "1"]) == 0
+        finally:
+            cli._build_parser.cache_clear()
+        capsys.readouterr()
+        assert builds.count("ctxrep") == 1
+        assert helps[0] == helps[2] and helps[1] == helps[3]
+        assert "simulate" in helps[0] and "--jobs" in helps[1]
 
 
 class TestFaultExitCodes:

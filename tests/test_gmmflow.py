@@ -239,6 +239,20 @@ class TestSampleBatch:
             # other methods ignore the cads window
             gf.sample_batch(gf.MixtureWorld(n_steps=2), prompts, "none", cads_interval=bad)
 
+    @pytest.mark.parametrize(
+        "sample, seed",
+        [
+            (lambda w, p: gf.sample_batch(w, p, "none", seed=-1), -1),
+            (lambda w, p: gf.sample_seed_block(w, p, "cads", seeds=[0, -4, -5]), -4),
+        ],
+        ids=["sample_batch", "sample_seed_block"],
+    )
+    def test_negative_seed_is_named(self, sample, seed):
+        world = gf.MixtureWorld(n_steps=2)
+        with pytest.raises(ValueError) as caught:
+            sample(world, gf.one_hot_prompts(world, 2))
+        assert str(caught.value) == f"seed must be >= 0, got {seed}"
+
     def test_prompt_validation(self):
         world = gf.MixtureWorld()
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -467,27 +465,3 @@ def test_golden_snapshots(stream):
 def test_golden_snapshots_with_einsum_attention(stream, monkeypatch):
     monkeypatch.setattr(td, "_joint_attention", _oracles.einsum_joint_attention)
     assert snapshot_digest(stream) == GOLDEN_SNAPSHOTS_EINSUM[stream]
-
-
-class TestSnapshotCsv:
-    def test_row_schema(self, tmp_path):
-        cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
-        weights = td.init_weights(cfg)
-        prompts, images = batch_inputs(cfg, 2)
-        _, snaps = td.forward_with_hooks(prompts, images, weights)
-        path = tmp_path / "snaps.csv"
-        td.write_snapshots_csv(snaps, str(path), cfg)
-
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["sample", "block", "stream", "token", "dim", "value"]
-        expected = 2 * (cfg.n_text_tokens + cfg.n_image_tokens) * cfg.token_dim
-        assert len(rows) - 1 == expected
-        streams = {row[2] for row in rows[1:]}
-        assert streams == {"text", "image"}
-        # spot-check one value against the snapshot tensor
-        text = next(s for s in snaps if s.stream == "text")
-        row = rows[1]
-        sample, block, stream, token, dim, value = row
-        flat_idx = int(token) * cfg.token_dim + int(dim)
-        assert float(value) == text.vectors[int(sample), flat_idx]
