@@ -242,6 +242,16 @@ def seed_prompt(world: MixtureWorld, seed: int, strength: float = 10.0) -> np.nd
     return one_hot_prompts(world, 1, mode=seed, strength=strength)[0]
 
 
+def check_seeds(seeds) -> None:
+    """Raise ValueError naming the first of ``seeds`` below 0.
+
+    numpy rejects a negative seed too, but its message does not name the seed.
+    """
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def sample_batch(
     world: MixtureWorld,
     prompts: np.ndarray,
@@ -334,10 +344,7 @@ def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
     """The sampler loop on prompts of shape (B, M) for one seed or (S, B, M)
     for S seeds; returns the times and the (T + 1, ..., B, .) latents and
     contexts."""
-    # numpy rejects a negative seed too, but its message does not name the seed
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seeds(seeds)
     t_steps = world.n_steps
     z = _normals([np.random.default_rng(seed) for seed in seeds], prompts.shape[:-1] + (2,))
     if method == "cads":

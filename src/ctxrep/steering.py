@@ -60,8 +60,10 @@ def steered_run(
     """Replay the source mixture-flow run while blending toward the target.
 
     Each run's prompt selects the mode derived from its seed, so source and
-    target head to different modes and the blend steers between them.
+    target head to different modes and the blend steers between them. Both
+    seeds are checked before either run starts.
     """
+    gmmflow.check_seeds((target_seed, source_seed))
     target = gmmflow.sample_batch(
         world,
         gmmflow.seed_prompt(world, target_seed, prompt_strength)[None, :],

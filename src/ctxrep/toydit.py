@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import ContextBatch
 from .repulsion import STREAM_TAGS, RepulsionConfig, repulse, should_apply
-from .rng import SplitMix64, derive_seed, normal_array
+from .rng import derive_seed, normal_array, seeded_generator
 
 _RMS_EPSILON = 1e-8
 
@@ -104,7 +104,7 @@ class StreamSnapshot:
 
 
 def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
-    """Fill every projection matrix from one SplitMix64 stream.
+    """Fill every projection matrix from one generator seeded with ``weight_seed``.
 
     Blocks are filled in order (dual first, then single), matrices within a
     block in the documented name order, entries row-major, each a standard
@@ -114,7 +114,7 @@ def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
     d = cfg.token_dim
     n_matrices = (len(DUAL_MATRIX_NAMES) * cfg.n_dual_blocks
                   + len(SINGLE_MATRIX_NAMES) * cfg.n_single_blocks)
-    fill = normal_array(SplitMix64(cfg.weight_seed), (n_matrices, d, d), 1.0 / np.sqrt(d))
+    fill = normal_array(seeded_generator(cfg.weight_seed), (n_matrices, d, d), 1.0 / np.sqrt(d))
     matrices = iter(fill)
     dual = tuple({name: next(matrices) for name in DUAL_MATRIX_NAMES}
                  for _ in range(cfg.n_dual_blocks))
@@ -125,14 +125,14 @@ def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
 
 def encode_prompt(cfg: ToyDiTConfig, prompt_id: int) -> PromptEncoding:
     """Deterministic N x D text tokens for a prompt id under this weight seed."""
-    rng = SplitMix64(derive_seed(cfg.weight_seed, _PROMPT_SALT, prompt_id))
+    rng = seeded_generator(derive_seed(cfg.weight_seed, _PROMPT_SALT, prompt_id))
     tokens = normal_array(rng, (cfg.n_text_tokens, cfg.token_dim))
     return PromptEncoding(prompt_id=prompt_id, tokens=tokens)
 
 
 def seed_image_tokens(cfg: ToyDiTConfig, noise_seed: int) -> np.ndarray:
     """Deterministic initial image tokens for one sample (the per-sample noise)."""
-    rng = SplitMix64(derive_seed(noise_seed, _IMAGE_SALT))
+    rng = seeded_generator(derive_seed(noise_seed, _IMAGE_SALT))
     return normal_array(rng, (cfg.n_image_tokens, cfg.token_dim))
 
 

@@ -6,10 +6,16 @@ scores and gradient eigenpairs (which the package takes from LAPACK) are
 checked against the Jacobi solver. Eigenvectors are fixed only up to sign, so
 a test that compares them compares both solvers' columns in the sign form of
 ``canonical_signs``; the package itself keeps LAPACK's signs, which its
-gradient cannot see. The one-draw-at-a-time SplitMix64 normals,
-the pair-by-pair Vendi average, the serial blocks ablation and the
-seed-by-seed simulation records are the straightforward forms of what the
-package computes in blocks or shares; the tests hold those forms to them.
+gradient cannot see. The one-draw-at-a-time generator normals, the
+pair-by-pair Vendi average, the serial blocks ablation and the seed-by-seed
+simulation records are the straightforward forms of what the package
+computes in blocks or shares; the tests hold those forms to them.
+``SplitMix64`` and ``normal_array`` are the toy model's random source as it
+was before it drew from numpy's PCG64 generator: a SplitMix64 stream mapped
+to normals by Box-Muller on libm, one draw at a time. Patched into
+``toydit``, they reproduce the digests recorded on that stream, so that
+moving to numpy's generator is shown to be the only source of changed toy
+bits; they also chain ``derive_seed``'s mixer.
 The einsum joint attention is the straightforward form of the toy model's
 stacked-matmul attention; it sums in another order, so the tests hold the
 shipped form to it within a roundoff tolerance.
@@ -35,6 +41,34 @@ from ctxrep.repulsion import RepulsionConfig
 from ctxrep.vendi import entropy_and_score
 
 EIGENVALUE_FLOOR = 1e-12
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 stream (Steele, Lea & Flood 2014): the state advances by
+    the golden-ratio increment and each output is the mixed state.
+
+    ``_spare`` holds the unused Box-Muller sine of the last pair drawn by
+    :func:`next_gauss`, which the next draw returns first.
+    """
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+        self._spare: float | None = None
+
+    def next_uint64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+
+def generator_normals(generator, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+    """``ctxrep.rng.normal_array`` one scalar ``standard_normal`` draw at a time."""
+    count = int(np.prod(shape, dtype=np.int64))
+    values = [generator.standard_normal() * scale for _ in range(count)]
+    return np.array(values, dtype=float).reshape(shape)
 
 
 def next_unit(rng) -> float:
@@ -56,7 +90,8 @@ def next_gauss(rng) -> float:
 
 
 def normal_array(rng, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
-    """``ctxrep.rng.normal_array`` one scalar draw at a time."""
+    """``shape`` filled row-major with scaled Box-Muller normals from the
+    :class:`SplitMix64` ``rng``, one scalar draw at a time."""
     count = int(np.prod(shape, dtype=np.int64))
     values = [scale * next_gauss(rng) for _ in range(count)]
     return np.array(values, dtype=float).reshape(shape)

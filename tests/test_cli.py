@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ctxrep.cli as cli
+from ctxrep import gmmflow
 from ctxrep.cli import read_vector_csv, run_command, write_vector_csv
 from ctxrep.config import (
     FIELD_TYPES,
@@ -26,6 +27,7 @@ from ctxrep.config import (
 from ctxrep.repulsion import PRESETS
 
 from ._oracles import ablate_blocks_rows, simulation_record
+from .test_rng import patch_splitmix64
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -895,6 +897,26 @@ class TestUsageErrors:
         assert json.loads(capsys.readouterr().err) == {"error": f"seed must be >= 0, got {seed}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, target", [(-1, 3), (0, -2), (-1, -2)])
+    def test_steer_checks_both_seeds_before_any_flow(self, tmp_path, capsys, monkeypatch,
+                                                     source, target):
+        flows = []
+        integrate = gmmflow._integrate
+
+        def counting(*args, **kwargs):
+            flows.append(args[3])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(gmmflow, "_integrate", counting)
+        argv = ["steer", "--alpha", "0.5", "--source-seed", str(source),
+                "--target-seed", str(target), "--config", small_gmm_config(tmp_path),
+                "--output", str(tmp_path / "traj.csv")]
+        assert run_command(argv) == 2
+        # the target seed is named first, as when the target run checked it
+        named = target if target < 0 else source
+        assert json.loads(capsys.readouterr().err) == {"error": f"seed must be >= 0, got {named}"}
+        assert flows == []
+
 
 class TestParser:
     def test_built_once_per_process(self, monkeypatch, capsys):
@@ -1058,10 +1080,11 @@ GOLDEN_CLI = {
     ("ablate-timestep", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-timestep", "sweep.csv"): "2eb5055af84ce06ff79928748742e58341b315aa7a024caed638100308cbd701",
     ("ablate-blocks", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("ablate-blocks", "sweep.csv"): "595c67e461bc1c6cd313d1d8f5f98c8a5e946e4139bb43b5992e03b46178ea80",
+    # this file and toy-run's two: recorded when the toy model moved to numpy's PCG64 generator
+    ("ablate-blocks", "sweep.csv"): "2543915af58574083d0393c9e61fb94138263e5331ea584d3d75671e64fa4163",
     ("toy-run", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("toy-run", "snaps.csv"): "6653266ac02a89c99a4a985658c09c0bb21554d3f6c41fcf849ec2086e9a384e",
-    ("toy-run", "report.jsonl"): "e932dcca3367137374e0179f85ad31b27276ce5a87403d95cc978e15591446f0",
+    ("toy-run", "snaps.csv"): "f6da26cbd3a0864af150b3b5972a179805f34be3e9bdcb05ceae584790f07234",
+    ("toy-run", "report.jsonl"): "c23673cd7f2522ab2347261a547d1c611a2eb82e9d93ac7f980a544168066b96",
     ("steer-contextual", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("steer-contextual", "traj.csv"): "9f5f8ee1da1944bad9c837be5859e5255b4cae401d29a335464fa34a877e2f95",
     ("steer-latent", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -1076,19 +1099,42 @@ GOLDEN_CLI = {
 }
 
 
+# The toy entries as recorded when the toy model drew from SplitMix64.
+GOLDEN_CLI_SPLITMIX64 = {
+    ("ablate-blocks", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-blocks", "sweep.csv"): "595c67e461bc1c6cd313d1d8f5f98c8a5e946e4139bb43b5992e03b46178ea80",
+    ("toy-run", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("toy-run", "snaps.csv"): "6653266ac02a89c99a4a985658c09c0bb21554d3f6c41fcf849ec2086e9a384e",
+    ("toy-run", "report.jsonl"): "e932dcca3367137374e0179f85ad31b27276ce5a87403d95cc978e15591446f0",
+}
+
+
+def command_digests(tmp_path, capsys, names=None) -> dict:
+    """sha256 of the stdout and output files of each golden case in ``names``, or of all."""
+    out = tmp_path / "out"
+    digests = {}
+    for name, (argv, files) in golden_cases(tmp_path).items():
+        if names is not None and name not in names:
+            continue
+        out.mkdir()
+        assert run_command(argv) == 0, name
+        captured = capsys.readouterr()
+        assert captured.err == "", name
+        digests[name, "stdout"] = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert sorted(p.name for p in out.iterdir()) == sorted(files), name
+        for file in files:
+            digests[name, file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
+            (out / file).unlink()
+        out.rmdir()
+    return digests
+
+
 class TestGoldenOutputs:
     def test_every_command_byte_for_byte(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        digests = {}
-        for name, (argv, files) in golden_cases(tmp_path).items():
-            out.mkdir()
-            assert run_command(argv) == 0, name
-            captured = capsys.readouterr()
-            assert captured.err == "", name
-            digests[name, "stdout"] = hashlib.sha256(captured.out.encode()).hexdigest()
-            assert sorted(p.name for p in out.iterdir()) == sorted(files), name
-            for file in files:
-                digests[name, file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
-                (out / file).unlink()
-            out.rmdir()
-        assert digests == GOLDEN_CLI
+        assert command_digests(tmp_path, capsys) == GOLDEN_CLI
+
+    def test_toy_commands_on_the_splitmix64_oracle(self, tmp_path, capsys, monkeypatch):
+        # the random source is the only thing that moved the toy outputs
+        patch_splitmix64(monkeypatch)
+        names = {name for name, _ in GOLDEN_CLI_SPLITMIX64}
+        assert command_digests(tmp_path, capsys, names) == GOLDEN_CLI_SPLITMIX64
