@@ -80,10 +80,13 @@ def _config(args) -> ExperimentConfig:
     return cfg
 
 
-def _required_output(cfg: ExperimentConfig, command: str) -> str:
-    if not cfg.output:
-        raise _UsageError(f"{command} requires an output path (--output or config `output`)")
-    return cfg.output
+def _required_output(args, cfg: ExperimentConfig, key: str = "output") -> str:
+    """The output path in config key ``key``; a command checks it before any work."""
+    path = getattr(cfg, key)
+    if not path:
+        where = f"--{key} or config `{key}`" if key in vars(args) else f"config `{key}`"
+        raise _UsageError(f"{args.command} requires an output path ({where})")
+    return path
 
 
 def read_vector_csv(path: str) -> np.ndarray:
@@ -336,6 +339,7 @@ def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
 
 def _cmd_toy_run(args) -> int:
     cfg = _config(args)
+    snapshots_path = _required_output(args, cfg, "output_snapshots")
     inputs = _toy_inputs(cfg, cfg.toy_seed, cfg.seed_start)
     snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
     snaps_off = _toy_snapshots(cfg, inputs, None)
@@ -355,7 +359,7 @@ def _cmd_toy_run(args) -> int:
 
     d = cfg.toy_dim
     _write_csv(
-        cfg.output_snapshots,
+        snapshots_path,
         ["sample", "block", "stream", "token", "dim", "value"],
         ([sample, snap.block_index, snap.stream, i // d, i % d, repr(float(value))]
          for snap in snaps_on
@@ -366,7 +370,7 @@ def _cmd_toy_run(args) -> int:
         _emit_lines(lines, cfg.output_report)
     except OSError:
         # a failed run leaves no partial output set
-        os.remove(cfg.output_snapshots)
+        os.remove(snapshots_path)
         raise
     return EXIT_OK
 
@@ -435,16 +439,18 @@ def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 def _cmd_ablate(args) -> int:
     cfg = _config(args)
+    output = _required_output(args, cfg)
     if args.axis == "blocks":
         header, rows = _ablate_rows_blocks(cfg)
     else:
         header, rows = _ablate_rows_gmm(cfg, args.axis)
-    _write_csv(_required_output(cfg, "ablate"), header, rows)
+    _write_csv(output, header, rows)
     return EXIT_OK
 
 
 def _cmd_steer(args) -> int:
     cfg = _config(args)
+    output = _required_output(args, cfg)
     world = _world_from_config(cfg)
     spec = steering.SteeringSpec(
         alpha=args.alpha, space=args.space, apply_interval=args.apply_interval
@@ -453,7 +459,7 @@ def _cmd_steer(args) -> int:
         world, args.source_seed, args.target_seed, spec, prompt_strength=cfg.prompt_strength
     )
     _write_csv(
-        _required_output(cfg, "steer"),
+        output,
         ["step", "time", "zx", "zy"],
         ([j, repr(float(t)), repr(float(zx)), repr(float(zy))]
          for j, (t, (zx, zy)) in enumerate(zip(trajectory.times, trajectory.latents))),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gmmflow, toydit
+from . import gmmflow
 from .repulsion import check_interval, fraction_in_interval
 
 SPACES = ("contextual", "latent")
@@ -87,42 +87,3 @@ def steered_run(
         seed=source_seed,
         **{hook_name: hook},
     )[0]
-
-
-def steered_toy_run(
-    weights: toydit.ModelWeights,
-    source_prompt_id: int,
-    target_prompt_id: int,
-    source_noise_seed: int,
-    target_noise_seed: int,
-    spec: SteeringSpec,
-) -> toydit.TokenState:
-    """Blend the text-token stream of a toy transformer run toward a target run.
-
-    The target run's per-block text tokens are recorded first; the source run
-    keeps its own image noise and replaces its text tokens after each block in
-    the apply window. The text stream is the toy model's contextual space, so
-    any other ``spec.space`` raises ValueError.
-    """
-    if spec.space != "contextual":
-        raise ValueError(f"a toy run steers only the contextual space, not {spec.space!r}")
-    cfg = weights.config
-    target_images = toydit.seed_image_tokens(cfg, target_noise_seed)[None, :, :]
-    _, target_snaps = toydit.forward_with_hooks(
-        [toydit.encode_prompt(cfg, target_prompt_id)], target_images, weights
-    )
-    target_text = {
-        snap.block_index: snap.vectors[0] for snap in target_snaps if snap.stream == "text"
-    }
-
-    state = toydit.TokenState(
-        toydit.encode_prompt(cfg, source_prompt_id).tokens.copy(),
-        toydit.seed_image_tokens(cfg, source_noise_seed),
-        0,
-    )
-    for block in range(cfg.total_blocks):
-        state, _ = toydit.block_forward(state, weights, block)
-        if fraction_in_interval(block, cfg.total_blocks, spec.apply_interval):
-            blended = blend(state.text_tokens.reshape(-1), target_text[block], spec.alpha)
-            state.text_tokens = blended.reshape(cfg.n_text_tokens, cfg.token_dim)
-    return state

@@ -72,11 +72,10 @@ class ToyDiTConfig:
 
 @dataclass
 class TokenState:
-    """Token tensors after ``block_index`` blocks: (N, D) per sample, or (..., N, D)."""
+    """Text and image token tensors: (N, D) per sample, or (..., N, D)."""
 
     text_tokens: np.ndarray
     image_tokens: np.ndarray
-    block_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def mm_block_forward(state: TokenState, weights: ModelWeights, block: int) -> To
 
     new_text = _rms_normalize(ft + attended[..., :n, :] @ w["wo_text"])
     new_image = _rms_normalize(fi + attended[..., n:, :] @ w["wo_image"])
-    return TokenState(new_text, new_image, state.block_index + 1)
+    return TokenState(new_text, new_image)
 
 
 def single_block_forward(state: TokenState, weights: ModelWeights, block: int) -> TokenState:
@@ -196,22 +195,7 @@ def single_block_forward(state: TokenState, weights: ModelWeights, block: int) -
     )
     merged = _rms_normalize(merged + attended @ w["wo"])
     n = cfg.n_text_tokens
-    return TokenState(merged[..., :n, :], merged[..., n:, :], state.block_index + 1)
-
-
-def block_forward(
-    state: TokenState, weights: ModelWeights, block: int
-) -> tuple[TokenState, tuple[str, ...]]:
-    """Block ``block`` of the stack, dual blocks first, then single blocks.
-
-    Returns the new state and the streams it exposes to a hook: ``text``,
-    ``image`` and ``all_tokens`` after a dual block, only ``all_tokens``
-    after a single-stream block, whose token streams are merged.
-    """
-    n_dual = weights.config.n_dual_blocks
-    if block < n_dual:
-        return mm_block_forward(state, weights, block), STREAM_TAGS
-    return single_block_forward(state, weights, block - n_dual), ("all_tokens",)
+    return TokenState(merged[..., :n, :], merged[..., n:, :])
 
 
 def forward_with_hooks(
@@ -224,11 +208,13 @@ def forward_with_hooks(
 ) -> tuple[list[TokenState], list[StreamSnapshot]]:
     """Run all blocks on the whole batch, repelling the configured stream between blocks.
 
-    The hook sees the streams that :func:`block_forward` says each block
-    exposes. A stream is one row per sample, token t and dim d at column
-    t * D + d, with ``all_tokens`` the text row then the image
-    row. Snapshots of the text and image streams are recorded after every
-    block, post-repulsion. The final states are returned one per sample.
+    Dual blocks run first, then single-stream blocks. The hook sees ``text``,
+    ``image`` and ``all_tokens`` after a dual block, and only ``all_tokens``
+    after a single-stream block, whose token streams are merged. A stream is
+    one row per sample, token t and dim d at column t * D + d, with
+    ``all_tokens`` the text row then the image row. Snapshots of the text and
+    image streams are recorded after every block, post-repulsion. The final
+    states are returned one per sample.
     """
     cfg = weights.config
     batch = len(prompts)
@@ -240,14 +226,20 @@ def forward_with_hooks(
         if prompt.tokens.shape != (cfg.n_text_tokens, cfg.token_dim):
             raise DimensionMismatch("prompt token shape does not match config")
 
-    state = TokenState(np.stack([p.tokens for p in prompts]), image_init, 0)
+    state = TokenState(np.stack([p.tokens for p in prompts]), image_init)
     snapshots: list[StreamSnapshot] = []
     # columns of each stream in a (batch, all-token) row matrix
     split = cfg.n_text_tokens * cfg.token_dim
     columns = {"text": np.s_[:split], "image": np.s_[split:], "all_tokens": np.s_[:]}
 
     for block in range(cfg.total_blocks):
-        state, available = block_forward(state, weights, block)
+        # both block functions are looked up per call, so a tracer can wrap them
+        if block < cfg.n_dual_blocks:
+            state = mm_block_forward(state, weights, block)
+            available = STREAM_TAGS
+        else:
+            state = single_block_forward(state, weights, block - cfg.n_dual_blocks)
+            available = ("all_tokens",)
         if repulsion_cfg is not None:
             for stream in available:
                 if not should_apply(
@@ -263,15 +255,13 @@ def forward_with_hooks(
                 state = TokenState(
                     rows[:, :split].reshape(state.text_tokens.shape),
                     rows[:, split:].reshape(state.image_tokens.shape),
-                    state.block_index,
                 )
 
         for stream, tokens in (("text", state.text_tokens), ("image", state.image_tokens)):
             snapshots.append(StreamSnapshot(block, stream, tokens.reshape(batch, -1)))
     # copies, so a caller writing to a final state cannot change the snapshots
     finals = [
-        TokenState(state.text_tokens[i].copy(), state.image_tokens[i].copy(), state.block_index)
-        for i in range(batch)
+        TokenState(state.text_tokens[i].copy(), state.image_tokens[i].copy()) for i in range(batch)
     ]
     return finals, snapshots
 

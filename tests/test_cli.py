@@ -917,6 +917,40 @@ class TestUsageErrors:
         assert json.loads(capsys.readouterr().err) == {"error": f"seed must be >= 0, got {named}"}
         assert flows == []
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["steer", "--alpha", "0.5", "--source-seed", "0", "--target-seed", "3"], "output"),
+            (["ablate", "--axis", "batch"], "output"),
+            (["ablate", "--axis", "timestep"], "output"),
+            (["ablate", "--axis", "blocks"], "output"),
+            (["toy-run"], "output_snapshots"),
+        ],
+        ids=["steer", "ablate-batch", "ablate-timestep", "ablate-blocks", "toy-run"],
+    )
+    def test_missing_output_path_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv, key):
+        runs = []
+        integrate = gmmflow._integrate
+        forward = cli.toydit.forward_with_hooks
+
+        def counting_flow(*args, **kwargs):
+            runs.append("flow")
+            return integrate(*args, **kwargs)
+
+        def counting_forward(*args, **kwargs):
+            runs.append("forward")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(gmmflow, "_integrate", counting_flow)
+        monkeypatch.setattr(cli.toydit, "forward_with_hooks", counting_forward)
+        monkeypatch.chdir(tmp_path)
+        cfg = small_gmm_config(tmp_path, output_snapshots="")
+        assert run_command(argv + ["--config", cfg]) == 2
+        assert f"config `{key}`" in json.loads(capsys.readouterr().err)["error"]
+        assert runs == []
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
 
 class TestParser:
     def test_built_once_per_process(self, monkeypatch, capsys):

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 import ctxrep.gmmflow as gf
-import ctxrep.toydit as td
 from ctxrep.steering import (
     LengthMismatch,
     SteeringSpec,
     blend,
     steered_run,
-    steered_toy_run,
 )
 
 
@@ -85,45 +83,3 @@ class TestSteeredMixtureRun:
         )[0]
         steered = steered_run(world, 0, 3, SteeringSpec(alpha=1.0, space="latent"))
         assert np.max(np.abs(steered.latents[-1] - target.latents[-1])) <= 1e-12
-
-
-class TestSteeredToyRun:
-    def test_alpha_zero_matches_plain_run(self):
-        cfg = td.ToyDiTConfig(n_dual_blocks=2, n_single_blocks=1)
-        weights = td.init_weights(cfg)
-        plain, _ = td.forward_with_hooks(
-            [td.encode_prompt(cfg, 0)], td.seed_image_tokens(cfg, 11)[None, :, :], weights
-        )
-        steered = steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=0.0))
-        assert np.array_equal(steered.text_tokens, plain[0].text_tokens)
-        assert np.array_equal(steered.image_tokens, plain[0].image_tokens)
-
-    def test_alpha_one_adopts_target_text_at_final_block(self):
-        cfg = td.ToyDiTConfig(n_dual_blocks=2, n_single_blocks=1)
-        weights = td.init_weights(cfg)
-        target, _ = td.forward_with_hooks(
-            [td.encode_prompt(cfg, 1)], td.seed_image_tokens(cfg, 22)[None, :, :], weights
-        )
-        steered = steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=1.0))
-        assert np.array_equal(steered.text_tokens, target[0].text_tokens)
-        assert not np.array_equal(steered.image_tokens, target[0].image_tokens)
-
-    def test_both_runs_walk_the_stack_through_block_forward(self, monkeypatch):
-        cfg = td.ToyDiTConfig(n_dual_blocks=2, n_single_blocks=1)
-        weights = td.init_weights(cfg)
-        blocks = []
-        original = td.block_forward
-
-        def recording(state, w, block):
-            blocks.append(block)
-            return original(state, w, block)
-
-        monkeypatch.setattr(td, "block_forward", recording)
-        steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=0.5))
-        # the target run, then the steered source run
-        assert blocks == [0, 1, 2, 0, 1, 2]
-
-    def test_non_contextual_space_rejected(self):
-        weights = td.init_weights(td.ToyDiTConfig(n_dual_blocks=1, n_single_blocks=0))
-        with pytest.raises(ValueError, match="latent"):
-            steered_toy_run(weights, 0, 1, 11, 22, SteeringSpec(alpha=0.5, space="latent"))
