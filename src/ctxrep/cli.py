@@ -43,10 +43,11 @@ EXIT_NUMERIC = 3
 GRAD_CHECK_THRESHOLD = 1e-4
 
 # Runs (one variant at one seed) that pay for one worker process. A worker
-# pays its own start-up, while one seed block costs barely more at 10 seeds
-# than at 5, so small runs are faster in-process. Fitted on a 2-CPU machine;
-# README, `--jobs`, has the crossovers.
-MIN_RUNS_PER_WORKER = 10
+# pays its own start-up, while a stacked chunk of seeds costs far less per
+# seed than one seed alone, so small runs are faster in-process. Fitted on a
+# 2-CPU machine, where one process and two workers cross over at 80 to 120
+# runs of every command; README, `--jobs`, has the crossovers.
+MIN_RUNS_PER_WORKER = 40
 
 
 class _UsageError(ValueError):
@@ -181,17 +182,24 @@ def _simulate_seeds(cfg: ExperimentConfig, method: str, run_ids: range) -> list[
     ]
 
 
+def _seed_by_seed_on_failure(run, run_ids: range):
+    """``run(run_ids)``, which runs a chunk of seeds as one stacked program.
+
+    The program stops at the first failure of any seed, which need not be the
+    first failing seed's; so a failed chunk re-runs seed by seed, and the
+    error raised is the first failing seed's, as when each seed ran alone.
+    """
+    try:
+        return run(run_ids)
+    except (ArithmeticError, ValueError):
+        for run_id in run_ids:
+            run(range(run_id, run_id + 1))
+        raise
+
+
 def _run_simulation_chunk(args) -> list[dict]:
     cfg, method, run_ids = args
-    try:
-        return _simulate_seeds(cfg, method, run_ids)
-    except (ArithmeticError, ValueError):
-        # the block stops at the first failing step of any seed; re-run seed
-        # by seed so that the error raised is the first failing seed's, as
-        # when each seed ran on its own
-        for run_id in run_ids:
-            _simulate_seeds(cfg, method, range(run_id, run_id + 1))
-        raise
+    return _seed_by_seed_on_failure(functools.partial(_simulate_seeds, cfg, method), run_ids)
 
 
 def _workers(runs: int, jobs: int) -> int:
@@ -320,7 +328,8 @@ def _toy_inputs(cfg: ExperimentConfig, weight_seed: int, noise_base: int):
 
 
 def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsion: RepulsionConfig | None):
-    """The snapshots of one forward pass over ``_toy_inputs``; the inputs are not changed."""
+    """The snapshots of one forward pass over ``_toy_inputs`` or a seed stack
+    of them; the inputs are not changed."""
     weights, prompt, images = inputs
     _, snapshots = toydit.forward_with_hooks(
         [prompt] * cfg.toy_batch,
@@ -333,8 +342,9 @@ def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsion: RepulsionConfig | N
     return snapshots
 
 
-def _snapshot_score(snapshot: toydit.StreamSnapshot) -> float:
-    return entropy_and_score(cosine_kernel(ContextBatch(snapshot.vectors))).score
+def _snapshot_score(vectors: np.ndarray) -> float:
+    """Vendi score of one batch of snapshot rows (B, N * D)."""
+    return entropy_and_score(cosine_kernel(ContextBatch(vectors))).score
 
 
 def _cmd_toy_run(args) -> int:
@@ -343,7 +353,7 @@ def _cmd_toy_run(args) -> int:
     inputs = _toy_inputs(cfg, cfg.toy_seed, cfg.seed_start)
     snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
     snaps_off = _toy_snapshots(cfg, inputs, None)
-    off_scores = {(s.block_index, s.stream): _snapshot_score(s) for s in snaps_off}
+    off_scores = {(s.block_index, s.stream): _snapshot_score(s.vectors) for s in snaps_off}
     lines = []
     for snap in snaps_on:
         lines.append(
@@ -351,7 +361,7 @@ def _cmd_toy_run(args) -> int:
                 {
                     "block": snap.block_index,
                     "stream": snap.stream,
-                    "vendi_with_repulsion": _snapshot_score(snap),
+                    "vendi_with_repulsion": _snapshot_score(snap.vectors),
                     "vendi_without_repulsion": off_scores[(snap.block_index, snap.stream)],
                 }
             )
@@ -406,23 +416,41 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str) -> tuple[list[str], list[
     return ["axis", "value", "seed", *metrics], rows
 
 
-def _run_block_groups(args) -> list[list]:
-    """One seed's row for each block group, all on the seed's one set of inputs."""
-    cfg, repulsions, seed = args
+def _block_group_rows(
+    cfg: ExperimentConfig, repulsions: list[RepulsionConfig], run_ids: range
+) -> list[list[list]]:
+    """For each block group, the rows of runs ``run_ids``; the seeds' inputs
+    are built once and each group runs as one (S, B, N, D) forward pass."""
+    seeds = [cfg.seed_start + i for i in run_ids]
     # vary weights and image noise together per seed
-    inputs = _toy_inputs(cfg, cfg.toy_seed + seed, seed * 1000)
-    prompt_vec = inputs[1].tokens.reshape(-1)
-    rows = []
+    per_seed = [_toy_inputs(cfg, cfg.toy_seed + seed, seed * 1000) for seed in seeds]
+    prompts = np.stack([prompt.tokens for _, prompt, _ in per_seed])
+    inputs = (
+        toydit.stack_weights([weights for weights, _, _ in per_seed]),
+        toydit.PromptEncoding(cfg.toy_prompt_id, prompts),
+        np.stack([images for _, _, images in per_seed]),
+    )
+    groups = []
     for repulsion in repulsions:
         final = [s for s in _toy_snapshots(cfg, inputs, repulsion) if s.stream == "text"][-1]
-        sims = [
-            float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
-            for row in final.vectors
-        ]
-        rows.append([
-            "blocks", repulsion.block_selector, seed, _snapshot_score(final), float(np.mean(sims))
-        ])
-    return rows
+        rows = []
+        for seed, vectors, prompt in zip(seeds, final.vectors, prompts):
+            prompt_vec = prompt.reshape(-1)
+            sims = [
+                float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
+                for row in vectors
+            ]
+            rows.append([
+                "blocks", repulsion.block_selector, seed, _snapshot_score(vectors),
+                float(np.mean(sims)),
+            ])
+        groups.append(rows)
+    return groups
+
+
+def _run_block_groups(args) -> list[list[list]]:
+    cfg, repulsions, run_ids = args
+    return _seed_by_seed_on_failure(functools.partial(_block_group_rows, cfg, repulsions), run_ids)
 
 
 def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -431,10 +459,11 @@ def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     repulsions = [
         dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
     ]
-    work = [(cfg, repulsions, cfg.seed_start + i) for i in range(cfg.seeds)]
-    per_seed = _map_runs(work, _workers(cfg.seeds * len(repulsions), cfg.jobs), _run_block_groups)
+    workers = _workers(cfg.seeds * len(repulsions), cfg.jobs)
+    work = [(cfg, repulsions, chunk) for chunk in _seed_chunks(cfg.seeds, workers)]
+    per_chunk = _map_runs(work, workers, _run_block_groups)
     # group-then-seed order
-    return header, [rows[g] for g in range(len(repulsions)) for rows in per_seed]
+    return header, [row for g in range(len(repulsions)) for chunk in per_chunk for row in chunk[g]]
 
 
 def _cmd_ablate(args) -> int:

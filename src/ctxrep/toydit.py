@@ -5,8 +5,10 @@ attends jointly over the concatenated sequence, applies per-stream output
 projections, and finishes with residual addition and per-token RMS
 normalization. Optional trailing single-stream blocks share one projection set
 over the merged sequence. Blocks take any leading batch axes, so the whole
-batch runs as one (B, N, D) state. Between blocks, a hook can flatten a chosen
-token stream to one row per sample and repel the samples apart.
+batch runs as one (B, N, D) state, and a stack of S seeds, each with its own
+weights (``stack_weights``), as one (S, B, N, D) state. Between blocks, a hook
+can flatten a chosen token stream to one row per sample and repel the samples
+of each batch apart.
 
 Weights are random and fixed, never trained; the model exists to verify the
 intervention mechanism, not image quality.
@@ -14,7 +16,7 @@ intervention mechanism, not image quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +90,9 @@ class PromptEncoding:
 
 @dataclass(frozen=True)
 class ModelWeights:
+    """Projection matrices by block and name: (d, d) each, or (..., 1, d, d)
+    for a stack of seeds (``stack_weights``)."""
+
     config: ToyDiTConfig
     dual_blocks: tuple[dict, ...]
     single_blocks: tuple[dict, ...]
@@ -122,6 +127,28 @@ def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
     return ModelWeights(config=cfg, dual_blocks=dual, single_blocks=single)
 
 
+def stack_weights(per_seed: list[ModelWeights]) -> ModelWeights:
+    """One seed stack of ``init_weights`` results: each matrix becomes
+    (S, 1, d, d), slice s holding seed s's fill, so that a (S, B, N, d) state
+    meets its own seed's weights in every sample's matmul. The configs must
+    differ at most in ``weight_seed``; the stack keeps the first seed's config.
+    """
+    config = per_seed[0].config
+    for weights in per_seed:
+        if replace(weights.config, weight_seed=config.weight_seed) != config:
+            raise DimensionMismatch("stacked weights must share one model shape")
+
+    def stack(blocks):
+        return tuple({name: np.stack([b[name] for b in group])[:, None] for name in group[0]}
+                     for group in zip(*blocks))
+
+    return ModelWeights(
+        config=config,
+        dual_blocks=stack([w.dual_blocks for w in per_seed]),
+        single_blocks=stack([w.single_blocks for w in per_seed]),
+    )
+
+
 def encode_prompt(cfg: ToyDiTConfig, prompt_id: int) -> PromptEncoding:
     """Deterministic N x D text tokens for a prompt id under this weight seed."""
     rng = seeded_generator(derive_seed(cfg.weight_seed, _PROMPT_SALT, prompt_id))
@@ -144,19 +171,29 @@ def _joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) ->
     """Softmax attention of every token over all tokens, per head.
 
     Each head is a (tokens, head_dim) view, so both contractions are stacked
-    matmuls. numpy's matmul makes the same call on every 2-D slice, so each
-    sample gets the bits of a call on that sample alone.
+    matmuls. numpy's matmul loops over the broadcast leading axes and makes
+    the same call, with the same shapes and strides, on every 2-D slice. So
+    each sample of a (..., B, N, D) stack gets the bits of a call on that
+    sample alone. The same holds one level up, for the (N, d) @ (d, d)
+    projections of a seed stack whose weights are (S, 1, d, d)
+    (``stack_weights``): the seed axis only adds leading loop axes, and each
+    slice of the weight operand is the seed's own C-contiguous (d, d) matrix,
+    as in the solo call. The softmax runs in place on the scores, with the
+    same max shift and the same order of operations as a fresh-array form;
+    every reduction runs along the contiguous last axis, one row at a time.
     """
     *lead, n_tokens, dim = q.shape
     head_dim = dim // heads
     qh = q.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
     kh = k.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
     vh = v.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
-    scores = (qh @ kh.swapaxes(-2, -1)) / np.sqrt(head_dim)
-    scores = scores - np.max(scores, axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights = weights / np.sum(weights, axis=-1, keepdims=True)
-    out = weights @ vh
+    # at stacked sizes the temporaries of an out-of-place softmax are what cost
+    scores = qh @ kh.swapaxes(-2, -1)
+    scores /= np.sqrt(head_dim)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    out = scores @ vh
     return out.swapaxes(-3, -2).reshape(*lead, n_tokens, dim)
 
 
@@ -215,20 +252,28 @@ def forward_with_hooks(
     ``all_tokens`` the text row then the image row. Snapshots of the text and
     image streams are recorded after every block, post-repulsion. The final
     states are returned one per sample.
+
+    Leading seed axes run a stack of independent batches as one program:
+    image tokens (..., B, N, D), each prompt's tokens (..., N, D) and weights
+    from ``stack_weights``, whose matrices are (S, 1, d, d). Snapshots are
+    then (..., B, N * D), final state i is ``[..., i, :, :]``, the hook repels
+    each batch of the stack on its own, and every seed gets the bits of its
+    solo call.
     """
     cfg = weights.config
     batch = len(prompts)
     if batch < 1:
         raise ValueError("need at least one prompt")
-    if image_init.shape != (batch, cfg.n_image_tokens, cfg.token_dim):
+    if image_init.shape[-3:] != (batch, cfg.n_image_tokens, cfg.token_dim):
         raise DimensionMismatch(f"image init has shape {image_init.shape}")
+    lead = image_init.shape[:-3]
     for prompt in prompts:
-        if prompt.tokens.shape != (cfg.n_text_tokens, cfg.token_dim):
+        if prompt.tokens.shape != (*lead, cfg.n_text_tokens, cfg.token_dim):
             raise DimensionMismatch("prompt token shape does not match config")
 
-    state = TokenState(np.stack([p.tokens for p in prompts]), image_init)
+    state = TokenState(np.stack([p.tokens for p in prompts], axis=-3), image_init)
     snapshots: list[StreamSnapshot] = []
-    # columns of each stream in a (batch, all-token) row matrix
+    # columns of each stream in a (..., batch, all-token) row stack
     split = cfg.n_text_tokens * cfg.token_dim
     columns = {"text": np.s_[:split], "image": np.s_[split:], "all_tokens": np.s_[:]}
 
@@ -247,21 +292,22 @@ def forward_with_hooks(
                 ):
                     continue
                 rows = np.concatenate(
-                    [state.text_tokens.reshape(batch, -1), state.image_tokens.reshape(batch, -1)],
-                    axis=1,
+                    [state.text_tokens.reshape(*lead, batch, -1),
+                     state.image_tokens.reshape(*lead, batch, -1)],
+                    axis=-1,
                 )
                 cols = columns[stream]
-                rows[:, cols] = repulse(ContextBatch(rows[:, cols]), repulsion_cfg).vectors
+                rows[..., cols] = repulse(ContextBatch(rows[..., cols]), repulsion_cfg).vectors
                 state = TokenState(
-                    rows[:, :split].reshape(state.text_tokens.shape),
-                    rows[:, split:].reshape(state.image_tokens.shape),
+                    rows[..., :split].reshape(state.text_tokens.shape),
+                    rows[..., split:].reshape(state.image_tokens.shape),
                 )
 
         for stream, tokens in (("text", state.text_tokens), ("image", state.image_tokens)):
-            snapshots.append(StreamSnapshot(block, stream, tokens.reshape(batch, -1)))
+            snapshots.append(StreamSnapshot(block, stream, tokens.reshape(*lead, batch, -1)))
     # copies, so a caller writing to a final state cannot change the snapshots
     finals = [
-        TokenState(state.text_tokens[i].copy(), state.image_tokens[i].copy()) for i in range(batch)
+        TokenState(state.text_tokens[..., i, :, :].copy(), state.image_tokens[..., i, :, :].copy())
+        for i in range(batch)
     ]
     return finals, snapshots
-

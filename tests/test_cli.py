@@ -69,8 +69,19 @@ def one_run_per_worker(monkeypatch) -> list:
     return recorded_pools(monkeypatch)
 
 
-# the fewest runs that start two workers
-TWO_WORKERS = 2 * cli.MIN_RUNS_PER_WORKER
+def pinned_worker_rule(monkeypatch) -> list:
+    """Start one worker per ``RULE_RUNS_PER_WORKER`` runs; returns the pools
+    started, as ``recorded_pools`` does."""
+    monkeypatch.setattr(cli, "MIN_RUNS_PER_WORKER", RULE_RUNS_PER_WORKER)
+    return recorded_pools(monkeypatch)
+
+
+# The tests of the worker rule's arithmetic pin its runs per worker here, so
+# that their seed counts stay small when the fitted constant moves;
+# TestWorkerRule holds the rule to the fitted constant itself.
+RULE_RUNS_PER_WORKER = 10
+# the fewest runs that start two workers under the pinned rule
+TWO_WORKERS = 2 * RULE_RUNS_PER_WORKER
 
 
 def write_rows(path, rows) -> None:
@@ -456,14 +467,14 @@ class TestSimulateCommand:
             (5, 3, []),
             (TWO_WORKERS - 1, 3, []),
             (TWO_WORKERS, 3, [2]),
-            (3 * cli.MIN_RUNS_PER_WORKER, 2, [2]),
-            (3 * cli.MIN_RUNS_PER_WORKER, 3, [3]),
+            (3 * RULE_RUNS_PER_WORKER, 2, [2]),
+            (3 * RULE_RUNS_PER_WORKER, 3, [3]),
             (3 * TWO_WORKERS, 1, []),
         ],
     )
     def test_one_worker_per_seed_chunk(self, tmp_path, monkeypatch, seeds, jobs, pools):
         # --jobs is a ceiling: one worker per MIN_RUNS_PER_WORKER seeds
-        started = recorded_pools(monkeypatch)
+        started = pinned_worker_rule(monkeypatch)
         cfg = small_gmm_config(tmp_path, seeds=seeds)
         assert run_command(
             ["simulate", "--config", cfg, "--method", "none", "--jobs", str(jobs),
@@ -661,7 +672,7 @@ class TestAblateCommand:
     def test_one_worker_per_min_runs(self, tmp_path, monkeypatch, axis, sweep, seeds, variants,
                                      pools):
         # a run is one variant at one seed, so the sweep's variants count too
-        started = recorded_pools(monkeypatch)
+        started = pinned_worker_rule(monkeypatch)
         settings = {key: ",".join(values[:variants]) for key, values in sweep.items()}
         cfg = small_gmm_config(
             tmp_path, seeds=seeds, method="none", toy_dual_blocks=2, toy_single_blocks=0,
@@ -691,10 +702,69 @@ class TestAblateCommand:
         # one encoding per seed, shared by both block groups
         assert len(calls) == 2
 
-    def test_missing_output_exit_2(self, tmp_path, capsys):
-        cfg = small_gmm_config(tmp_path)
-        assert run_command(["ablate", "--axis", "batch", "--config", cfg]) == 2
-        capsys.readouterr()
+    def test_blocks_axis_runs_each_seed_chunk_as_one_stacked_pass(self, tmp_path, monkeypatch):
+        # one (S, B, N, D) forward pass per block group, not one per seed
+        cfg = small_gmm_config(tmp_path, seeds=5, seed_start=3, toy_batch=3,
+                               sweep_block_groups="middle_third,all")
+        shapes = []
+        forward = cli.toydit.forward_with_hooks
+
+        def recording(prompts, images, *args, **kwargs):
+            shapes.append(images.shape[:-2])
+            return forward(prompts, images, *args, **kwargs)
+
+        monkeypatch.setattr(cli.toydit, "forward_with_hooks", recording)
+        out = tmp_path / "blocks.csv"
+        assert run_command(
+            ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(out)]
+        ) == 0
+        assert shapes == [(5, 3)] * 2
+        write_rows(tmp_path / "reference.csv", ablate_blocks_rows(load_config(cfg)))
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_blocks_axis_error_is_the_first_failing_seeds(self, tmp_path, capsys, monkeypatch):
+        # seed 12 has all-zero tokens, so its text rows have no direction
+        # (DegenerateVector); seed 13 has NaN image tokens. A stacked pass
+        # meets seed 13's NaN first, at the hook's state check, yet the error
+        # reported must be seed 12's, as when each seed ran on its own.
+        planted = {12: 0.0, 13: np.nan}
+        encode, images = cli.toydit.encode_prompt, cli.toydit.seed_image_tokens
+
+        def planted_prompt(model_cfg, prompt_id):
+            prompt = encode(model_cfg, prompt_id)
+            if model_cfg.weight_seed == 12:  # toy_seed 0 plus seed 12
+                return cli.toydit.PromptEncoding(prompt_id, np.zeros_like(prompt.tokens))
+            return prompt
+
+        def planted_images(model_cfg, noise_seed):
+            # seed s draws its image noise from seeds 1000 * s on
+            return images(model_cfg, noise_seed) * planted.get(noise_seed // 1000, 1.0)
+
+        monkeypatch.setattr(cli.toydit, "encode_prompt", planted_prompt)
+        monkeypatch.setattr(cli.toydit, "seed_image_tokens", planted_images)
+        pools = one_run_per_worker(monkeypatch)
+        errors = []
+        for seeds, seed_start, jobs in ((4, 10, "1"), (4, 10, "2"), (1, 12, "1")):
+            cfg = small_gmm_config(tmp_path, seeds=seeds, seed_start=seed_start,
+                                   sweep_block_groups="middle_third,all")
+            out = tmp_path / "blocks.csv"
+            code = run_command(["ablate", "--axis", "blocks", "--config", cfg, "--jobs", jobs,
+                                "--output", str(out)])
+            errors.append((code, json.loads(capsys.readouterr().err)))
+            assert not out.exists()
+        # at --jobs 2 the second worker's chunk holds seeds 12 and 13
+        assert pools == [2]
+        assert errors[0] == errors[1] == errors[2] == (2, {"error": "zero-norm sample vector"})
+
+
+class TestWorkerRule:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_one_worker_per_fitted_runs(self, jobs):
+        # the fitted constant, without running its hundreds of seeds
+        runs = cli.MIN_RUNS_PER_WORKER
+        assert cli._workers(0, jobs) == cli._workers(2 * runs - 1, jobs) == 1
+        assert cli._workers(2 * runs, jobs) == min(jobs, 2)
+        assert cli._workers(3 * runs, jobs) == min(jobs, 3)
 
 
 class TestSteerCommand:

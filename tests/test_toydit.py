@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,20 @@ def batch_inputs(cfg, batch, prompt_id=0, noise_base=0):
         [td.seed_image_tokens(cfg, noise_base + i) for i in range(batch)]
     )
     return prompts, images
+
+
+def seed_stack(cfg, batch, weight_seeds):
+    """Each weight seed's solo (prompts, images, weights), with image noise
+    from 1000 * i on, and the same inputs as one seed stack."""
+    solo = []
+    for i, seed in enumerate(weight_seeds):
+        seed_cfg = dataclasses.replace(cfg, weight_seed=seed)
+        prompts, images = batch_inputs(seed_cfg, batch, noise_base=1000 * i)
+        solo.append((prompts, images, td.init_weights(seed_cfg)))
+    prompt = td.PromptEncoding(0, np.stack([prompts[0].tokens for prompts, _, _ in solo]))
+    images = np.stack([images for _, images, _ in solo])
+    weights = td.stack_weights([weights for _, _, weights in solo])
+    return solo, ([prompt] * batch, images, weights)
 
 
 def text_score(snapshots):
@@ -137,6 +153,21 @@ class TestPromptEncoding:
         assert not np.array_equal(a.tokens, b.tokens)
 
 
+def out_of_place_attention(q, k, v, heads):
+    """``td._joint_attention`` with its softmax on fresh arrays, as it was
+    written before the softmax ran in place."""
+    *lead, n_tokens, dim = q.shape
+    head_dim = dim // heads
+    qh, kh, vh = (
+        a.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2) for a in (q, k, v)
+    )
+    scores = (qh @ kh.swapaxes(-2, -1)) / np.sqrt(head_dim)
+    scores = scores - np.max(scores, axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights = weights / np.sum(weights, axis=-1, keepdims=True)
+    return (weights @ vh).swapaxes(-3, -2).reshape(*lead, n_tokens, dim)
+
+
 class TestJointAttention:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -153,6 +184,7 @@ class TestJointAttention:
         tolerance = 1e-13 * max(1.0, float(np.max(np.abs(v))))
         for heads in [h for h in range(1, dim + 1) if dim % h == 0]:
             got = td._joint_attention(q, k, v, heads)
+            assert got.tobytes() == out_of_place_attention(q, k, v, heads).tobytes()
             want = _oracles.einsum_joint_attention(q, k, v, heads)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= tolerance
@@ -187,20 +219,27 @@ class TestBlockForward:
         assert np.array_equal(out.image_tokens, state.image_tokens)
 
     def test_forward_walks_dual_then_single_blocks(self, monkeypatch):
+        # each block runs once, on the whole (B, N, D) batch or (S, B, N, D)
+        # seed stack
         cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
-        weights = td.init_weights(cfg)
-        prompts, images = batch_inputs(cfg, 3)
         calls = []
         for name, tag in (("mm_block_forward", "mm"), ("single_block_forward", "single")):
             original = getattr(td, name)
 
             def recording(state, w, block, tag=tag, original=original):
-                calls.append((tag, block))
+                calls.append((tag, block, state.text_tokens.shape, state.image_tokens.shape))
                 return original(state, w, block)
 
             monkeypatch.setattr(td, name, recording)
-        td.forward_with_hooks(prompts, images, weights)
-        assert calls == [("mm", 0), ("mm", 1), ("single", 0)]
+        solo, stacked = seed_stack(cfg, 3, [0, 1])
+        for prompts, images, weights in (solo[0], stacked):
+            calls.clear()
+            td.forward_with_hooks(prompts, images, weights)
+            lead = images.shape[:-3]
+            text = (*lead, 3, cfg.n_text_tokens, cfg.token_dim)
+            image = (*lead, 3, cfg.n_image_tokens, cfg.token_dim)
+            assert calls == [("mm", 0, text, image), ("mm", 1, text, image),
+                             ("single", 0, text, image)]
 
     def test_dimension_mismatch(self):
         cfg = small_config()
@@ -235,6 +274,65 @@ class TestBlockForward:
         assert np.linalg.norm(out.text_tokens - base.text_tokens) > 0.0
 
 
+class TestSeedStack:
+    """A seed stack runs as one program, and each seed gets its solo bits."""
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 5])
+    @settings(max_examples=6, deadline=None)
+    @given(
+        weight_seeds=st.lists(SEEDS, min_size=5, max_size=5, unique=True),
+        batch=st.integers(1, 4),
+        stream=st.sampled_from([None, "text", "image", "all_tokens"]),
+    )
+    def test_each_seed_equals_its_solo_call_bitwise(self, n_seeds, weight_seeds, batch, stream):
+        cfg = small_config(n_dual_blocks=3, n_single_blocks=1)
+        solo, (prompts, images, weights) = seed_stack(cfg, batch, weight_seeds[:n_seeds])
+        for group in ("all", "first_third", "middle_third", "last_third"):
+            cfgr = None if stream is None else RepulsionConfig(
+                eta=0.5, inner_steps=2, block_selector=group, target_stream=stream,
+                gradient_normalization=True,
+            )
+            finals, snaps = td.forward_with_hooks(prompts, images, weights, cfgr)
+            assert len(finals) == batch
+            for s, inputs in enumerate(solo):
+                solo_finals, solo_snaps = td.forward_with_hooks(*inputs, cfgr)
+                assert len(solo_snaps) == len(snaps)
+                for one, whole in zip(solo_snaps, snaps):
+                    assert whole.vectors.shape == (n_seeds, *one.vectors.shape)
+                    assert one.vectors.tobytes() == whole.vectors[s].tobytes()
+                for one, whole in zip(solo_finals, finals):
+                    assert one.text_tokens.tobytes() == whole.text_tokens[s].tobytes()
+                    assert one.image_tokens.tobytes() == whole.image_tokens[s].tobytes()
+
+    def test_stack_weights_keeps_each_seeds_fill(self):
+        cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
+        per_seed = [td.init_weights(dataclasses.replace(cfg, weight_seed=s)) for s in (3, 9)]
+        stacked = td.stack_weights(per_seed)
+        assert stacked.config == per_seed[0].config
+        for blocks, names in ((lambda w: w.dual_blocks, td.DUAL_MATRIX_NAMES),
+                              (lambda w: w.single_blocks, td.SINGLE_MATRIX_NAMES)):
+            assert len(blocks(stacked)) == len(blocks(per_seed[0]))
+            for b, block in enumerate(blocks(stacked)):
+                assert tuple(block) == names
+                for name in names:
+                    assert block[name].shape == (2, 1, cfg.token_dim, cfg.token_dim)
+                    for s, weights in enumerate(per_seed):
+                        assert np.array_equal(block[name][s, 0], blocks(weights)[b][name])
+
+    def test_stack_weights_rejects_mixed_model_shapes(self):
+        a = td.init_weights(small_config())
+        b = td.init_weights(small_config(n_single_blocks=1, weight_seed=1))
+        with pytest.raises(td.DimensionMismatch):
+            td.stack_weights([a, b])
+
+    def test_prompt_stack_must_match_the_image_stack(self):
+        cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
+        _, (prompts, images, weights) = seed_stack(cfg, 2, [0, 1])
+        with pytest.raises(td.DimensionMismatch):
+            td.forward_with_hooks([td.PromptEncoding(0, prompts[0].tokens[0])] * 2,
+                                  images, weights)
+
+
 class TestForwardWithHooks:
     @pytest.mark.parametrize("batch", [1, 2, 7])
     @pytest.mark.parametrize(
@@ -254,25 +352,6 @@ class TestForwardWithHooks:
             assert np.array_equal(solo[0].image_tokens, finals[i].image_tokens)
             for one, whole in zip(solo_snaps, snaps):
                 assert np.array_equal(one.vectors[0], whole.vectors[i])
-
-    def test_each_block_runs_once_on_the_whole_batch(self, monkeypatch):
-        cfg = small_config()
-        weights = td.init_weights(cfg)
-        prompts, images = batch_inputs(cfg, 5)
-        calls = []
-        for name in ("mm_block_forward", "single_block_forward"):
-            original = getattr(td, name)
-
-            def counting(state, w, block, name=name, original=original):
-                calls.append((name, block, state.text_tokens.shape))
-                return original(state, w, block)
-
-            monkeypatch.setattr(td, name, counting)
-        td.forward_with_hooks(prompts, images, weights)
-        shape = (5, cfg.n_text_tokens, cfg.token_dim)
-        assert calls == [("mm_block_forward", b, shape) for b in range(cfg.n_dual_blocks)] + [
-            ("single_block_forward", b, shape) for b in range(cfg.n_single_blocks)
-        ]
 
     def test_deterministic(self):
         cfg = small_config()
