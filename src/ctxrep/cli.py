@@ -159,27 +159,31 @@ def _toy_config(cfg: ExperimentConfig) -> toydit.ToyDiTConfig:
     )
 
 
-def _simulate_seeds(cfg: ExperimentConfig, method: str, run_ids: range) -> list[dict]:
-    """Records of runs ``run_ids`` (seed ``seed_start + run_id``), sampled as one seed block."""
-    world = _world_from_config(cfg)
-    prompts = gmmflow.one_hot_prompts(
-        world, cfg.batch_size, mode=cfg.prompt_mode, strength=cfg.prompt_strength
-    )
-    kwargs = {}
-    if method == "contextual":
-        kwargs["repulsion"] = repulsion_from_config(cfg)
-    elif method == "latent":
-        kwargs["repulsion"] = latent_repulsion_from_config(cfg)
-    elif method == "cads":
-        kwargs["cads"] = _cads_from_config(cfg)
-        kwargs["cads_interval"] = cfg.cads_interval
-    seeds = [cfg.seed_start + i for i in run_ids]
-    blocks = gmmflow.sample_seed_block(world, prompts, method, seeds=seeds, **kwargs)
-    return [
-        {"run_id": run_id, "seed": seed, "method": method,
-         **gmmflow.evaluate(trajectories, world).as_dict()}
-        for run_id, seed, trajectories in zip(run_ids, seeds, blocks)
-    ]
+def _simulate_seeds(variants: list[ExperimentConfig], run_ids: range) -> list[list[dict]]:
+    """For each variant config, the records of runs ``run_ids`` (seed
+    ``seed_start + run_id``) of its method, sampled as one seed block."""
+    per_variant = []
+    for cfg in variants:
+        world = _world_from_config(cfg)
+        prompts = gmmflow.one_hot_prompts(
+            world, cfg.batch_size, mode=cfg.prompt_mode, strength=cfg.prompt_strength
+        )
+        kwargs = {}
+        if cfg.method == "contextual":
+            kwargs["repulsion"] = repulsion_from_config(cfg)
+        elif cfg.method == "latent":
+            kwargs["repulsion"] = latent_repulsion_from_config(cfg)
+        elif cfg.method == "cads":
+            kwargs["cads"] = _cads_from_config(cfg)
+            kwargs["cads_interval"] = cfg.cads_interval
+        seeds = [cfg.seed_start + i for i in run_ids]
+        blocks = gmmflow.sample_seed_block(world, prompts, cfg.method, seeds=seeds, **kwargs)
+        per_variant.append([
+            {"run_id": run_id, "seed": seed, "method": cfg.method,
+             **gmmflow.evaluate(trajectories, world).as_dict()}
+            for run_id, seed, trajectories in zip(run_ids, seeds, blocks)
+        ])
+    return per_variant
 
 
 def _seed_by_seed_on_failure(run, run_ids: range):
@@ -197,41 +201,31 @@ def _seed_by_seed_on_failure(run, run_ids: range):
         raise
 
 
-def _run_simulation_chunk(args) -> list[dict]:
-    cfg, method, run_ids = args
-    return _seed_by_seed_on_failure(functools.partial(_simulate_seeds, cfg, method), run_ids)
-
-
 def _workers(runs: int, jobs: int) -> int:
     """Worker processes for ``runs`` runs: one per ``MIN_RUNS_PER_WORKER``
     runs, at least one and at most ``jobs``."""
     return max(1, min(jobs, runs // MIN_RUNS_PER_WORKER))
 
 
-def _seed_chunks(seeds: int, jobs: int) -> list[range]:
-    """``min(jobs, seeds)`` contiguous ranges of run ids that cover ``range(seeds)``."""
-    n = min(jobs, seeds)
-    return [range(k * seeds // n, (k + 1) * seeds // n) for k in range(n)]
+def _sweep(cfg: ExperimentConfig, variants: list, run) -> list:
+    """The rows of ``cfg.seeds`` runs of each variant, variant then seed.
 
-
-def _map_runs(work: list, jobs: int, run) -> list:
-    """``run`` over the work items in order, on ``min(jobs, len(work))`` worker
-    processes, or in this process when that is one."""
-    workers = min(jobs, len(work))
+    ``run(variants, run_ids)`` returns each variant's rows for one chunk of
+    run ids. The seeds split into one contiguous chunk per worker, and each
+    chunk runs every variant, in this process or on a pool of workers. When
+    runs fail, the error is the lowest failing seed's, at its first failing
+    variant, at every ``jobs``.
+    """
+    seeds = cfg.seeds
+    workers = min(_workers(seeds * len(variants), cfg.jobs), seeds)
+    chunks = [range(k * seeds // workers, (k + 1) * seeds // workers) for k in range(workers)]
+    task = functools.partial(_seed_by_seed_on_failure, functools.partial(run, variants))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, work))
-    return [run(item) for item in work]
-
-
-def _simulate_variants(
-    variants: list[ExperimentConfig], method: str, seeds: int, jobs: int
-) -> list[dict]:
-    """Records of ``seeds`` runs of ``method`` on each config, variant then
-    seed; each variant's seeds split into one contiguous chunk per worker."""
-    workers = _workers(seeds * len(variants), jobs)
-    work = [(cfg, method, chunk) for cfg in variants for chunk in _seed_chunks(seeds, workers)]
-    return [r for chunk in _map_runs(work, workers, _run_simulation_chunk) for r in chunk]
+            per_chunk = list(pool.map(task, chunks))
+    else:
+        per_chunk = [task(chunk) for chunk in chunks]
+    return [row for v in range(len(variants)) for rows in per_chunk for row in rows[v]]
 
 
 def _emit_lines(lines: list[str], output: str) -> None:
@@ -313,6 +307,12 @@ def _cmd_repulse(args) -> int:
     return EXIT_OK
 
 
+def _check_toy_batch(cfg: ExperimentConfig) -> None:
+    """The toy commands' one rule on ``toy_batch``, checked before any work."""
+    if cfg.toy_batch < 1:
+        raise _UsageError(f"toy_batch must be >= 1, got {cfg.toy_batch}")
+
+
 def _toy_inputs(cfg: ExperimentConfig, weight_seed: int, noise_base: int):
     """Weights, the batch's shared prompt encoding and its image tokens.
 
@@ -350,6 +350,7 @@ def _snapshot_score(vectors: np.ndarray) -> float:
 def _cmd_toy_run(args) -> int:
     cfg = _config(args)
     snapshots_path = _required_output(args, cfg, "output_snapshots")
+    _check_toy_batch(cfg)
     inputs = _toy_inputs(cfg, cfg.toy_seed, cfg.seed_start)
     snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
     snaps_off = _toy_snapshots(cfg, inputs, None)
@@ -389,7 +390,7 @@ def _cmd_simulate(args) -> int:
     cfg = _config(args)
     if cfg.method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {cfg.method!r}")
-    records = _simulate_variants([cfg], cfg.method, cfg.seeds, cfg.jobs)
+    records = _sweep(cfg, [cfg], _simulate_seeds)
     _emit_lines([json.dumps(r) for r in records], cfg.output)
     return EXIT_OK
 
@@ -407,7 +408,7 @@ def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str) -> tuple[list[str], list[
         variants = [
             (str(size), dataclasses.replace(cfg, batch_size=size)) for size in cfg.sweep_batch_sizes
         ]
-    records = _simulate_variants([v for _, v in variants], cfg.method, cfg.seeds, cfg.jobs)
+    records = _sweep(cfg, [v for _, v in variants], _simulate_seeds)
     labels = [label for label, _ in variants for _ in range(cfg.seeds)]
     rows = [
         [axis, label, record["seed"], *(record[k] for k in metrics)]
@@ -448,22 +449,14 @@ def _block_group_rows(
     return groups
 
 
-def _run_block_groups(args) -> list[list[list]]:
-    cfg, repulsions, run_ids = args
-    return _seed_by_seed_on_failure(functools.partial(_block_group_rows, cfg, repulsions), run_ids)
-
-
 def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+    _check_toy_batch(cfg)
     header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
     base = repulsion_from_config(cfg)
     repulsions = [
         dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
     ]
-    workers = _workers(cfg.seeds * len(repulsions), cfg.jobs)
-    work = [(cfg, repulsions, chunk) for chunk in _seed_chunks(cfg.seeds, workers)]
-    per_chunk = _map_runs(work, workers, _run_block_groups)
-    # group-then-seed order
-    return header, [row for g in range(len(repulsions)) for chunk in per_chunk for row in chunk[g]]
+    return header, _sweep(cfg, repulsions, functools.partial(_block_group_rows, cfg))
 
 
 def _cmd_ablate(args) -> int:

@@ -96,7 +96,12 @@ def _parse_value(name: str, raw: str, kind):
         return parse_interval(raw)
     if get_origin(kind) is tuple and get_args(kind)[1:] == (Ellipsis,):
         item = get_args(kind)[0]
-        return tuple(_parse_value(name, part, item) for part in raw.split(",") if part.strip())
+        if not raw:
+            return ()
+        parts = raw.split(",")
+        if not all(part.strip() for part in parts):
+            raise ConfigError(f"{name}: empty item in list {raw!r}")
+        return tuple(_parse_value(name, part, item) for part in parts)
     try:
         if kind is bool:
             lowered = raw.lower()

@@ -128,6 +128,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("latent_interval = 0.5\n")
 
+    @pytest.mark.parametrize("text", ["4,,8", "4,8,", ",4", "4, ,8"])
+    def test_empty_list_item_is_named(self, tmp_path, capsys, text):
+        # an empty item once vanished, so "4,,8" ran a 2-value sweep
+        with pytest.raises(ConfigError, match="^sweep_batch_sizes: empty item"):
+            parse_config(f"sweep_batch_sizes = {text}\n")
+        cfg = small_gmm_config(tmp_path, sweep_batch_sizes=text)
+        out = tmp_path / "batch.csv"
+        assert run_command(["ablate", "--axis", "batch", "--config", cfg,
+                            "--output", str(out)]) == 2
+        assert "sweep_batch_sizes" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_list_value_is_an_empty_tuple(self, text):
+        assert parse_config(f"sweep_batch_sizes ={text}\n").sweep_batch_sizes == ()
+
     def test_defaults_and_overrides(self):
         cfg = parse_config("world_modes = 16\nrepulsion_interval = 0:0.5\n")
         assert cfg.world_modes == 16
@@ -657,6 +673,42 @@ class TestAblateCommand:
         write_rows(reference, rows)
         assert outputs[0] == reference.read_bytes()
 
+    def test_mixture_axis_error_is_the_lowest_failing_seeds(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # seed 11 starts from NaN latents at batch 4 (exit 2), and seed 12
+        # from latents near 1e31 at batch 2 (exit 3). The batch-2 variant
+        # runs first, yet the error reported must be the lowest failing
+        # seed's, at its first failing variant, as on the blocks axis.
+        planted = {(11, 4): np.nan, (12, 2): 1e31}
+        default_rng = np.random.default_rng
+
+        def rng_with_planted_latents(seed):
+            rng = default_rng(seed)
+            if seed not in (11, 12):
+                return rng
+
+            def standard_normal(*args, **kwargs):
+                values = rng.standard_normal(*args, **kwargs)
+                values *= planted.get((seed, values.shape[0]), 1.0)
+                return values
+
+            return types.SimpleNamespace(standard_normal=standard_normal)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_with_planted_latents)
+        pools = one_run_per_worker(monkeypatch)
+        cfg = small_gmm_config(tmp_path, seeds=3, seed_start=10, method="latent",
+                               sweep_batch_sizes="2,4")
+        out = tmp_path / "batch.csv"
+        for jobs in ("1", "2"):
+            assert run_command(["ablate", "--axis", "batch", "--config", cfg, "--jobs", jobs,
+                                "--output", str(out)]) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "batch entries must be finite"
+            }
+            assert not out.exists()
+        # at --jobs 2 the second worker's chunk holds seeds 11 and 12
+        assert pools == [2]
+
     @pytest.mark.parametrize(
         "axis, sweep",
         [
@@ -765,6 +817,28 @@ class TestWorkerRule:
         assert cli._workers(0, jobs) == cli._workers(2 * runs - 1, jobs) == 1
         assert cli._workers(2 * runs, jobs) == min(jobs, 2)
         assert cli._workers(3 * runs, jobs) == min(jobs, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["ablate", "--axis", "batch"], ["ablate", "--axis", "timestep"],
+         ["ablate", "--axis", "blocks"]],
+        ids=["simulate", "ablate-batch", "ablate-timestep", "ablate-blocks"],
+    )
+    def test_every_seeded_command_runs_one_sweep(self, tmp_path, monkeypatch, argv):
+        # simulate and every ablate axis share one seed-chunk runner
+        sweeps = []
+        sweep = cli._sweep
+
+        def counting(cfg, variants, run):
+            sweeps.append(len(variants))
+            return sweep(cfg, variants, run)
+
+        monkeypatch.setattr(cli, "_sweep", counting)
+        cfg = small_gmm_config(tmp_path, seeds=2, method="none", sweep_batch_sizes="2,3",
+                               sweep_intervals="0:0.5,0.5:1", sweep_block_groups="first_third,all",
+                               toy_dual_blocks=2, toy_single_blocks=0, toy_batch=3)
+        assert run_command(argv + ["--config", cfg, "--output", str(tmp_path / "out")]) == 0
+        assert sweeps == ([1] if argv == ["simulate"] else [2])
 
 
 class TestSteerCommand:
@@ -1019,6 +1093,28 @@ class TestUsageErrors:
         assert run_command(argv + ["--config", cfg]) == 2
         assert f"config `{key}`" in json.loads(capsys.readouterr().err)["error"]
         assert runs == []
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("argv", [["toy-run"], ["ablate", "--axis", "blocks"]],
+                             ids=["toy-run", "ablate-blocks"])
+    @pytest.mark.parametrize("toy_batch", [0, -2])
+    def test_toy_batch_below_1_is_named_before_any_weight(self, tmp_path, capsys, monkeypatch,
+                                                          argv, toy_batch):
+        drawn = []
+        init_weights = cli.toydit.init_weights
+
+        def counting(model_cfg):
+            drawn.append(model_cfg.weight_seed)
+            return init_weights(model_cfg)
+
+        monkeypatch.setattr(cli.toydit, "init_weights", counting)
+        monkeypatch.chdir(tmp_path)
+        cfg = small_gmm_config(tmp_path, toy_batch=toy_batch, output="blocks.csv")
+        assert run_command(argv + ["--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"toy_batch must be >= 1, got {toy_batch}"
+        }
+        assert drawn == []
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
