@@ -33,7 +33,7 @@ from .linalg import (
     cosine_kernel,
     rbf_kernel,
 )
-from .repulsion import NumericOverflow, RepulsionConfig, repulse
+from .repulsion import NumericOverflow, RepulsionConfig, check_interval, repulse
 from .vendi import entropy_and_score, entropy_gradient
 
 EXIT_OK = 0
@@ -177,11 +177,10 @@ def _simulate_seeds(variants: list[ExperimentConfig], run_ids: range) -> list[li
             kwargs["cads"] = _cads_from_config(cfg)
             kwargs["cads_interval"] = cfg.cads_interval
         seeds = [cfg.seed_start + i for i in run_ids]
-        blocks = gmmflow.sample_seed_block(world, prompts, cfg.method, seeds=seeds, **kwargs)
+        metrics = gmmflow.evaluate_seed_block(world, prompts, cfg.method, seeds=seeds, **kwargs)
         per_variant.append([
-            {"run_id": run_id, "seed": seed, "method": cfg.method,
-             **gmmflow.evaluate(trajectories, world).as_dict()}
-            for run_id, seed, trajectories in zip(run_ids, seeds, blocks)
+            {"run_id": run_id, "seed": seed, "method": cfg.method, **m.as_dict()}
+            for run_id, seed, m in zip(run_ids, seeds, metrics)
         ])
     return per_variant
 
@@ -308,9 +307,15 @@ def _cmd_repulse(args) -> int:
 
 
 def _check_toy_batch(cfg: ExperimentConfig) -> None:
-    """The toy commands' one rule on ``toy_batch``, checked before any work."""
+    """The toy commands' one rule on ``toy_batch`` and the step index,
+    checked before any work."""
     if cfg.toy_batch < 1:
         raise _UsageError(f"toy_batch must be >= 1, got {cfg.toy_batch}")
+    if not 0 <= cfg.toy_step_index < cfg.toy_total_steps:
+        raise _UsageError(
+            f"toy_step_index must satisfy 0 <= toy_step_index < toy_total_steps, "
+            f"got {cfg.toy_step_index} for toy_total_steps {cfg.toy_total_steps}"
+        )
 
 
 def _toy_inputs(cfg: ExperimentConfig, weight_seed: int, noise_base: int):
@@ -395,7 +400,25 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_sweep(cfg: ExperimentConfig, axis: str) -> None:
+    """Reject a swept value that no run of ``cfg.method`` takes, naming its
+    key, before any run."""
+    if axis == "batch":
+        for size in cfg.sweep_batch_sizes:
+            if size < 1:
+                raise _UsageError(f"sweep_batch_sizes entries must be >= 1, got {size}")
+    elif cfg.method != "none":
+        # the window the method's runs read, checked by the one interval rule
+        window = "cads" if cfg.method == "cads" else "timestep"
+        for interval in cfg.sweep_intervals:
+            try:
+                check_interval(interval, window)
+            except ValueError as exc:
+                raise _UsageError(f"{exc} in sweep_intervals") from None
+
+
 def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str) -> tuple[list[str], list[list]]:
+    _check_sweep(cfg, axis)
     metrics = [field.name for field in dataclasses.fields(gmmflow.RunMetrics)]
     if axis == "timestep":
         variants = [

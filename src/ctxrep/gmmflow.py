@@ -17,7 +17,9 @@ prompt upstream with an annealed schedule.
 
 The step helpers take any leading axes, so :func:`sample_seed_block` runs a
 block of seeds as one array program on (S, B, .) states, each seed bit for
-bit its own :func:`sample_batch` run.
+bit its own :func:`sample_batch` run, and :func:`evaluate_seed_block` scores
+the block's (S, B, 2) finals in one pass, each seed bit for bit its own
+:func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ContextBatch, rbf_kernel
+from .linalg import ContextBatch, _rbf_entries, _row_sums
 from .repulsion import RepulsionConfig, check_interval, fraction_in_interval, repulse
 from .rng import derive_seed
-from .vendi import average_pair_vendi, entropy_and_score
+from .vendi import _kernel_entropies, _mean_pair_scores
 
 METHODS = ("none", "contextual", "latent", "cads")
 
@@ -145,9 +147,10 @@ class CadsParams:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    weights = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return weights
 
 
 def conditional_weights(context: np.ndarray, gamma: float) -> np.ndarray:
@@ -159,12 +162,15 @@ def _noise_scale_sq(world: MixtureWorld, t: float) -> float:
     return (1.0 - t) ** 2 * world.mode_sigma**2 + t * t
 
 
-def _offsets(world: MixtureWorld, z: np.ndarray, t: float):
-    """Offsets z - (1-t) mu_k of each latent from the time-scaled mode centers,
-    shape (..., B, K, 2), and their squared lengths, shape (..., B, K)."""
-    z2 = np.atleast_2d(np.asarray(z, dtype=float))
-    diff = z2[..., None, :] - (1.0 - t) * world.mode_centers
-    return diff, (diff * diff).sum(axis=-1)
+def _offsets(z: np.ndarray, centers: np.ndarray):
+    """Offsets z - c of each latent from the time-scaled mode centers
+    ``centers`` = (1-t) mu, shape (..., B, K, 2) for (K, 2) centers, and their
+    squared lengths, shape (..., B, K). More leading axes of ``centers``
+    (several times at once) come before the K axis."""
+    diff = z.reshape(z.shape[:-1] + (1,) * (centers.ndim - 1) + (2,)) - centers
+    # x^2 + y^2 is the sum over the last axis, which numpy walks slowly at length 2
+    squares = diff * diff
+    return diff, squares[..., 0] + squares[..., 1]
 
 
 def _feedback(sq: np.ndarray) -> np.ndarray:
@@ -174,16 +180,22 @@ def _feedback(sq: np.ndarray) -> np.ndarray:
     commensurate with prompt logits for the whole trajectory instead of
     dominating them as t -> 0.
     """
-    affinity = -sq / 2.0
-    return affinity - affinity.mean(axis=-1, keepdims=True)
+    affinity = sq * -0.5
+    affinity -= np.add.reduce(affinity, axis=-1, keepdims=True) / sq.shape[-1]
+    return affinity
 
 
 def _log_joint(world: MixtureWorld, sq: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
-    """log w_k + log N(z; (1-t) mu_k, s_t^2 I) from the squared offsets at t."""
+    """log w_k + log N(z; (1-t) mu_k, s_t^2 I) from the squared offsets at t.
+
+    A weight of exactly 0 gives a log of -inf, so callers silence numpy's
+    divide-by-zero warning.
+    """
     s2 = _noise_scale_sq(world, t)
-    log_lik = -sq / (2.0 * s2) - math.log(2.0 * math.pi * s2)
-    with np.errstate(divide="ignore"):
-        return np.log(weights) + log_lik
+    log_lik = sq / (-2.0 * s2)
+    log_lik -= math.log(2.0 * math.pi * s2)
+    log_lik += np.log(weights)
+    return log_lik
 
 
 def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.ndarray,
@@ -198,8 +210,10 @@ def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.nda
     """
     resp = _softmax(_log_joint(world, sq_resp, t_resp, weights))
     shrink = (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
-    x0 = (resp[..., None] * (world.mode_centers + shrink * offsets)).sum(axis=-2)
-    return x0, resp
+    pulled = shrink * offsets
+    pulled += world.mode_centers
+    pulled *= resp[..., None]
+    return np.add.reduce(pulled, axis=-2), resp
 
 
 def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray):
@@ -210,15 +224,23 @@ def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    offsets, sq = _offsets(world, np.asarray(z, dtype=float).reshape(1, 2), t)
+    offsets, sq = _offsets(_point(z), (1.0 - t) * world.mode_centers)
     w2 = np.asarray(weights, dtype=float).reshape(1, world.n_modes)
-    x0, resp = _denoise(world, offsets, t, sq, t, w2)
+    with np.errstate(divide="ignore"):
+        x0, resp = _denoise(world, offsets, t, sq, t, w2)
     return x0[0], resp[0]
+
+
+def _point(z) -> np.ndarray:
+    """One latent as a (1, 2) batch."""
+    return np.asarray(z, dtype=float).reshape(1, 2)
 
 
 def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray) -> float:
     """log p_t(z) of the mixture marginal, via log-sum-exp."""
-    terms = _log_joint(world, _offsets(world, z, t)[1][0], t, np.asarray(weights, dtype=float))
+    sq = _offsets(_point(z), (1.0 - t) * world.mode_centers)[1][0]
+    with np.errstate(divide="ignore"):
+        terms = _log_joint(world, sq, t, np.asarray(weights, dtype=float))
     peak = np.max(terms)
     return float(peak + np.log(np.sum(np.exp(terms - peak))))
 
@@ -226,7 +248,7 @@ def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarra
 def mixture_score(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
     """Analytic grad_z log p_t(z) = -sum_k r_k (z - (1-t) mu_k) / s_t^2."""
     _, resp = posterior_denoiser(world, z, t, weights)
-    diff = _offsets(world, z, t)[0][0]
+    diff = _offsets(_point(z), (1.0 - t) * world.mode_centers)[0][0]
     return -np.sum(resp[:, None] * diff, axis=0) / _noise_scale_sq(world, t)
 
 
@@ -301,15 +323,39 @@ def sample_seed_block(
     A non-finite state or an overflow in any seed raises, as a solo call of
     that seed would.
     """
-    prompts = _checked_prompts(world, prompts, method, repulsion, cads_interval)
     seeds = list(seeds)
-    if not seeds:
+    run = _seed_block(world, prompts, method, seeds, repulsion, cads, cads_interval)
+    if run is None:
         return []
-    stacked = np.broadcast_to(prompts, (len(seeds),) + prompts.shape).copy()
-    times, latents, contexts = _integrate(
-        world, stacked, method, seeds, repulsion, cads, cads_interval
-    )
+    times, latents, contexts = run
     return [_trajectories(times, latents[:, s], contexts[:, s]) for s in range(len(seeds))]
+
+
+def evaluate_seed_block(
+    world: MixtureWorld,
+    prompts: np.ndarray,
+    method: str = "none",
+    *,
+    seeds,
+    repulsion: RepulsionConfig | None = None,
+    cads: CadsParams | None = None,
+    cads_interval: tuple[float, float] = (0.0, 1.0),
+) -> list[RunMetrics]:
+    """:func:`evaluate` of each entry of :func:`sample_seed_block`, bit for
+    bit, scored in one pass over the block's (S, B, 2) finals without
+    building a trajectory per sample."""
+    run = _seed_block(world, prompts, method, list(seeds), repulsion, cads, cads_interval)
+    return [] if run is None else _score_finals(world, run[1][-1])
+
+
+def _seed_block(world, prompts, method, seeds: list, repulsion, cads, cads_interval):
+    """The times, latents and contexts of ``seeds`` on the same checked
+    prompts, as one run on (S, B, .) states; None for no seeds."""
+    prompts = _checked_prompts(world, prompts, method, repulsion, cads_interval)
+    if not seeds:
+        return None
+    stacked = np.broadcast_to(prompts, (len(seeds),) + prompts.shape).copy()
+    return _integrate(world, stacked, method, seeds, repulsion, cads, cads_interval)
 
 
 def _checked_prompts(world: MixtureWorld, prompts, method: str, repulsion,
@@ -351,46 +397,54 @@ def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
         cads = CadsParams() if cads is None else cads
         cads_rngs = [np.random.default_rng(derive_seed(seed, _CADS_SALT)) for seed in seeds]
         # fixed for the run: the row mean and std that the psi rescaling restores
-        prompt_stats = [stat(prompts, axis=-1, keepdims=True) for stat in (np.mean, np.std)]
+        prompt_mean, _, prompt_std = _row_moments(prompts)
 
     context_state = prompts.copy()
     times = 1.0 - np.arange(t_steps + 1) / t_steps
+    # step j departs from t_j and takes its responsibilities at the arrival
+    # time max(t_{j+1}, t_{T-1}); row j holds (1 - t) mu at both times, so one
+    # subtraction gives the step both offsets
+    arrival = [min(j + 1, t_steps - 1) for j in range(t_steps)]
+    scaled = (1.0 - times[:t_steps, None, None]) * world.mode_centers
+    centers = np.stack([scaled, scaled[arrival]], axis=1)
     latents = np.empty((t_steps + 1,) + z.shape)
     contexts = np.empty((t_steps + 1,) + prompts.shape)
     latents[0] = z
 
-    for j in range(t_steps):
-        t = times[j]
-        dt = times[j] - times[j + 1]
-        in_window = repulsion is not None and fraction_in_interval(
-            j, t_steps, repulsion.timestep_interval
-        )
+    # a weight that underflows to 0 has log -inf, which the softmax handles
+    with np.errstate(divide="ignore"):
+        for j in range(t_steps):
+            t = times[j]
+            dt = times[j] - times[j + 1]
+            in_window = repulsion is not None and fraction_in_interval(
+                j, t_steps, repulsion.timestep_interval
+            )
 
-        if method == "latent" and in_window:
-            z = repulse(ContextBatch(z), repulsion).vectors
-        if latent_hook is not None:
-            z = latent_hook(j, t, z)
-        offsets, sq = _offsets(world, z, t)
+            if method == "latent" and in_window:
+                z = repulse(ContextBatch(z), repulsion).vectors
+            if latent_hook is not None:
+                z = latent_hook(j, t, z)
+            diff, sq = _offsets(z, centers[j])
 
-        base = context_state
-        if method == "cads" and fraction_in_interval(j, t_steps, cads_interval):
-            noise = _normals(cads_rngs, prompts.shape)
-            base = _cads_corrupt(prompts, prompt_stats, t, cads, noise)
-        effective = base + world.feedback_scale * _feedback(sq)
-        if method == "contextual" and in_window:
-            repelled = repulse(ContextBatch(effective), repulsion).vectors
-            context_state = context_state + (repelled - effective)
-            effective = repelled
-        if context_hook is not None:
-            effective = context_hook(j, t, effective)
+            base = context_state
+            if method == "cads" and fraction_in_interval(j, t_steps, cads_interval):
+                noise = _normals(cads_rngs, prompts.shape)
+                base = _cads_corrupt(prompts, prompt_mean, prompt_std, t, cads, noise)
+            effective = base + world.feedback_scale * _feedback(sq[..., 0, :])
+            if method == "contextual" and in_window:
+                repelled = repulse(ContextBatch(effective), repulsion).vectors
+                context_state = context_state + (repelled - effective)
+                effective = repelled
+            if context_hook is not None:
+                effective = context_hook(j, t, effective)
 
-        weights = conditional_weights(effective, world.guidance_gamma)
-        t_resp = max(times[j + 1], times[t_steps - 1])
-        x0, _ = _denoise(world, offsets, t, _offsets(world, z, t_resp)[1], t_resp, weights)
-        z = z - (dt / t) * (z - x0)
+            weights = _softmax(world.guidance_gamma * effective)
+            x0, _ = _denoise(world, diff[..., 0, :, :], t, sq[..., 1, :], times[arrival[j]],
+                             weights)
+            z = z - (dt / t) * (z - x0)
 
-        contexts[j] = effective
-        latents[j + 1] = z
+            contexts[j] = effective
+            latents[j + 1] = z
 
     contexts[t_steps] = contexts[t_steps - 1]
     return times, latents, contexts
@@ -406,45 +460,62 @@ def _trajectories(times: np.ndarray, latents: np.ndarray, contexts: np.ndarray):
     ]
 
 
-def _cads_corrupt(prompts: np.ndarray, prompt_stats, t: float, cads: CadsParams,
-                  noise: np.ndarray) -> np.ndarray:
+def _row_moments(rows: np.ndarray):
+    """Each row's mean, the rows less their means, and each row's population
+    std, as columns: the bits of ``np.mean`` and ``np.std`` on the last axis,
+    which centre the rows the same way, with the centring done once."""
+    n = rows.shape[-1]
+    mean = np.add.reduce(rows, axis=-1, keepdims=True) / n
+    centred = rows - mean
+    return mean, centred, np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n)
+
+
+def _cads_corrupt(prompts: np.ndarray, mean_in: np.ndarray, std_in: np.ndarray, t: float,
+                  cads: CadsParams, noise: np.ndarray) -> np.ndarray:
     gamma_c = cads.corruption(t)
     corrupted = math.sqrt(gamma_c) * prompts + cads.scale * math.sqrt(1.0 - gamma_c) * noise
     if cads.psi == 0.0:
         return corrupted
-    mean_in, std_in = prompt_stats
-    mean_c = corrupted.mean(axis=-1, keepdims=True)
-    std_c = corrupted.std(axis=-1, keepdims=True)
+    _, centred, std_c = _row_moments(corrupted)
     safe_std = np.where(std_c > 0.0, std_c, 1.0)
-    rescaled = (corrupted - mean_c) / safe_std * std_in + mean_in
+    rescaled = centred / safe_std * std_in + mean_in
     return cads.psi * rescaled + (1.0 - cads.psi) * corrupted
 
 
 def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMetrics:
-    """Diversity and fidelity metrics over the batch's final samples."""
+    """Diversity and fidelity metrics over the batch's final samples: the
+    one-seed case of :func:`_score_finals`."""
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    finals = np.stack([tr.latents[-1] for tr in trajectories])
-    batch = finals.shape[0]
+    return _score_finals(world, np.stack([tr.latents[-1] for tr in trajectories])[None])[0]
 
-    diff = finals[:, None, :] - world.mode_centers[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    nearest = np.argmin(dist, axis=1)
-    nearest_dist = dist[np.arange(batch), nearest]
+
+def _score_finals(world: MixtureWorld, finals: np.ndarray) -> list[RunMetrics]:
+    """The metrics of each batch of an (S, B, 2) stack of final samples.
+
+    Each batch gets the bits it gets alone: the kernels are elementwise or
+    one BLAS call per matrix, the spectra one LAPACK call per matrix, and
+    every sum over more than two entries is taken one batch at a time
+    (``linalg._row_sums``). One RBF kernel per batch feeds both scores.
+    """
+    seeds, batch, _ = finals.shape
+    diff = finals[..., None, :] - world.mode_centers
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    nearest = dist.argmin(axis=-1)
+    nearest_dist = np.take_along_axis(dist, nearest[..., None], axis=-1)[..., 0]
     on_manifold = nearest_dist <= 3.0 * world.mode_sigma
+    covered = np.zeros((seeds, world.n_modes), dtype=bool)
+    covered[np.nonzero(on_manifold)[0], nearest[on_manifold]] = True
+    coverage = np.count_nonzero(covered, axis=-1)
+    off_rate = np.count_nonzero(~on_manifold, axis=-1) / batch
+    mean_dist = _row_sums(nearest_dist) / batch
 
-    # bincount, not np.unique: np.unique imports numpy.ma on its first call
-    coverage = int(np.count_nonzero(np.bincount(nearest[on_manifold], minlength=world.n_modes)))
-    off_rate = float(np.mean(~on_manifold))
-    mean_dist = float(np.mean(nearest_dist))
-
-    kernel = rbf_kernel(ContextBatch(finals), world.radius / 2.0)
-    vendi = entropy_and_score(kernel).score
-    pair = average_pair_vendi(kernel) if batch >= 2 else 1.0
-    return RunMetrics(
-        vendi_rbf=float(vendi),
-        mode_coverage=coverage,
-        off_manifold_rate=off_rate,
-        mean_nearest_mode_distance=mean_dist,
-        avg_pair_vendi=float(pair),
-    )
+    # a fresh ContextBatch rejects non-finite finals, naming them as evaluate always has
+    kernels = _rbf_entries(ContextBatch(finals).vectors, world.radius / 2.0)
+    vendi = np.exp(_kernel_entropies(kernels))
+    pair = _mean_pair_scores(kernels) if batch >= 2 else np.ones(seeds)
+    return [
+        RunMetrics(*values)
+        for values in zip(vendi.tolist(), coverage.tolist(), off_rate.tolist(),
+                          mean_dist.tolist(), pair.tolist())
+    ]

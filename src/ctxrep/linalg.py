@@ -75,6 +75,15 @@ class ContextBatch:
             raise ValueError("batch entries must be finite")
         self.vectors = v
 
+    @classmethod
+    def _trusted(cls, vectors: np.ndarray) -> ContextBatch:
+        """A batch over ``vectors`` as they are, without the copy and the
+        checks: the caller vouches that they are a finite float array of a
+        valid shape."""
+        batch = cls.__new__(cls)
+        batch.vectors = vectors
+        return batch
+
     @property
     def batch_size(self) -> int:
         return int(self.vectors.shape[-2])
@@ -203,8 +212,8 @@ def _unit_rows_and_cosine(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """
     # the same bits as np.linalg.norm(vectors, axis=-1, keepdims=True),
     # without its dispatch
-    norms = np.sqrt((vectors * vectors).sum(axis=-1, keepdims=True))
-    if (norms == 0.0).any():
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
+    if not norms.all():
         raise DegenerateVector("zero-norm sample vector")
     unit = vectors / norms
     k = unit @ unit.swapaxes(-1, -2)
@@ -234,12 +243,36 @@ def cosine_kernel(batch: ContextBatch) -> SymMatrix:
 
 def rbf_kernel(points: ContextBatch, bandwidth: float) -> SymMatrix:
     """Gaussian kernel exp(-||x_i - x_j||^2 / (2 h^2)); unit diagonal."""
+    return SymMatrix(_rbf_entries(_single_batch(points), bandwidth))
+
+
+def _rbf_entries(x: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The entries of :func:`rbf_kernel` for a (B, D) array of finite points,
+    or for each batch of a stack on leading axes, with a solo call's bits.
+
+    They are symmetrized as :class:`SymMatrix` symmetrizes, and the Gram
+    matrix is a symmetric rank-k update per matrix of a stack too (see
+    ``_unit_rows_and_cosine``), so the symmetrization changes no bit.
+    """
     if not (bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    x = _single_batch(points)
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    sq = np.add.reduce(x * x, axis=-1)
+    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (x @ x.swapaxes(-1, -2))
     np.clip(d2, 0.0, None, out=d2)
     k = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-    np.fill_diagonal(k, 1.0)
-    return SymMatrix(k)
+    _fill_diagonal(k, 1.0)
+    return (k + k.swapaxes(-1, -2)) / 2.0
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each with the bits of a 1-D sum of its row.
+
+    numpy adds a row pairwise or in order depending on how it walks the
+    whole array, so a stacked reduction need not give a row its 1-D bits.
+    Rows of one or two entries add the same way in any walk; longer rows are
+    summed one at a time.
+    """
+    if a.shape[-1] <= 2:
+        return np.add.reduce(a, axis=-1)
+    rows = a.reshape(-1, a.shape[-1])
+    return np.array([np.add.reduce(row) for row in rows]).reshape(a.shape[:-1])

@@ -138,19 +138,26 @@ def repulse(batch: ContextBatch, cfg: RepulsionConfig) -> ContextBatch:
     # never written to: each update below makes a new array
     vectors = batch.vectors
     for _ in range(cfg.inner_steps):
-        # a fresh ContextBatch rejects a non-finite state, which the overflow
-        # guard (NaN > limit is false) lets through
-        grad = entropy_gradient(ContextBatch(vectors))
+        # the state is finite here: the input batch was checked, and so is
+        # every update below
+        grad = entropy_gradient(ContextBatch._trusted(vectors))
         if cfg.gradient_normalization:
             # each batch's largest row norm, with np.linalg.norm's bits;
             # dividing by 1.0 leaves a batch under the floor as it is
-            largest = np.sqrt((grad * grad).sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True))
+            largest = np.sqrt(np.maximum.reduce(
+                np.add.reduce(grad * grad, axis=-1, keepdims=True), axis=-2, keepdims=True
+            ))
             largest[largest <= _NORMALIZATION_FLOOR] = 1.0
             grad = grad / largest
         vectors = vectors + step * grad
-        if float(np.abs(vectors).max()) > OVERFLOW_LIMIT:
-            raise NumericOverflow(f"updated entries exceed {OVERFLOW_LIMIT:.0e}")
-    return ContextBatch(vectors)
+        # the max propagates NaN, so one scan finds a non-finite entry (which
+        # NaN > limit alone would let through) and an overflow
+        peak = np.maximum.reduce(np.abs(vectors), axis=None)
+        if not peak <= OVERFLOW_LIMIT:
+            if peak > OVERFLOW_LIMIT:
+                raise NumericOverflow(f"updated entries exceed {OVERFLOW_LIMIT:.0e}")
+            raise ValueError("batch entries must be finite")
+    return ContextBatch._trusted(vectors)
 
 
 def _block_selected(block_index: int, total_blocks: int, selector) -> bool:

@@ -17,6 +17,7 @@ from .linalg import (
     _eigh_descending,
     _eigvalsh,
     _fill_diagonal,
+    _row_sums,
     _unit_rows_and_cosine,
 )
 
@@ -40,9 +41,15 @@ def entropy_and_score(k: SymMatrix) -> DiversityValue:
     0 log 0 = 0 convention for rank-deficient kernels (identical samples).
     """
     _check_unit_diagonal(k)
-    lam = _eigvalsh(k.entries / k.dim)
-    entropy = float(_entropies(lam[None, :])[0])
+    entropy = float(_kernel_entropies(k.entries))
     return DiversityValue(entropy=entropy, score=float(np.exp(entropy)))
+
+
+def _kernel_entropies(kernels: np.ndarray) -> np.ndarray:
+    """Floored spectral entropy of K/B for a unit-diagonal (B, B) kernel, or
+    for each kernel of a stack on leading axes; one LAPACK call per matrix,
+    so each gets the bits of a solo call."""
+    return _entropies(_eigvalsh(kernels / kernels.shape[-1]))
 
 
 def _check_unit_diagonal(k: SymMatrix) -> None:
@@ -51,12 +58,12 @@ def _check_unit_diagonal(k: SymMatrix) -> None:
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
-    """Floored spectral entropy of each row of eigenvalues."""
+    """Floored spectral entropy of each row of eigenvalues, each row summed
+    with the bits of its own 1-D sum."""
     safe = np.maximum(lam, EIGENVALUE_FLOOR)
-    entropy = np.maximum(-np.sum(lam * np.log(safe), axis=-1), 0.0)
+    entropy = np.maximum(-_row_sums(lam * np.log(safe)), 0.0)
     # below the eigensolver's own residual floor; identical samples land here
-    entropy[entropy < 1e-14] = 0.0
-    return entropy
+    return np.where(entropy < 1e-14, 0.0, entropy)
 
 
 def entropy_gradient(batch: ContextBatch) -> np.ndarray:
@@ -99,7 +106,14 @@ def average_pair_vendi(kernel: SymMatrix) -> float:
     if kernel.dim < 2:
         raise ValueError("pair average requires at least two samples")
     _check_unit_diagonal(kernel)
+    return float(_mean_pair_scores(kernel.entries))
+
+
+def _mean_pair_scores(kernels: np.ndarray) -> np.ndarray:
+    """The pair average of a unit-diagonal (B, B) kernel with B >= 2, or of
+    each kernel of a stack on leading axes, each with a solo call's bits."""
     # the spectrum of [[1, k], [k, 1]]/2 is (1 + k)/2, (1 - k)/2
-    k = kernel.entries[np.triu_indices(kernel.dim, 1)]
+    rows, cols = np.triu_indices(kernels.shape[-1], 1)
+    k = kernels[..., rows, cols]
     lam = np.stack([(1.0 + k) / 2.0, (1.0 - k) / 2.0], axis=-1)
-    return float(np.mean(np.exp(_entropies(lam))))
+    return _row_sums(np.exp(_entropies(lam))) / k.shape[-1]

@@ -9,7 +9,9 @@ a test that compares them compares both solvers' columns in the sign form of
 gradient cannot see. The one-draw-at-a-time generator normals, the
 pair-by-pair Vendi average, the serial blocks ablation and the seed-by-seed
 simulation records are the straightforward forms of what the package
-computes in blocks or shares; the tests hold those forms to them.
+computes in blocks or shares; the tests hold those forms to them. So is
+``batch_metrics``, the per-batch scoring that ``gmmflow`` now runs on a stack
+of seeds.
 ``SplitMix64`` and ``normal_array`` are the toy model's random source as it
 was before it drew from numpy's PCG64 generator: a SplitMix64 stream mapped
 to normals by Box-Muller on libm, one draw at a time. Patched into
@@ -38,7 +40,7 @@ from ctxrep.linalg import (
     rbf_kernel,
 )
 from ctxrep.repulsion import RepulsionConfig
-from ctxrep.vendi import entropy_and_score
+from ctxrep.vendi import average_pair_vendi, entropy_and_score
 
 EIGENVALUE_FLOOR = 1e-12
 _MASK64 = (1 << 64) - 1
@@ -296,3 +298,24 @@ def simulation_record(cfg, method: str, run_id: int) -> dict:
     trajectories = gmmflow.sample_batch(world, prompts, method, seed=seed, **kwargs)
     metrics = gmmflow.evaluate(trajectories, world).as_dict()
     return {"run_id": run_id, "seed": seed, "method": method, **metrics}
+
+
+def batch_metrics(trajectories, world) -> dict:
+    """``gmmflow.evaluate``'s record of one batch, scored on its own through
+    the public kernel and score functions."""
+    finals = np.stack([tr.latents[-1] for tr in trajectories])
+    batch = finals.shape[0]
+    diff = finals[:, None, :] - world.mode_centers[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    nearest = np.argmin(dist, axis=1)
+    nearest_dist = dist[np.arange(batch), nearest]
+    on_manifold = nearest_dist <= 3.0 * world.mode_sigma
+    kernel = rbf_kernel(ContextBatch(finals), world.radius / 2.0)
+    return {
+        "vendi_rbf": float(entropy_and_score(kernel).score),
+        "mode_coverage": int(np.count_nonzero(
+            np.bincount(nearest[on_manifold], minlength=world.n_modes))),
+        "off_manifold_rate": float(np.mean(~on_manifold)),
+        "mean_nearest_mode_distance": float(np.mean(nearest_dist)),
+        "avg_pair_vendi": float(average_pair_vendi(kernel)) if batch >= 2 else 1.0,
+    }

@@ -343,7 +343,8 @@ class TestToyRunCommand:
     def test_outputs_and_vendi_gain(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_command(["toy-run", "--config", str(CONFIG_DIR / "toy.cfg")]) == 0
-        report = [json.loads(line) for line in open("toy_report.json")]
+        with open("toy_report.json") as handle:
+            report = [json.loads(line) for line in handle]
         text_rows = [r for r in report if r["stream"] == "text"]
         final = max(text_rows, key=lambda r: r["block"])
         assert final["vendi_with_repulsion"] > 1.0 + 1e-6
@@ -1116,6 +1117,56 @@ class TestUsageErrors:
         }
         assert drawn == []
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("argv", [["toy-run"], ["ablate", "--axis", "blocks"]],
+                             ids=["toy-run", "ablate-blocks"])
+    @pytest.mark.parametrize("step, total", [(3, 2), (-1, 2), (0, 0)])
+    def test_toy_step_index_out_of_range_is_named_before_any_weight(
+            self, tmp_path, capsys, monkeypatch, argv, step, total):
+        drawn = []
+        init_weights = cli.toydit.init_weights
+
+        def counting(model_cfg):
+            drawn.append(model_cfg.weight_seed)
+            return init_weights(model_cfg)
+
+        monkeypatch.setattr(cli.toydit, "init_weights", counting)
+        monkeypatch.chdir(tmp_path)
+        cfg = small_gmm_config(tmp_path, seeds=10, toy_step_index=step, toy_total_steps=total,
+                               output="blocks.csv")
+        assert run_command(argv + ["--config", cfg]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "toy_step_index" in error and "toy_total_steps" in error
+        assert f"got {step} for toy_total_steps {total}" in error
+        assert drawn == []
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize(
+        "axis, settings, key",
+        [
+            ("batch", {"sweep_batch_sizes": "4,8,0"}, "sweep_batch_sizes"),
+            ("batch", {"sweep_batch_sizes": "-2,4"}, "sweep_batch_sizes"),
+            ("timestep", {"sweep_intervals": "0:0.25,0.25:0.5,0.5:0.25"}, "sweep_intervals"),
+            ("timestep", {"sweep_intervals": "0:0.25,0.25:0.5,0.5:0.25", "method": "latent"},
+             "sweep_intervals"),
+        ],
+    )
+    def test_bad_sweep_value_is_named_before_any_flow(self, tmp_path, capsys, monkeypatch,
+                                                      axis, settings, key):
+        flows = []
+        integrate = gmmflow._integrate
+
+        def counting(*args, **kwargs):
+            flows.append(args[3])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(gmmflow, "_integrate", counting)
+        cfg = small_gmm_config(tmp_path, seeds=40, **settings)
+        out = tmp_path / "sweep.csv"
+        assert run_command(["ablate", "--axis", axis, "--config", cfg, "--output", str(out)]) == 2
+        assert key in json.loads(capsys.readouterr().err)["error"]
+        assert flows == []
+        assert not out.exists()
 
 
 class TestParser:

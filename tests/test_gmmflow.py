@@ -1,15 +1,19 @@
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxrep.gmmflow as gf
 from ctxrep.linalg import ContextBatch, rbf_kernel
 from ctxrep.repulsion import RepulsionConfig
 from ctxrep.steering import SteeringSpec, steered_run
-from ctxrep.vendi import average_pair_vendi
+from ctxrep.vendi import average_pair_vendi, entropy_and_score
 
+from . import _oracles
 from .test_rng import digest
 
 COLLAPSE_REPULSION = RepulsionConfig(
@@ -345,17 +349,20 @@ class TestEvaluate:
         world = gf.MixtureWorld()
         trajectories = gf.sample_batch(world, gf.one_hot_prompts(world, 6), "none", seed=3)
         built = []
-        original = gf.rbf_kernel
+        original = gf._rbf_entries
 
         def counting(points, bandwidth):
             built.append(bandwidth)
             return original(points, bandwidth)
 
-        monkeypatch.setattr(gf, "rbf_kernel", counting)
+        monkeypatch.setattr(gf, "_rbf_entries", counting)
         metrics = gf.evaluate(trajectories, world)
         assert built == [world.radius / 2.0]
+        # the kernel is the public rbf_kernel's, and both scores are the public ones
         finals = ContextBatch(np.stack([tr.latents[-1] for tr in trajectories]))
-        assert metrics.avg_pair_vendi == average_pair_vendi(rbf_kernel(finals, world.radius / 2.0))
+        kernel = rbf_kernel(finals, world.radius / 2.0)
+        assert metrics.avg_pair_vendi == average_pair_vendi(kernel)
+        assert metrics.vendi_rbf == entropy_and_score(kernel).score
 
 
 # sha256 of every trajectory's latents, then every trajectory's contexts, on
@@ -417,3 +424,53 @@ class TestGoldenTrajectories:
     def test_steered_run(self, space):
         run = steered_run(gf.MixtureWorld(), 0, 3, SteeringSpec(alpha=0.5, space=space))
         assert trajectory_digest([run]) == GOLDEN_STEERED[space]
+
+
+class TestStackedScoring:
+    @pytest.mark.parametrize("method", gf.METHODS)
+    @pytest.mark.parametrize("seeds", (1, 2, 5))
+    @pytest.mark.parametrize("batch", (1, 2, 8, 16))
+    @settings(max_examples=2, deadline=None)
+    @given(start=st.integers(0, 2**31))
+    def test_each_seed_scores_as_evaluate(self, method, seeds, batch, start):
+        # every record of one stacked pass has the bits of its seed's own
+        # evaluate, and of the per-batch scoring evaluate replaced
+        world = gf.MixtureWorld(n_steps=8)
+        prompts = gf.one_hot_prompts(world, batch)
+        block = range(start, start + seeds)
+        stacked = gf.evaluate_seed_block(world, prompts, method, seeds=block,
+                                         **METHOD_KWARGS[method])
+        assert len(stacked) == seeds
+        for seed, metrics in zip(block, stacked):
+            trajectories = gf.sample_batch(world, prompts, method, seed=seed,
+                                           **METHOD_KWARGS[method])
+            assert repr(metrics) == repr(gf.evaluate(trajectories, world))
+            assert repr(metrics.as_dict()) == repr(_oracles.batch_metrics(trajectories, world))
+
+    def test_no_seeds_no_records(self):
+        world = gf.MixtureWorld(n_steps=4)
+        assert gf.evaluate_seed_block(world, gf.one_hot_prompts(world, 3), seeds=[]) == []
+
+    def test_non_finite_finals_are_named(self):
+        world = gf.MixtureWorld()
+        trajectories = gf.sample_batch(world, gf.one_hot_prompts(world, 3), "none", seed=0)
+        trajectories[1].latents[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="^batch entries must be finite$"):
+            gf.evaluate(trajectories, world)
+
+
+class TestUnderflowingWeights:
+    @pytest.mark.parametrize("method", gf.METHODS)
+    def test_no_warning_at_guidance_100(self, method):
+        # the weights of the unprompted modes underflow to exactly 0, and the
+        # sampler takes their log, -inf, without a divide-by-zero warning
+        world = gf.MixtureWorld(guidance_gamma=100.0, n_steps=16)
+        prompts = gf.one_hot_prompts(world, 4)
+        assert np.count_nonzero(gf.conditional_weights(prompts[0], 100.0) == 0.0) == 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectories = gf.sample_batch(world, prompts, method, seed=0,
+                                           **METHOD_KWARGS[method])
+            gf.evaluate(trajectories, world)
+        assert all(np.isfinite(tr.latents).all() for tr in trajectories)
+
