@@ -30,17 +30,23 @@ from .config import (
 from .linalg import (
     ContextBatch,
     NonConvergence,
+    _row_sums,
     cosine_kernel,
     rbf_kernel,
 )
 from .repulsion import NumericOverflow, RepulsionConfig, check_interval, repulse
-from .vendi import entropy_and_score, entropy_gradient
+from .vendi import _cosine_entropies, entropy_and_score, entropy_gradient
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 GRAD_CHECK_THRESHOLD = 1e-4
+
+# Bumped batches that grad-check scores in one stacked call. Each is a copy
+# of one (batch, dim) batch, so memory grows as seeds * batch * dim and never
+# as (batch * dim) ** 2, however many coordinates a run bumps.
+_GRAD_CHECK_STACK = 256
 
 # Runs (one variant at one seed) that pay for one worker process. A worker
 # pays its own start-up, while a stacked chunk of seeds costs far less per
@@ -259,35 +265,26 @@ def _cmd_grad_check(args) -> int:
         raise _UsageError(f"dim must be >= 1, got {args.dim}")
     if not (np.isfinite(args.fd_step) and args.fd_step > 0.0):
         raise _UsageError(f"fd-step must be finite and positive, got {args.fd_step}")
-    worst = 0.0
-    for seed in range(args.seeds):
-        rng = np.random.default_rng(seed)
-        vectors = rng.standard_normal((args.batch, args.dim))
-        batch = ContextBatch(vectors)
-        analytic = entropy_gradient(batch)
-
-        fd = np.zeros_like(vectors)
-        for i in range(args.batch):
-            for j in range(args.dim):
-                bump = np.zeros_like(vectors)
-                bump[i, j] = args.fd_step
-                high = entropy_and_score(cosine_kernel(ContextBatch(vectors + bump))).entropy
-                low = entropy_and_score(cosine_kernel(ContextBatch(vectors - bump))).entropy
-                fd[i, j] = (high - low) / (2.0 * args.fd_step)
-        scale = float(np.max(np.abs(analytic)))
-        err = float(np.max(np.abs(fd - analytic))) / max(scale, 1e-30)
-        worst = max(worst, err)
-    print(
-        json.dumps(
-            {
-                "max_relative_error": worst,
-                "batch": args.batch,
-                "dim": args.dim,
-                "seeds": args.seeds,
-                "fd_step": args.fd_step,
-            }
-        )
-    )
+    shape = (args.batch, args.dim)
+    vectors = np.stack([np.random.default_rng(s).standard_normal(shape) for s in range(args.seeds)])
+    analytic = entropy_gradient(ContextBatch(vectors))
+    # central differences, each from its seed's batch with one entry moved by
+    # +-fd_step; coordinate k is entry k % (batch * dim) of seed k // (batch * dim)
+    flat = vectors.reshape(args.seeds, -1)
+    fd = np.empty(flat.size)
+    per_stack = _GRAD_CHECK_STACK // 2
+    for start in range(0, flat.size, per_stack):
+        seed, coord = np.divmod(np.arange(start, min(start + per_stack, flat.size)), flat.shape[1])
+        n = len(seed)
+        bumped = flat[np.tile(seed, 2)]
+        bumped[np.arange(2 * n), np.tile(coord, 2)] += np.repeat([args.fd_step, -args.fd_step], n)
+        entropy = _cosine_entropies(bumped.reshape(2 * n, *shape))
+        fd[start:start + n] = (entropy[:n] - entropy[n:]) / (2.0 * args.fd_step)
+    scale = np.max(np.abs(analytic), axis=(1, 2))
+    errors = np.max(np.abs(fd.reshape(vectors.shape) - analytic), axis=(1, 2))
+    worst = float(np.max(errors / np.maximum(scale, 1e-30)))
+    print(json.dumps({"max_relative_error": worst, "batch": args.batch, "dim": args.dim,
+                      "seeds": args.seeds, "fd_step": args.fd_step}))
     if worst > GRAD_CHECK_THRESHOLD:
         _fail(f"max relative error {worst:.3e} exceeds {GRAD_CHECK_THRESHOLD}")
         return EXIT_NUMERIC
@@ -318,60 +315,50 @@ def _check_toy_batch(cfg: ExperimentConfig) -> None:
         )
 
 
-def _toy_inputs(cfg: ExperimentConfig, weight_seed: int, noise_base: int):
-    """Weights, the batch's shared prompt encoding and its image tokens.
+def _toy_inputs(cfg: ExperimentConfig, seeds: list[tuple[int, int]]):
+    """Weights, prompt encodings and image tokens of one batch per
+    ``(weight_seed, noise_base)`` pair, stacked on a leading seed axis.
 
-    Sample i's image noise is seeded with ``noise_base + i``.
+    Each batch shares one prompt encoding, and its sample i's image noise is
+    seeded with ``noise_base + i``.
     """
-    model_cfg = dataclasses.replace(_toy_config(cfg), weight_seed=weight_seed)
-    weights = toydit.init_weights(model_cfg)
-    prompt = toydit.encode_prompt(model_cfg, cfg.toy_prompt_id)
-    images = np.stack(
-        [toydit.seed_image_tokens(model_cfg, noise_base + i) for i in range(cfg.toy_batch)]
-    )
-    return weights, prompt, images
+    models = [(dataclasses.replace(_toy_config(cfg), weight_seed=w), base) for w, base in seeds]
+    weights = toydit.stack_weights([toydit.init_weights(m) for m, _ in models])
+    prompts = np.stack([toydit.encode_prompt(m, cfg.toy_prompt_id).tokens for m, _ in models])
+    images = np.array([[toydit.seed_image_tokens(m, base + i) for i in range(cfg.toy_batch)]
+                       for m, base in models])
+    return weights, toydit.PromptEncoding(cfg.toy_prompt_id, prompts), images
 
 
 def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsion: RepulsionConfig | None):
-    """The snapshots of one forward pass over ``_toy_inputs`` or a seed stack
-    of them; the inputs are not changed."""
+    """The snapshots of one forward pass over ``_toy_inputs``, each
+    (S, B, N * D); the inputs are not changed."""
     weights, prompt, images = inputs
     _, snapshots = toydit.forward_with_hooks(
-        [prompt] * cfg.toy_batch,
-        images,
-        weights,
-        repulsion,
-        step_index=cfg.toy_step_index,
-        total_steps=cfg.toy_total_steps,
+        [prompt] * cfg.toy_batch, images, weights, repulsion,
+        step_index=cfg.toy_step_index, total_steps=cfg.toy_total_steps,
     )
     return snapshots
-
-
-def _snapshot_score(vectors: np.ndarray) -> float:
-    """Vendi score of one batch of snapshot rows (B, N * D)."""
-    return entropy_and_score(cosine_kernel(ContextBatch(vectors))).score
 
 
 def _cmd_toy_run(args) -> int:
     cfg = _config(args)
     snapshots_path = _required_output(args, cfg, "output_snapshots")
     _check_toy_batch(cfg)
-    inputs = _toy_inputs(cfg, cfg.toy_seed, cfg.seed_start)
+    inputs = _toy_inputs(cfg, [(cfg.toy_seed, cfg.seed_start)])
     snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
     snaps_off = _toy_snapshots(cfg, inputs, None)
-    off_scores = {(s.block_index, s.stream): _snapshot_score(s.vectors) for s in snaps_off}
-    lines = []
-    for snap in snaps_on:
-        lines.append(
-            json.dumps(
-                {
-                    "block": snap.block_index,
-                    "stream": snap.stream,
-                    "vendi_with_repulsion": _snapshot_score(snap.vectors),
-                    "vendi_without_repulsion": off_scores[(snap.block_index, snap.stream)],
-                }
-            )
-        )
+    # one stacked score per stream, as text and image rows differ in width;
+    # each block records a text and then an image snapshot
+    scores = np.empty((2, len(snaps_on)))
+    for first in (0, 1):
+        rows = [s.vectors[0] for snaps in (snaps_on, snaps_off) for s in snaps[first::2]]
+        scores[:, first::2] = np.exp(_cosine_entropies(rows)).reshape(2, -1)
+    lines = [
+        json.dumps({"block": snap.block_index, "stream": snap.stream,
+                    "vendi_with_repulsion": on, "vendi_without_repulsion": off})
+        for snap, on, off in zip(snaps_on, *scores.tolist())
+    ]
 
     d = cfg.toy_dim
     _write_csv(
@@ -379,7 +366,7 @@ def _cmd_toy_run(args) -> int:
         ["sample", "block", "stream", "token", "dim", "value"],
         ([sample, snap.block_index, snap.stream, i // d, i % d, repr(float(value))]
          for snap in snaps_on
-         for sample, row in enumerate(snap.vectors)
+         for sample, row in enumerate(snap.vectors[0])
          for i, value in enumerate(row)),
     )
     try:
@@ -407,6 +394,12 @@ def _check_sweep(cfg: ExperimentConfig, axis: str) -> None:
         for size in cfg.sweep_batch_sizes:
             if size < 1:
                 raise _UsageError(f"sweep_batch_sizes entries must be >= 1, got {size}")
+    elif axis == "blocks":
+        for group in cfg.sweep_block_groups:
+            try:
+                RepulsionConfig(block_selector=group)
+            except ValueError as exc:
+                raise _UsageError(f"{exc} in sweep_block_groups") from None
     elif cfg.method != "none":
         # the window the method's runs read, checked by the one interval rule
         window = "cads" if cfg.method == "cads" else "timestep"
@@ -444,31 +437,26 @@ def _block_group_rows(
     cfg: ExperimentConfig, repulsions: list[RepulsionConfig], run_ids: range
 ) -> list[list[list]]:
     """For each block group, the rows of runs ``run_ids``; the seeds' inputs
-    are built once and each group runs as one (S, B, N, D) forward pass."""
+    are built once, and each group runs and is scored as one (S, B, N, D)
+    stack."""
     seeds = [cfg.seed_start + i for i in run_ids]
     # vary weights and image noise together per seed
-    per_seed = [_toy_inputs(cfg, cfg.toy_seed + seed, seed * 1000) for seed in seeds]
-    prompts = np.stack([prompt.tokens for _, prompt, _ in per_seed])
-    inputs = (
-        toydit.stack_weights([weights for weights, _, _ in per_seed]),
-        toydit.PromptEncoding(cfg.toy_prompt_id, prompts),
-        np.stack([images for _, _, images in per_seed]),
-    )
+    inputs = _toy_inputs(cfg, [(cfg.toy_seed + seed, seed * 1000) for seed in seeds])
+    prompts = inputs[1].tokens.reshape(len(seeds), 1, -1)
+    # one BLAS dot per row, as np.linalg.norm takes a vector's norm
+    prompt_norms = np.sqrt(np.vecdot(prompts, prompts))
     groups = []
     for repulsion in repulsions:
         final = [s for s in _toy_snapshots(cfg, inputs, repulsion) if s.stream == "text"][-1]
-        rows = []
-        for seed, vectors, prompt in zip(seeds, final.vectors, prompts):
-            prompt_vec = prompt.reshape(-1)
-            sims = [
-                float(row @ prompt_vec / (np.linalg.norm(row) * np.linalg.norm(prompt_vec)))
-                for row in vectors
-            ]
-            rows.append([
-                "blocks", repulsion.block_selector, seed, _snapshot_score(vectors),
-                float(np.mean(sims)),
-            ])
-        groups.append(rows)
+        vendi = np.exp(_cosine_entropies(final.vectors))
+        sims = np.vecdot(final.vectors, prompts) / (
+            np.sqrt(np.vecdot(final.vectors, final.vectors)) * prompt_norms
+        )
+        similarity = _row_sums(sims) / cfg.toy_batch
+        groups.append([
+            ["blocks", repulsion.block_selector, seed, score, sim]
+            for seed, score, sim in zip(seeds, vendi.tolist(), similarity.tolist())
+        ])
     return groups
 
 
@@ -476,6 +464,7 @@ def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     _check_toy_batch(cfg)
     header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
     base = repulsion_from_config(cfg)
+    _check_sweep(cfg, "blocks")
     repulsions = [
         dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
     ]

@@ -133,6 +133,8 @@ def stack_weights(per_seed: list[ModelWeights]) -> ModelWeights:
     meets its own seed's weights in every sample's matmul. The configs must
     differ at most in ``weight_seed``; the stack keeps the first seed's config.
     """
+    if not per_seed:
+        raise DimensionMismatch("cannot stack the weights of no seeds")
     config = per_seed[0].config
     for weights in per_seed:
         if replace(weights.config, weight_seed=config.weight_seed) != config:

@@ -52,6 +52,14 @@ def _kernel_entropies(kernels: np.ndarray) -> np.ndarray:
     return _entropies(_eigvalsh(kernels / kernels.shape[-1]))
 
 
+def _cosine_entropies(vectors) -> np.ndarray:
+    """``entropy_and_score(cosine_kernel(ContextBatch(batch))).entropy`` of
+    each (B, D) batch of a stack on leading axes, bit for bit, with the same
+    errors. The kernel is exactly symmetric with a unit diagonal as built, so
+    it skips :class:`SymMatrix` and the diagonal check."""
+    return _kernel_entropies(_unit_rows_and_cosine(ContextBatch(vectors).vectors)[2])
+
+
 def _check_unit_diagonal(k: SymMatrix) -> None:
     if float(np.max(np.abs(np.diag(k.entries) - 1.0))) > _UNIT_DIAGONAL_TOLERANCE:
         raise ValueError("kernel must have unit diagonal")

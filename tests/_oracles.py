@@ -7,7 +7,8 @@ checked against the Jacobi solver. Eigenvectors are fixed only up to sign, so
 a test that compares them compares both solvers' columns in the sign form of
 ``canonical_signs``; the package itself keeps LAPACK's signs, which its
 gradient cannot see. The one-draw-at-a-time generator normals, the
-pair-by-pair Vendi average, the serial blocks ablation and the seed-by-seed
+pair-by-pair Vendi average, the serial blocks ablation, the snapshot-by-snapshot
+toy run, the coordinate-by-coordinate gradient check and the seed-by-seed
 simulation records are the straightforward forms of what the package
 computes in blocks or shares; the tests hold those forms to them. So is
 ``batch_metrics``, the per-batch scoring that ``gmmflow`` now runs on a stack
@@ -40,7 +41,7 @@ from ctxrep.linalg import (
     rbf_kernel,
 )
 from ctxrep.repulsion import RepulsionConfig
-from ctxrep.vendi import average_pair_vendi, entropy_and_score
+from ctxrep.vendi import average_pair_vendi, entropy_and_score, entropy_gradient
 
 EIGENVALUE_FLOOR = 1e-12
 _MASK64 = (1 << 64) - 1
@@ -217,6 +218,82 @@ def entropy_gradient_with(vectors: np.ndarray, solver) -> np.ndarray:
     return 2.0 * (off @ unit - radial[:, None] * unit) / norms[:, None]
 
 
+def cosine_score(vectors: np.ndarray) -> float:
+    """Vendi score of one (B, D) batch under the cosine kernel."""
+    return entropy_and_score(cosine_kernel(ContextBatch(vectors))).score
+
+
+def grad_check_record(batch: int, dim: int, seeds: int, fd_step: float) -> dict:
+    """``ctxrep grad-check``'s record, one seed, one coordinate and one scored
+    batch at a time."""
+    worst = 0.0
+    for seed in range(seeds):
+        vectors = np.random.default_rng(seed).standard_normal((batch, dim))
+        analytic = entropy_gradient(ContextBatch(vectors))
+        fd = np.zeros_like(vectors)
+        for i in range(batch):
+            for j in range(dim):
+                bump = np.zeros_like(vectors)
+                bump[i, j] = fd_step
+                high = entropy_and_score(cosine_kernel(ContextBatch(vectors + bump))).entropy
+                low = entropy_and_score(cosine_kernel(ContextBatch(vectors - bump))).entropy
+                fd[i, j] = (high - low) / (2.0 * fd_step)
+        scale = float(np.max(np.abs(analytic)))
+        err = float(np.max(np.abs(fd - analytic))) / max(scale, 1e-30)
+        worst = max(worst, err)
+    return {"max_relative_error": worst, "batch": batch, "dim": dim, "seeds": seeds,
+            "fd_step": fd_step}
+
+
+def toy_model_config(cfg, weight_seed: int) -> toydit.ToyDiTConfig:
+    """The toy model of an experiment config, with weights from ``weight_seed``."""
+    return toydit.ToyDiTConfig(
+        n_text_tokens=cfg.toy_text_tokens,
+        n_image_tokens=cfg.toy_image_tokens,
+        token_dim=cfg.toy_dim,
+        n_dual_blocks=cfg.toy_dual_blocks,
+        n_single_blocks=cfg.toy_single_blocks,
+        attention_heads=cfg.toy_heads,
+        weight_seed=weight_seed,
+    )
+
+
+def toy_run_outputs(cfg) -> tuple[list[list], list[dict]]:
+    """``ctxrep toy-run``'s snapshot CSV rows and report records, from one
+    batch without a seed axis, each snapshot scored on its own."""
+    model_cfg = toy_model_config(cfg, cfg.toy_seed)
+    weights = toydit.init_weights(model_cfg)
+    prompt = toydit.encode_prompt(model_cfg, cfg.toy_prompt_id)
+    images = np.stack(
+        [toydit.seed_image_tokens(model_cfg, cfg.seed_start + i) for i in range(cfg.toy_batch)]
+    )
+    snaps_on, snaps_off = (
+        toydit.forward_with_hooks(
+            [prompt] * cfg.toy_batch, images, weights, repulsion,
+            step_index=cfg.toy_step_index, total_steps=cfg.toy_total_steps,
+        )[1]
+        for repulsion in (repulsion_from_config(cfg), None)
+    )
+    off_scores = {(s.block_index, s.stream): cosine_score(s.vectors) for s in snaps_off}
+    report = [
+        {
+            "block": snap.block_index,
+            "stream": snap.stream,
+            "vendi_with_repulsion": cosine_score(snap.vectors),
+            "vendi_without_repulsion": off_scores[(snap.block_index, snap.stream)],
+        }
+        for snap in snaps_on
+    ]
+    d = cfg.toy_dim
+    rows = [
+        [sample, snap.block_index, snap.stream, i // d, i % d, repr(float(value))]
+        for snap in snaps_on
+        for sample, row in enumerate(snap.vectors)
+        for i, value in enumerate(row)
+    ]
+    return rows, report
+
+
 def ablate_blocks_rows(cfg) -> list[dict]:
     """``ctxrep ablate --axis blocks`` rows, serially, encoding the prompt B + 1 times."""
     base = repulsion_from_config(cfg)
@@ -224,15 +301,7 @@ def ablate_blocks_rows(cfg) -> list[dict]:
     for group in cfg.sweep_block_groups:
         for i in range(cfg.seeds):
             seed = cfg.seed_start + i
-            model_cfg = toydit.ToyDiTConfig(
-                n_text_tokens=cfg.toy_text_tokens,
-                n_image_tokens=cfg.toy_image_tokens,
-                token_dim=cfg.toy_dim,
-                n_dual_blocks=cfg.toy_dual_blocks,
-                n_single_blocks=cfg.toy_single_blocks,
-                attention_heads=cfg.toy_heads,
-                weight_seed=cfg.toy_seed + seed,
-            )
+            model_cfg = toy_model_config(cfg, cfg.toy_seed + seed)
             repulsion = RepulsionConfig(
                 eta=base.eta,
                 inner_steps=base.inner_steps,
@@ -263,7 +332,7 @@ def ablate_blocks_rows(cfg) -> list[dict]:
                     "axis": "blocks",
                     "value": group,
                     "seed": seed,
-                    "text_vendi": entropy_and_score(cosine_kernel(ContextBatch(final.vectors))).score,
+                    "text_vendi": cosine_score(final.vectors),
                     "prompt_similarity": float(np.mean(sims)),
                 }
             )

@@ -26,7 +26,7 @@ from ctxrep.config import (
 )
 from ctxrep.repulsion import PRESETS
 
-from ._oracles import ablate_blocks_rows, simulation_record
+from ._oracles import ablate_blocks_rows, grad_check_record, simulation_record, toy_run_outputs
 from .test_rng import patch_splitmix64
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -82,6 +82,17 @@ def pinned_worker_rule(monkeypatch) -> list:
 RULE_RUNS_PER_WORKER = 10
 # the fewest runs that start two workers under the pinned rule
 TWO_WORKERS = 2 * RULE_RUNS_PER_WORKER
+
+
+def shipped_toy_config(tmp_path, **settings) -> pathlib.Path:
+    """``configs/toy.cfg`` with ``settings`` in place of its own values."""
+    shipped = (CONFIG_DIR / "toy.cfg").read_text().splitlines(keepends=True)
+    path = tmp_path / "toy.cfg"
+    path.write_text(
+        "".join(line for line in shipped if line.partition(" =")[0] not in settings)
+        + "".join(f"{k} = {v}\n" for k, v in settings.items())
+    )
+    return path
 
 
 def write_rows(path, rows) -> None:
@@ -302,6 +313,43 @@ class TestGradCheckCommand:
         assert captured.out == ""
         assert flag.lstrip("-") in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize(
+        "batch, dim, seeds, fd_step",
+        [
+            (2, 1, 100, 1e-5),
+            (7, 5, 4, 1e-3),
+            # more bumped batches per seed than one stack holds
+            (3, cli._GRAD_CHECK_STACK // 4 + 1, 2, 1e-5),
+        ],
+        ids=["b2-d1", "b7-d5", "across-stacks"],
+    )
+    def test_matches_the_coordinate_by_coordinate_check(self, capsys, batch, dim, seeds,
+                                                         fd_step):
+        code = run_command(["grad-check", "--batch", str(batch), "--dim", str(dim),
+                            "--seeds", str(seeds), "--fd-step", repr(fd_step)])
+        record = grad_check_record(batch, dim, seeds, fd_step)
+        assert capsys.readouterr().out == json.dumps(record) + "\n"
+        failed = record["max_relative_error"] > cli.GRAD_CHECK_THRESHOLD
+        assert code == (cli.EXIT_NUMERIC if failed else cli.EXIT_OK)
+
+    def test_scores_at_most_one_capped_stack_at_a_time(self, capsys, monkeypatch):
+        stacks = []
+        score = cli._cosine_entropies
+
+        def recording(vectors):
+            stacks.append(vectors.shape)
+            return score(vectors)
+
+        monkeypatch.setattr(cli, "_cosine_entropies", recording)
+        dim = cli._GRAD_CHECK_STACK
+        assert run_command(["grad-check", "--batch", "2", "--dim", str(dim), "--seeds", "2"]) == 0
+        capsys.readouterr()
+        # two bumped batches per coordinate, over 2 seeds of 2 * dim coordinates
+        assert sum(shape[0] for shape in stacks) == 2 * 2 * 2 * dim
+        assert len(stacks) > 1
+        assert all(shape[0] <= cli._GRAD_CHECK_STACK for shape in stacks)
+        assert all(shape[1:] == (2, dim) for shape in stacks)
+
 
 class TestRepulseCommand:
     def test_roundtrip_and_zero_eta(self, tmp_path):
@@ -404,7 +452,21 @@ class TestToyRunCommand:
         text = next(s for s in passes[0] if s.stream == "text")
         sample, block, stream, token, dim, value = rows[1]
         flat_idx = int(token) * model.token_dim + int(dim)
-        assert float(value) == text.vectors[int(sample), flat_idx]
+        assert float(value) == text.vectors[0, int(sample), flat_idx]
+
+    @pytest.mark.parametrize("single_blocks", [0, 1])
+    @pytest.mark.parametrize("toy_batch", [1, 2, 3, 4, 5])
+    def test_matches_the_snapshot_by_snapshot_run(self, tmp_path, toy_batch, single_blocks):
+        snaps, report = tmp_path / "snaps.csv", tmp_path / "report.jsonl"
+        cfg = shipped_toy_config(tmp_path, toy_dual_blocks=2, toy_single_blocks=single_blocks,
+                                 toy_batch=toy_batch, output_snapshots=snaps,
+                                 output_report=report)
+        assert run_command(["toy-run", "--config", str(cfg)]) == 0
+        rows, records = toy_run_outputs(load_config(str(cfg)))
+        write_csv(tmp_path / "reference.csv", rows,
+                  header=["sample", "block", "stream", "token", "dim", "value"])
+        assert snaps.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert report.read_text() == "".join(json.dumps(r) + "\n" for r in records)
 
     @pytest.mark.parametrize("fault", ["output_snapshots", "output_report", "scoring"])
     def test_a_failed_run_leaves_no_output(self, tmp_path, monkeypatch, capsys, fault):
@@ -414,7 +476,7 @@ class TestToyRunCommand:
             def failing(_):
                 raise ValueError("scoring failed")
 
-            monkeypatch.setattr(cli, "_snapshot_score", failing)
+            monkeypatch.setattr(cli, "_cosine_entropies", failing)
         else:
             paths[fault] = tmp_path / "missing" / "out"
         cfg = tmp_path / "toy.cfg"
@@ -609,6 +671,21 @@ class TestAblateCommand:
         for row in rows:
             assert 1.0 <= float(row["text_vendi"]) <= 3.0 + 1e-9
             assert -1.0 <= float(row["prompt_similarity"]) <= 1.0
+
+    @pytest.mark.parametrize("single_blocks", [0, 1])
+    @pytest.mark.parametrize("toy_batch", [1, 2, 3, 4, 5])
+    def test_blocks_axis_matches_the_serial_reference_at_every_batch(self, tmp_path, toy_batch,
+                                                                      single_blocks):
+        cfg = small_gmm_config(
+            tmp_path, seeds=3, seed_start=2, sweep_block_groups="first_third,middle_third,all",
+            toy_dual_blocks=2, toy_single_blocks=single_blocks, toy_batch=toy_batch,
+        )
+        out = tmp_path / "blocks.csv"
+        assert run_command(
+            ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(out)]
+        ) == 0
+        write_rows(tmp_path / "reference.csv", ablate_blocks_rows(load_config(cfg)))
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_blocks_axis_jobs_and_serial_reference(self, tmp_path, monkeypatch):
         cfg = small_gmm_config(
@@ -1149,22 +1226,32 @@ class TestUsageErrors:
             ("timestep", {"sweep_intervals": "0:0.25,0.25:0.5,0.5:0.25"}, "sweep_intervals"),
             ("timestep", {"sweep_intervals": "0:0.25,0.25:0.5,0.5:0.25", "method": "latent"},
              "sweep_intervals"),
+            ("blocks", {"sweep_block_groups": "first_third,middle"}, "sweep_block_groups"),
         ],
     )
     def test_bad_sweep_value_is_named_before_any_flow(self, tmp_path, capsys, monkeypatch,
                                                       axis, settings, key):
         flows = []
         integrate = gmmflow._integrate
+        init_weights = cli.toydit.init_weights
 
         def counting(*args, **kwargs):
             flows.append(args[3])
             return integrate(*args, **kwargs)
 
+        def counting_weights(model_cfg):
+            flows.append(model_cfg.weight_seed)
+            return init_weights(model_cfg)
+
         monkeypatch.setattr(gmmflow, "_integrate", counting)
+        monkeypatch.setattr(cli.toydit, "init_weights", counting_weights)
         cfg = small_gmm_config(tmp_path, seeds=40, **settings)
         out = tmp_path / "sweep.csv"
         assert run_command(["ablate", "--axis", axis, "--config", cfg, "--output", str(out)]) == 2
-        assert key in json.loads(capsys.readouterr().err)["error"]
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert key in error
+        if axis == "blocks":
+            assert error == "unknown block group 'middle' in sweep_block_groups"
         assert flows == []
         assert not out.exists()
 

@@ -325,6 +325,10 @@ class TestSeedStack:
         with pytest.raises(td.DimensionMismatch):
             td.stack_weights([a, b])
 
+    def test_stack_weights_rejects_an_empty_stack(self):
+        with pytest.raises(td.DimensionMismatch, match="no seeds"):
+            td.stack_weights([])
+
     def test_prompt_stack_must_match_the_image_stack(self):
         cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
         _, (prompts, images, weights) = seed_stack(cfg, 2, [0, 1])
