@@ -191,18 +191,23 @@ def _simulate_seeds(variants: list[ExperimentConfig], run_ids: range) -> list[li
     return per_variant
 
 
-def _seed_by_seed_on_failure(run, run_ids: range):
-    """``run(run_ids)``, which runs a chunk of seeds as one stacked program.
+def _seed_by_seed_on_failure(run, variants: list, run_ids: range):
+    """``run(variants, run_ids)``, which runs a chunk of seeds of every
+    variant as one stacked program.
 
-    The program stops at the first failure of any seed, which need not be the
-    first failing seed's; so a failed chunk re-runs seed by seed, and the
-    error raised is the first failing seed's, as when each seed ran alone.
+    The program stops at the first failure of any run, which need not be the
+    first failing seed's, nor its first failing variant's (the blocks sweep
+    walks its variants together). So a failed chunk re-runs one seed and one
+    variant at a time, lowest seed first and variants in sweep order, and the
+    error raised is the first failing seed's at its first failing variant, as
+    when each run ran alone.
     """
     try:
-        return run(run_ids)
+        return run(variants, run_ids)
     except (ArithmeticError, ValueError):
         for run_id in run_ids:
-            run(range(run_id, run_id + 1))
+            for variant in variants:
+                run([variant], range(run_id, run_id + 1))
         raise
 
 
@@ -224,7 +229,7 @@ def _sweep(cfg: ExperimentConfig, variants: list, run) -> list:
     seeds = cfg.seeds
     workers = min(_workers(seeds * len(variants), cfg.jobs), seeds)
     chunks = [range(k * seeds // workers, (k + 1) * seeds // workers) for k in range(workers)]
-    task = functools.partial(_seed_by_seed_on_failure, functools.partial(run, variants))
+    task = functools.partial(_seed_by_seed_on_failure, run, variants)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(task, chunks))
@@ -330,15 +335,15 @@ def _toy_inputs(cfg: ExperimentConfig, seeds: list[tuple[int, int]]):
     return weights, toydit.PromptEncoding(cfg.toy_prompt_id, prompts), images
 
 
-def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsion: RepulsionConfig | None):
-    """The snapshots of one forward pass over ``_toy_inputs``, each
-    (S, B, N * D); the inputs are not changed."""
+def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsions: list[RepulsionConfig | None]):
+    """Each repulsion config's snapshots from one shared walk over
+    ``_toy_inputs``, each (S, B, N * D) and read-only; the inputs are not
+    changed."""
     weights, prompt, images = inputs
-    _, snapshots = toydit.forward_with_hooks(
-        [prompt] * cfg.toy_batch, images, weights, repulsion,
+    return toydit.forward_configs(
+        [prompt] * cfg.toy_batch, images, weights, repulsions,
         step_index=cfg.toy_step_index, total_steps=cfg.toy_total_steps,
     )
-    return snapshots
 
 
 def _cmd_toy_run(args) -> int:
@@ -346,8 +351,7 @@ def _cmd_toy_run(args) -> int:
     snapshots_path = _required_output(args, cfg, "output_snapshots")
     _check_toy_batch(cfg)
     inputs = _toy_inputs(cfg, [(cfg.toy_seed, cfg.seed_start)])
-    snaps_on = _toy_snapshots(cfg, inputs, repulsion_from_config(cfg))
-    snaps_off = _toy_snapshots(cfg, inputs, None)
+    snaps_on, snaps_off = _toy_snapshots(cfg, inputs, [repulsion_from_config(cfg), None])
     # one stacked score per stream, as text and image rows differ in width;
     # each block records a text and then an image snapshot
     scores = np.empty((2, len(snaps_on)))
@@ -437,8 +441,8 @@ def _block_group_rows(
     cfg: ExperimentConfig, repulsions: list[RepulsionConfig], run_ids: range
 ) -> list[list[list]]:
     """For each block group, the rows of runs ``run_ids``; the seeds' inputs
-    are built once, and each group runs and is scored as one (S, B, N, D)
-    stack."""
+    are built once, all groups run in one shared walk over the (S, B, N, D)
+    stack, and each group is scored as one stack."""
     seeds = [cfg.seed_start + i for i in run_ids]
     # vary weights and image noise together per seed
     inputs = _toy_inputs(cfg, [(cfg.toy_seed + seed, seed * 1000) for seed in seeds])
@@ -446,8 +450,8 @@ def _block_group_rows(
     # one BLAS dot per row, as np.linalg.norm takes a vector's norm
     prompt_norms = np.sqrt(np.vecdot(prompts, prompts))
     groups = []
-    for repulsion in repulsions:
-        final = [s for s in _toy_snapshots(cfg, inputs, repulsion) if s.stream == "text"][-1]
+    for repulsion, snapshots in zip(repulsions, _toy_snapshots(cfg, inputs, repulsions)):
+        final = [s for s in snapshots if s.stream == "text"][-1]
         vendi = np.exp(_cosine_entropies(final.vectors))
         sims = np.vecdot(final.vectors, prompts) / (
             np.sqrt(np.vecdot(final.vectors, final.vectors)) * prompt_norms

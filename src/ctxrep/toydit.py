@@ -237,30 +237,40 @@ def single_block_forward(state: TokenState, weights: ModelWeights, block: int) -
     return TokenState(merged[..., :n, :], merged[..., n:, :])
 
 
-def forward_with_hooks(
+def forward_configs(
     prompts: list[PromptEncoding],
     image_init: np.ndarray,
     weights: ModelWeights,
-    repulsion_cfg: RepulsionConfig | None = None,
+    repulsion_cfgs: list[RepulsionConfig | None],
     step_index: int = 0,
     total_steps: int = 1,
-) -> tuple[list[TokenState], list[StreamSnapshot]]:
-    """Run all blocks on the whole batch, repelling the configured stream between blocks.
+) -> list[list[StreamSnapshot]]:
+    """Run all blocks on the whole batch once per repulsion config (``None``
+    repels nothing), repelling the configured stream between blocks; returns
+    each config's snapshots.
 
     Dual blocks run first, then single-stream blocks. The hook sees ``text``,
     ``image`` and ``all_tokens`` after a dual block, and only ``all_tokens``
     after a single-stream block, whose token streams are merged. A stream is
     one row per sample, token t and dim d at column t * D + d, with
     ``all_tokens`` the text row then the image row. Snapshots of the text and
-    image streams are recorded after every block, post-repulsion. The final
-    states are returned one per sample.
+    image streams are recorded after every block, post-repulsion; the last
+    two are the final state.
+
+    Configs share the walk until their repulsion histories part. The walk
+    starts as one branch holding every config and runs each block once per
+    branch; a branch then splits by which streams the hook repels for each
+    config and by what ``repulse`` reads of it (``eta``, ``inner_steps`` and
+    ``gradient_normalization``), so configs that differ only in schedule stay
+    together until they fire differently. Each config gets the bits of a
+    walk of its own. A branch's snapshots are shared by all of its configs,
+    so every snapshot array is read-only.
 
     Leading seed axes run a stack of independent batches as one program:
     image tokens (..., B, N, D), each prompt's tokens (..., N, D) and weights
     from ``stack_weights``, whose matrices are (S, 1, d, d). Snapshots are
-    then (..., B, N * D), final state i is ``[..., i, :, :]``, the hook repels
-    each batch of the stack on its own, and every seed gets the bits of its
-    solo call.
+    then (..., B, N * D), the hook repels each batch of the stack on its own,
+    and every seed gets the bits of its solo call.
     """
     cfg = weights.config
     batch = len(prompts)
@@ -273,43 +283,93 @@ def forward_with_hooks(
         if prompt.tokens.shape != (*lead, cfg.n_text_tokens, cfg.token_dim):
             raise DimensionMismatch("prompt token shape does not match config")
 
-    state = TokenState(np.stack([p.tokens for p in prompts], axis=-3), image_init)
-    snapshots: list[StreamSnapshot] = []
     # columns of each stream in a (..., batch, all-token) row stack
     split = cfg.n_text_tokens * cfg.token_dim
     columns = {"text": np.s_[:split], "image": np.s_[split:], "all_tokens": np.s_[:]}
+    rows_shape = (*lead, batch, -1)
 
+    # each branch: its state, the indices of its configs, and its snapshots
+    state = TokenState(np.stack([p.tokens for p in prompts], axis=-3), image_init)
+    branches = [(state, range(len(repulsion_cfgs)), [])] if repulsion_cfgs else []
     for block in range(cfg.total_blocks):
-        # both block functions are looked up per call, so a tracer can wrap them
-        if block < cfg.n_dual_blocks:
-            state = mm_block_forward(state, weights, block)
-            available = STREAM_TAGS
-        else:
-            state = single_block_forward(state, weights, block - cfg.n_dual_blocks)
-            available = ("all_tokens",)
-        if repulsion_cfg is not None:
-            for stream in available:
-                if not should_apply(
-                    step_index, total_steps, block, cfg.total_blocks, stream, repulsion_cfg
-                ):
-                    continue
-                rows = np.concatenate(
-                    [state.text_tokens.reshape(*lead, batch, -1),
-                     state.image_tokens.reshape(*lead, batch, -1)],
-                    axis=-1,
-                )
-                cols = columns[stream]
-                rows[..., cols] = repulse(ContextBatch(rows[..., cols]), repulsion_cfg).vectors
-                state = TokenState(
-                    rows[..., :split].reshape(state.text_tokens.shape),
-                    rows[..., split:].reshape(state.image_tokens.shape),
-                )
+        dual = block < cfg.n_dual_blocks
+        available = STREAM_TAGS if dual else ("all_tokens",)
+        parted = []
+        for state, members, snapshots in branches:
+            # both block functions and repulse are looked up per call, so a
+            # tracer can wrap them
+            if dual:
+                state = mm_block_forward(state, weights, block)
+            else:
+                state = single_block_forward(state, weights, block - cfg.n_dual_blocks)
+            # the branch's configs, keyed by what the hook does to this state
+            parts: dict[tuple, list[int]] = {}
+            for i in members:
+                repulsion = repulsion_cfgs[i]
+                key = ((),)
+                if repulsion is not None:
+                    fired = tuple([
+                        stream for stream in available
+                        if should_apply(step_index, total_steps, block, cfg.total_blocks,
+                                        stream, repulsion)
+                    ])
+                    if fired:
+                        key = (fired, repulsion.eta, repulsion.inner_steps,
+                               repulsion.gradient_normalization)
+                parts.setdefault(key, []).append(i)
+            for (fired, *_), part in parts.items():
+                repelled = state
+                for stream in fired:
+                    rows = np.concatenate(
+                        [repelled.text_tokens.reshape(rows_shape),
+                         repelled.image_tokens.reshape(rows_shape)],
+                        axis=-1,
+                    )
+                    cols = columns[stream]
+                    rows[..., cols] = repulse(
+                        ContextBatch(rows[..., cols]), repulsion_cfgs[part[0]]
+                    ).vectors
+                    repelled = TokenState(
+                        rows[..., :split].reshape(repelled.text_tokens.shape),
+                        rows[..., split:].reshape(repelled.image_tokens.shape),
+                    )
+                text = repelled.text_tokens.reshape(rows_shape)
+                image = repelled.image_tokens.reshape(rows_shape)
+                # every config of the part shares these arrays
+                text.setflags(write=False)
+                image.setflags(write=False)
+                parted.append((repelled, part, [
+                    *snapshots, StreamSnapshot(block, "text", text),
+                    StreamSnapshot(block, "image", image),
+                ]))
+        branches = parted
 
-        for stream, tokens in (("text", state.text_tokens), ("image", state.image_tokens)):
-            snapshots.append(StreamSnapshot(block, stream, tokens.reshape(*lead, batch, -1)))
-    # copies, so a caller writing to a final state cannot change the snapshots
+    # one list per config, though configs of one branch share its snapshots
+    history = {i: snapshots for _, members, snapshots in branches for i in members}
+    return [list(history[i]) for i in range(len(repulsion_cfgs))]
+
+
+def forward_with_hooks(
+    prompts: list[PromptEncoding],
+    image_init: np.ndarray,
+    weights: ModelWeights,
+    repulsion_cfg: RepulsionConfig | None = None,
+    step_index: int = 0,
+    total_steps: int = 1,
+) -> tuple[list[TokenState], list[StreamSnapshot]]:
+    """The one-config case of ``forward_configs``: its snapshots, and the
+    final states one per sample. Final state i is ``[..., i, :, :]`` of the
+    last text and image snapshots, copied, so it is writable and a caller
+    writing to it cannot change the snapshots.
+    """
+    (snapshots,) = forward_configs(
+        prompts, image_init, weights, [repulsion_cfg], step_index, total_steps
+    )
+    cfg = weights.config
+    text = snapshots[-2].vectors.reshape(*image_init.shape[:-2], cfg.n_text_tokens, -1)
+    image = snapshots[-1].vectors.reshape(image_init.shape)
     finals = [
-        TokenState(state.text_tokens[..., i, :, :].copy(), state.image_tokens[..., i, :, :].copy())
-        for i in range(batch)
+        TokenState(text[..., i, :, :].copy(), image[..., i, :, :].copy())
+        for i in range(len(prompts))
     ]
     return finals, snapshots

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -24,7 +25,7 @@ from ctxrep.config import (
     parse_config,
     repulsion_from_config,
 )
-from ctxrep.repulsion import PRESETS
+from ctxrep.repulsion import PRESETS, NumericOverflow
 
 from ._oracles import ablate_blocks_rows, grad_check_record, simulation_record, toy_run_outputs
 from .test_rng import patch_splitmix64
@@ -427,15 +428,15 @@ class TestToyRunCommand:
 
     def test_snapshot_csv_row_schema(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        passes = []
-        original = cli.toydit.forward_with_hooks
+        walks = []
+        original = cli.toydit.forward_configs
 
         def recording(*args, **kwargs):
-            finals, snapshots = original(*args, **kwargs)
-            passes.append(snapshots)
-            return finals, snapshots
+            per_config = original(*args, **kwargs)
+            walks.append(per_config)
+            return per_config
 
-        monkeypatch.setattr(cli.toydit, "forward_with_hooks", recording)
+        monkeypatch.setattr(cli.toydit, "forward_configs", recording)
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("toy_dual_blocks = 1\ntoy_single_blocks = 0\ntoy_batch = 2\n")
         assert run_command(["toy-run", "--config", str(cfg)]) == 0
@@ -448,8 +449,10 @@ class TestToyRunCommand:
         assert len(rows) - 1 == expected
         streams = {row[2] for row in rows[1:]}
         assert streams == {"text", "image"}
-        # spot-check one value against the snapshot tensor of the repelled pass
-        text = next(s for s in passes[0] if s.stream == "text")
+        # one walk for the repelled and the plain config; spot-check one value
+        # against the repelled config's snapshot tensor
+        assert len(walks) == 1 and len(walks[0]) == 2
+        text = next(s for s in walks[0][0] if s.stream == "text")
         sample, block, stream, token, dim, value = rows[1]
         flat_idx = int(token) * model.token_dim + int(dim)
         assert float(value) == text.vectors[0, int(sample), flat_idx]
@@ -833,22 +836,23 @@ class TestAblateCommand:
         assert len(calls) == 2
 
     def test_blocks_axis_runs_each_seed_chunk_as_one_stacked_pass(self, tmp_path, monkeypatch):
-        # one (S, B, N, D) forward pass per block group, not one per seed
+        # one (S, B, N, D) walk per seed chunk carrying every block group, not
+        # one per seed or per group
         cfg = small_gmm_config(tmp_path, seeds=5, seed_start=3, toy_batch=3,
                                sweep_block_groups="middle_third,all")
-        shapes = []
-        forward = cli.toydit.forward_with_hooks
+        walks = []
+        forward = cli.toydit.forward_configs
 
-        def recording(prompts, images, *args, **kwargs):
-            shapes.append(images.shape[:-2])
-            return forward(prompts, images, *args, **kwargs)
+        def recording(prompts, images, weights, repulsions, *args, **kwargs):
+            walks.append((images.shape[:-2], [r.block_selector for r in repulsions]))
+            return forward(prompts, images, weights, repulsions, *args, **kwargs)
 
-        monkeypatch.setattr(cli.toydit, "forward_with_hooks", recording)
+        monkeypatch.setattr(cli.toydit, "forward_configs", recording)
         out = tmp_path / "blocks.csv"
         assert run_command(
             ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(out)]
         ) == 0
-        assert shapes == [(5, 3)] * 2
+        assert walks == [((5, 3), ["middle_third", "all"])]
         write_rows(tmp_path / "reference.csv", ablate_blocks_rows(load_config(cfg)))
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -885,6 +889,55 @@ class TestAblateCommand:
         # at --jobs 2 the second worker's chunk holds seeds 12 and 13
         assert pools == [2]
         assert errors[0] == errors[1] == errors[2] == (2, {"error": "zero-norm sample vector"})
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_blocks_axis_error_is_the_first_failing_variants(self, tmp_path, capsys, monkeypatch,
+                                                             jobs):
+        # on the 4 + 2 block model last_third never fires, so its runs fail
+        # only when scored; first_third's fail in repulse at block 0, which a
+        # walk shared by both groups meets before any scoring. The error must
+        # be last_third's, the first variant in sweep order, as when each run
+        # ran alone.
+        def overflowing(batch, repulsion):
+            raise NumericOverflow("planted overflow")
+
+        def unscorable(vectors):
+            raise ValueError("planted scoring failure")
+
+        monkeypatch.setattr(cli.toydit, "repulse", overflowing)
+        monkeypatch.setattr(cli, "_cosine_entropies", unscorable)
+        pools = one_run_per_worker(monkeypatch)
+        cfg = small_gmm_config(tmp_path, seeds=2, sweep_block_groups="last_third,first_third")
+        out = tmp_path / "blocks.csv"
+        code = run_command(["ablate", "--axis", "blocks", "--config", cfg, "--jobs", jobs,
+                            "--output", str(out)])
+        assert (code, json.loads(capsys.readouterr().err)) == (
+            2, {"error": "planted scoring failure"})
+        assert not out.exists()
+        assert pools == ([2] if jobs == "2" else [])
+
+    def test_blocks_axis_runs_each_block_once_per_repulsion_history(self, tmp_path, monkeypatch):
+        # the four shipped groups on the 4 + 2 block model: last_third never
+        # fires, first_third and all share blocks 0-1 and their repulse calls,
+        # and middle_third and last_third share block 0. One walk per group
+        # would run 24 blocks and 8 repulse calls per seed chunk.
+        counts = collections.Counter()
+        for name in ("mm_block_forward", "single_block_forward", "repulse"):
+            original = getattr(cli.toydit, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cli.toydit, name, counting)
+        cfg = small_gmm_config(tmp_path, seeds=3)
+        out = tmp_path / "blocks.csv"
+        assert run_command(
+            ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(out)]
+        ) == 0
+        assert counts == {"mm_block_forward": 9, "single_block_forward": 8, "repulse": 6}
+        write_rows(tmp_path / "reference.csv", ablate_blocks_rows(load_config(cfg)))
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestWorkerRule:
@@ -1154,7 +1207,7 @@ class TestUsageErrors:
                                                        argv, key):
         runs = []
         integrate = gmmflow._integrate
-        forward = cli.toydit.forward_with_hooks
+        forward = cli.toydit.forward_configs
 
         def counting_flow(*args, **kwargs):
             runs.append("flow")
@@ -1165,7 +1218,7 @@ class TestUsageErrors:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(gmmflow, "_integrate", counting_flow)
-        monkeypatch.setattr(cli.toydit, "forward_with_hooks", counting_forward)
+        monkeypatch.setattr(cli.toydit, "forward_configs", counting_forward)
         monkeypatch.chdir(tmp_path)
         cfg = small_gmm_config(tmp_path, output_snapshots="")
         assert run_command(argv + ["--config", cfg]) == 2

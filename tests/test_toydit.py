@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ctxrep.toydit as td
 from ctxrep.linalg import ContextBatch, cosine_kernel
-from ctxrep.repulsion import RepulsionConfig
+from ctxrep.repulsion import BLOCK_GROUPS, STREAM_TAGS, RepulsionConfig
 from ctxrep.vendi import entropy_and_score
 
 from . import _oracles
@@ -335,6 +335,83 @@ class TestSeedStack:
         with pytest.raises(td.DimensionMismatch):
             td.forward_with_hooks([td.PromptEncoding(0, prompts[0].tokens[0])] * 2,
                                   images, weights)
+
+
+# Knobs of repulsion configs on a two-step schedule at step 1: two of the
+# intervals include that step, and one excludes it.
+REPULSION_FIELDS = {
+    "eta": st.sampled_from([0.0, 0.05, 0.3]),
+    "inner_steps": st.integers(1, 2),
+    "timestep_interval": st.sampled_from([(0.0, 1.0), (0.5, 1.0), (0.0, 0.5)]),
+    "block_selector": st.one_of(
+        st.sampled_from(BLOCK_GROUPS),
+        st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+    ),
+    "target_stream": st.sampled_from(STREAM_TAGS),
+    "gradient_normalization": st.booleans(),
+}
+
+
+@st.composite
+def repulsion_lists(draw):
+    """A base config, ``None``, and variants of the base with one knob
+    redrawn to another value, in any order and with repeats; so that many
+    configs fire together and part on one knob."""
+    base = draw(st.builds(RepulsionConfig, **REPULSION_FIELDS))
+    distinct = [base, None]
+    knobs = st.lists(st.sampled_from(sorted(REPULSION_FIELDS)), min_size=2, max_size=4,
+                     unique=True)
+    for name in draw(knobs):
+        value = draw(REPULSION_FIELDS[name].filter(lambda v, name=name: v != getattr(base, name)))
+        distinct.append(dataclasses.replace(base, **{name: value}))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=2))
+    return draw(st.permutations(distinct + repeats))
+
+
+class TestForwardConfigs:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        repulsions=repulsion_lists(),
+        n_seeds=st.sampled_from([None, 1, 3]),
+        batch=st.integers(1, 4),
+        n_dual=st.integers(1, 3),
+        n_single=st.integers(0, 1),
+    )
+    def test_each_config_equals_its_own_walk_bitwise(self, repulsions, n_seeds, batch, n_dual,
+                                                      n_single):
+        cfg = small_config(n_text_tokens=2, n_image_tokens=3, token_dim=4,
+                           n_dual_blocks=n_dual, n_single_blocks=n_single)
+        if n_seeds is None:
+            inputs = (*batch_inputs(cfg, batch), td.init_weights(cfg))
+        else:
+            inputs = seed_stack(cfg, batch, range(n_seeds))[1]
+        shared = td.forward_configs(*inputs, repulsions, step_index=1, total_steps=2)
+        assert len(shared) == len(repulsions)
+        for repulsion, snaps in zip(repulsions, shared):
+            _, own = td.forward_with_hooks(*inputs, repulsion, step_index=1, total_steps=2)
+            assert [(s.block_index, s.stream) for s in snaps] == [
+                (s.block_index, s.stream) for s in own]
+            for one, other in zip(snaps, own):
+                assert one.vectors.shape == other.vectors.shape
+                assert one.vectors.tobytes() == other.vectors.tobytes()
+
+    def test_snapshots_are_read_only_and_shared(self):
+        cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
+        weights = td.init_weights(cfg)
+        prompts, images = batch_inputs(cfg, 3)
+        cfgr = RepulsionConfig(eta=0.04, inner_steps=2, block_selector=(1,),
+                               gradient_normalization=True)
+        repelled, again, plain = td.forward_configs(prompts, images, weights, [cfgr, cfgr, None])
+        # a config's snapshots are its branch's: the plain walk shares block 0
+        assert all(a is b for a, b in zip(repelled, again))
+        assert [a is b for a, b in zip(repelled, plain)] == [True] * 2 + [False] * 4
+        for snap in repelled + plain:
+            with pytest.raises(ValueError, match="read-only"):
+                snap.vectors[..., 0] = 0.0
+        # the final states are copies, and writable
+        finals, snaps = td.forward_with_hooks(prompts, images, weights, cfgr)
+        finals[0].text_tokens[0, 0] = 123.0
+        assert snaps[-2].vectors[0, 0] != 123.0
 
 
 class TestForwardWithHooks:
