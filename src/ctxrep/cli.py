@@ -29,6 +29,7 @@ from .config import (
 )
 from .linalg import (
     ContextBatch,
+    DegenerateVector,
     NonConvergence,
     _row_sums,
     cosine_kernel,
@@ -327,11 +328,15 @@ def _toy_inputs(cfg: ExperimentConfig, seeds: list[tuple[int, int]]):
     Each batch shares one prompt encoding, and its sample i's image noise is
     seeded with ``noise_base + i``.
     """
-    models = [(dataclasses.replace(_toy_config(cfg), weight_seed=w), base) for w, base in seeds]
-    weights = toydit.stack_weights([toydit.init_weights(m) for m, _ in models])
-    prompts = np.stack([toydit.encode_prompt(m, cfg.toy_prompt_id).tokens for m, _ in models])
-    images = np.array([[toydit.seed_image_tokens(m, base + i) for i in range(cfg.toy_batch)]
-                       for m, base in models])
+    model = _toy_config(cfg)
+    models = [dataclasses.replace(model, weight_seed=w) for w, _ in seeds]
+    prompts = np.empty((len(seeds), model.n_text_tokens, model.token_dim))
+    images = np.empty((len(seeds), cfg.toy_batch, model.n_image_tokens, model.token_dim))
+    for s, (seed_model, (_, base)) in enumerate(zip(models, seeds)):
+        prompts[s] = toydit.encode_prompt(seed_model, cfg.toy_prompt_id).tokens
+        for i in range(cfg.toy_batch):
+            images[s, i] = toydit.seed_image_tokens(seed_model, base + i)
+    weights = toydit.stack_weights(models)
     return weights, toydit.PromptEncoding(cfg.toy_prompt_id, prompts), images
 
 
@@ -449,6 +454,10 @@ def _block_group_rows(
     prompts = inputs[1].tokens.reshape(len(seeds), 1, -1)
     # one BLAS dot per row, as np.linalg.norm takes a vector's norm
     prompt_norms = np.sqrt(np.vecdot(prompts, prompts))
+    if not prompt_norms.all():
+        # a prompt with no direction has no similarity to any row
+        seed = seeds[np.flatnonzero(prompt_norms == 0.0)[0]]
+        raise DegenerateVector(f"zero-norm prompt encoding at seed {seed}")
     groups = []
     for repulsion, snapshots in zip(repulsions, _toy_snapshots(cfg, inputs, repulsions)):
         final = [s for s in snapshots if s.stream == "text"][-1]

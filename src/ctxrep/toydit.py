@@ -107,6 +107,26 @@ class StreamSnapshot:
     vectors: np.ndarray
 
 
+def _weight_fill(cfg: ToyDiTConfig) -> np.ndarray:
+    """``cfg``'s (matrices, d, d) fill, drawn from one generator seeded with
+    ``weight_seed``."""
+    d = cfg.token_dim
+    n_matrices = (len(DUAL_MATRIX_NAMES) * cfg.n_dual_blocks
+                  + len(SINGLE_MATRIX_NAMES) * cfg.n_single_blocks)
+    return normal_array(seeded_generator(cfg.weight_seed), (n_matrices, d, d), 1.0 / np.sqrt(d))
+
+
+def _named_weights(cfg: ToyDiTConfig, matrices) -> ModelWeights:
+    """``matrices``, in fill order, named by block (dual first, then single)
+    and within a block in the documented name order."""
+    matrices = iter(matrices)
+    dual = tuple({name: next(matrices) for name in DUAL_MATRIX_NAMES}
+                 for _ in range(cfg.n_dual_blocks))
+    single = tuple({name: next(matrices) for name in SINGLE_MATRIX_NAMES}
+                   for _ in range(cfg.n_single_blocks))
+    return ModelWeights(config=cfg, dual_blocks=dual, single_blocks=single)
+
+
 def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
     """Fill every projection matrix from one generator seeded with ``weight_seed``.
 
@@ -115,40 +135,27 @@ def init_weights(cfg: ToyDiTConfig) -> ModelWeights:
     normal scaled by 1/sqrt(token_dim). The stream is drawn as one
     (matrices, d, d) fill, and each matrix is a C-contiguous (d, d) view of it.
     """
-    d = cfg.token_dim
-    n_matrices = (len(DUAL_MATRIX_NAMES) * cfg.n_dual_blocks
-                  + len(SINGLE_MATRIX_NAMES) * cfg.n_single_blocks)
-    fill = normal_array(seeded_generator(cfg.weight_seed), (n_matrices, d, d), 1.0 / np.sqrt(d))
-    matrices = iter(fill)
-    dual = tuple({name: next(matrices) for name in DUAL_MATRIX_NAMES}
-                 for _ in range(cfg.n_dual_blocks))
-    single = tuple({name: next(matrices) for name in SINGLE_MATRIX_NAMES}
-                   for _ in range(cfg.n_single_blocks))
-    return ModelWeights(config=cfg, dual_blocks=dual, single_blocks=single)
+    return _named_weights(cfg, _weight_fill(cfg))
 
 
-def stack_weights(per_seed: list[ModelWeights]) -> ModelWeights:
-    """One seed stack of ``init_weights`` results: each matrix becomes
-    (S, 1, d, d), slice s holding seed s's fill, so that a (S, B, N, d) state
-    meets its own seed's weights in every sample's matmul. The configs must
-    differ at most in ``weight_seed``; the stack keeps the first seed's config.
+def stack_weights(configs: list[ToyDiTConfig]) -> ModelWeights:
+    """``init_weights`` of each config as one seed stack: each matrix is
+    (S, 1, d, d), slice s holding config s's matrix, so that a (S, B, N, d)
+    state meets its own seed's weights in every sample's matmul.
+
+    Each seed's fill is drawn as ``init_weights`` draws it, into slice s of
+    one (S, matrices, d, d) array, and every matrix is a view of it whose
+    (d, d) slices are C-contiguous. The configs must differ at most in
+    ``weight_seed``; the stack keeps the first seed's config.
     """
-    if not per_seed:
+    if not configs:
         raise DimensionMismatch("cannot stack the weights of no seeds")
-    config = per_seed[0].config
-    for weights in per_seed:
-        if replace(weights.config, weight_seed=config.weight_seed) != config:
+    config = configs[0]
+    for cfg in configs:
+        if replace(cfg, weight_seed=config.weight_seed) != config:
             raise DimensionMismatch("stacked weights must share one model shape")
-
-    def stack(blocks):
-        return tuple({name: np.stack([b[name] for b in group])[:, None] for name in group[0]}
-                     for group in zip(*blocks))
-
-    return ModelWeights(
-        config=config,
-        dual_blocks=stack([w.dual_blocks for w in per_seed]),
-        single_blocks=stack([w.single_blocks for w in per_seed]),
-    )
+    fill = np.stack([_weight_fill(cfg) for cfg in configs])
+    return _named_weights(config, fill[:, :, None].swapaxes(0, 1))
 
 
 def encode_prompt(cfg: ToyDiTConfig, prompt_id: int) -> PromptEncoding:
@@ -165,8 +172,48 @@ def seed_image_tokens(cfg: ToyDiTConfig, noise_seed: int) -> np.ndarray:
 
 
 def _rms_normalize(tokens: np.ndarray) -> np.ndarray:
-    mean_sq = np.mean(tokens * tokens, axis=-1, keepdims=True)
+    # np.mean's sum and true divide, without its dispatch
+    mean_sq = np.add.reduce(tokens * tokens, axis=-1, keepdims=True) / tokens.shape[-1]
     return tokens / np.sqrt(mean_sq + _RMS_EPSILON)
+
+
+# numpy sums a contiguous float row pairwise, in blocks of up to this many
+_PAIRWISE_BLOCK = 128
+
+
+def _column_sums(columns: np.ndarray) -> np.ndarray:
+    """The sum of each column of an (n, m) array, with the bits of
+    ``np.add.reduce`` on that column as a contiguous row, from whole-row adds.
+
+    numpy sums a row of n floats pairwise (Higham 1993): below 8 entries in
+    order; up to 128 in 8 accumulators over strided entries, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest in
+    order; above 128 as the sum of two halves split at ``n // 2`` rounded
+    down to a multiple of 8. Every step here adds whole rows, so every column
+    is summed in that order at once. numpy starts from its identity, so an
+    all-zero row sums to +0.0; the first rows here take ``+ 0.0`` for the
+    same sign.
+    """
+    n = len(columns)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(columns[:half]) + _column_sums(columns[half:])
+    if n < 8:
+        total = columns[0] + 0.0
+        for row in columns[1:]:
+            total += row
+        return total
+    full = n - n % 8
+    acc = columns[:8] + 0.0
+    for start in range(8, full, 8):
+        acc += columns[start:start + 8]
+    # (r0 + r1, r2 + r3, r4 + r5, r6 + r7), then the two pairs of those
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in columns[full:]:
+        total += row
+    return total
 
 
 def _joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
@@ -180,21 +227,33 @@ def _joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) ->
     projections of a seed stack whose weights are (S, 1, d, d)
     (``stack_weights``): the seed axis only adds leading loop axes, and each
     slice of the weight operand is the seed's own C-contiguous (d, d) matrix,
-    as in the solo call. The softmax runs in place on the scores, with the
-    same max shift and the same order of operations as a fresh-array form;
-    every reduction runs along the contiguous last axis, one row at a time.
+    as in the solo call.
+
+    The softmax runs on one key-major (keys, rows) copy of the scores, every
+    query row of the stack a column, so its reductions are elementwise
+    operations on whole key rows rather than one short reduction per query
+    row. A max is the same in any order (but for the sign of a zero, which
+    the exp erases), each row's sum is added in numpy's own pairwise order
+    along that row (``_column_sums``), and every other step is elementwise,
+    so the weights keep the bits of the row-by-row form. They are copied
+    back to (rows, keys) for the second matmul, whose operand layout must
+    stay as it was to keep its bits.
     """
     *lead, n_tokens, dim = q.shape
     head_dim = dim // heads
     qh = q.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
     kh = k.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
     vh = v.reshape(*lead, n_tokens, heads, head_dim).swapaxes(-3, -2)
-    # at stacked sizes the temporaries of an out-of-place softmax are what cost
     scores = qh @ kh.swapaxes(-2, -1)
     scores /= np.sqrt(head_dim)
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    rows = scores.reshape(-1, n_tokens)
+    columns = np.ascontiguousarray(rows.T)
+    columns -= np.maximum.reduce(columns, axis=0)
+    np.exp(columns, out=columns)
+    columns /= _column_sums(columns)
+    # into the scores' own buffer, not a new array: at stacked sizes a new
+    # array's fresh memory pages cost more than the copy
+    rows[...] = columns.T
     out = scores @ vh
     return out.swapaxes(-3, -2).reshape(*lead, n_tokens, dim)
 

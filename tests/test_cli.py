@@ -416,13 +416,14 @@ class TestToyRunCommand:
     def test_one_set_of_weights_for_both_passes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         seeds = []
-        original = cli.toydit.init_weights
+        original = cli.toydit._weight_fill
 
         def counting(model_cfg):
             seeds.append(model_cfg.weight_seed)
             return original(model_cfg)
 
-        monkeypatch.setattr(cli.toydit, "init_weights", counting)
+        # every weight fill, solo or stacked, is drawn here
+        monkeypatch.setattr(cli.toydit, "_weight_fill", counting)
         assert run_command(["toy-run", "--config", str(CONFIG_DIR / "toy.cfg")]) == 0
         assert seeds == [0]
 
@@ -857,16 +858,17 @@ class TestAblateCommand:
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_blocks_axis_error_is_the_first_failing_seeds(self, tmp_path, capsys, monkeypatch):
-        # seed 12 has all-zero tokens, so its text rows have no direction
-        # (DegenerateVector); seed 13 has NaN image tokens. A stacked pass
-        # meets seed 13's NaN first, at the hook's state check, yet the error
-        # reported must be seed 12's, as when each seed ran on its own.
-        planted = {12: 0.0, 13: np.nan}
+        # seed 12 has NaN image tokens, which fail the hook's state check in
+        # the walk; seed 13 has an all-zero prompt encoding, which fails the
+        # prompt check before the walk. A stacked pass meets seed 13's first,
+        # yet the error reported must be seed 12's, as when each seed ran on
+        # its own.
+        planted = {12: np.nan}
         encode, images = cli.toydit.encode_prompt, cli.toydit.seed_image_tokens
 
         def planted_prompt(model_cfg, prompt_id):
             prompt = encode(model_cfg, prompt_id)
-            if model_cfg.weight_seed == 12:  # toy_seed 0 plus seed 12
+            if model_cfg.weight_seed == 13:  # toy_seed 0 plus seed 13
                 return cli.toydit.PromptEncoding(prompt_id, np.zeros_like(prompt.tokens))
             return prompt
 
@@ -888,7 +890,37 @@ class TestAblateCommand:
             assert not out.exists()
         # at --jobs 2 the second worker's chunk holds seeds 12 and 13
         assert pools == [2]
-        assert errors[0] == errors[1] == errors[2] == (2, {"error": "zero-norm sample vector"})
+        assert errors[0] == errors[1] == errors[2] == (
+            2, {"error": "batch entries must be finite"})
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_blocks_axis_names_a_zero_norm_prompt(self, tmp_path, capsys, monkeypatch, jobs):
+        # a prompt with no direction has no similarity to any row: one JSON
+        # error line naming the lowest such seed, no numpy warning, no CSV
+        encode = cli.toydit.encode_prompt
+
+        def zero_prompt(model_cfg, prompt_id):
+            prompt = encode(model_cfg, prompt_id)
+            if model_cfg.weight_seed in (11, 13):  # toy_seed 0 plus the seed
+                return cli.toydit.PromptEncoding(prompt_id, np.zeros_like(prompt.tokens))
+            return prompt
+
+        monkeypatch.setattr(cli.toydit, "encode_prompt", zero_prompt)
+        pools = one_run_per_worker(monkeypatch)
+        for seeds, seed_start, seed in ((4, 10, 11), (1, 13, 13)):
+            cfg = small_gmm_config(tmp_path, seeds=seeds, seed_start=seed_start,
+                                   sweep_block_groups="middle_third,all")
+            out = tmp_path / "blocks.csv"
+            code = run_command(["ablate", "--axis", "blocks", "--config", cfg, "--jobs", jobs,
+                                "--output", str(out)])
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert (code, json.loads(captured.err)) == (
+                2, {"error": f"zero-norm prompt encoding at seed {seed}"})
+            assert not out.exists()
+        # at --jobs 2 each worker's chunk holds one zero prompt
+        assert pools == ([2] if jobs == "2" else [])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_blocks_axis_error_is_the_first_failing_variants(self, tmp_path, capsys, monkeypatch,
@@ -1232,13 +1264,13 @@ class TestUsageErrors:
     def test_toy_batch_below_1_is_named_before_any_weight(self, tmp_path, capsys, monkeypatch,
                                                           argv, toy_batch):
         drawn = []
-        init_weights = cli.toydit.init_weights
+        weight_fill = cli.toydit._weight_fill
 
         def counting(model_cfg):
             drawn.append(model_cfg.weight_seed)
-            return init_weights(model_cfg)
+            return weight_fill(model_cfg)
 
-        monkeypatch.setattr(cli.toydit, "init_weights", counting)
+        monkeypatch.setattr(cli.toydit, "_weight_fill", counting)
         monkeypatch.chdir(tmp_path)
         cfg = small_gmm_config(tmp_path, toy_batch=toy_batch, output="blocks.csv")
         assert run_command(argv + ["--config", cfg]) == 2
@@ -1254,13 +1286,13 @@ class TestUsageErrors:
     def test_toy_step_index_out_of_range_is_named_before_any_weight(
             self, tmp_path, capsys, monkeypatch, argv, step, total):
         drawn = []
-        init_weights = cli.toydit.init_weights
+        weight_fill = cli.toydit._weight_fill
 
         def counting(model_cfg):
             drawn.append(model_cfg.weight_seed)
-            return init_weights(model_cfg)
+            return weight_fill(model_cfg)
 
-        monkeypatch.setattr(cli.toydit, "init_weights", counting)
+        monkeypatch.setattr(cli.toydit, "_weight_fill", counting)
         monkeypatch.chdir(tmp_path)
         cfg = small_gmm_config(tmp_path, seeds=10, toy_step_index=step, toy_total_steps=total,
                                output="blocks.csv")
@@ -1286,7 +1318,7 @@ class TestUsageErrors:
                                                       axis, settings, key):
         flows = []
         integrate = gmmflow._integrate
-        init_weights = cli.toydit.init_weights
+        weight_fill = cli.toydit._weight_fill
 
         def counting(*args, **kwargs):
             flows.append(args[3])
@@ -1294,10 +1326,10 @@ class TestUsageErrors:
 
         def counting_weights(model_cfg):
             flows.append(model_cfg.weight_seed)
-            return init_weights(model_cfg)
+            return weight_fill(model_cfg)
 
         monkeypatch.setattr(gmmflow, "_integrate", counting)
-        monkeypatch.setattr(cli.toydit, "init_weights", counting_weights)
+        monkeypatch.setattr(cli.toydit, "_weight_fill", counting_weights)
         cfg = small_gmm_config(tmp_path, seeds=40, **settings)
         out = tmp_path / "sweep.csv"
         assert run_command(["ablate", "--axis", axis, "--config", cfg, "--output", str(out)]) == 2
@@ -1500,6 +1532,10 @@ GOLDEN_CLI_SPLITMIX64 = {
 }
 
 
+# sha256 of ``ablate --axis blocks`` on collapse.cfg at 5 seeds, --jobs 1.
+GOLDEN_BENCHMARK_BLOCKS = "b96feb91e5652a0ef1c595d4830c7d3d75df1c9da784a38b8ac35870785b53ab"
+
+
 def command_digests(tmp_path, capsys, names=None) -> dict:
     """sha256 of the stdout and output files of each golden case in ``names``, or of all."""
     out = tmp_path / "out"
@@ -1529,3 +1565,20 @@ class TestGoldenOutputs:
         patch_splitmix64(monkeypatch)
         names = {name for name, _ in GOLDEN_CLI_SPLITMIX64}
         assert command_digests(tmp_path, capsys, names) == GOLDEN_CLI_SPLITMIX64
+
+    def test_blocks_sweep_on_the_benchmark_toy_shape(self, tmp_path, capsys):
+        # collapse.cfg's toy model, as the toy-blocks benchmark runs it: 4 dual
+        # and 2 single blocks, toy_batch 4, the four shipped groups, 5 seeds
+        shipped = (CONFIG_DIR / "collapse.cfg").read_text().splitlines(keepends=True)
+        path = tmp_path / "collapse5.cfg"
+        path.write_text("".join(line for line in shipped if not line.startswith("seeds "))
+                        + "seeds = 5\n")
+        cfg = load_config(str(path))
+        assert (cfg.toy_dual_blocks, cfg.toy_single_blocks, cfg.toy_batch) == (4, 2, 4)
+        assert cfg.sweep_block_groups == ("first_third", "middle_third", "last_third", "all")
+        out = tmp_path / "sweep.csv"
+        assert run_command(["ablate", "--axis", "blocks", "--config", str(path),
+                            "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        # recorded before the key-major softmax and the in-place seed stacks
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BENCHMARK_BLOCKS

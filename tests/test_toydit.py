@@ -30,13 +30,13 @@ def seed_stack(cfg, batch, weight_seeds):
     """Each weight seed's solo (prompts, images, weights), with image noise
     from 1000 * i on, and the same inputs as one seed stack."""
     solo = []
-    for i, seed in enumerate(weight_seeds):
-        seed_cfg = dataclasses.replace(cfg, weight_seed=seed)
+    seed_cfgs = [dataclasses.replace(cfg, weight_seed=seed) for seed in weight_seeds]
+    for i, seed_cfg in enumerate(seed_cfgs):
         prompts, images = batch_inputs(seed_cfg, batch, noise_base=1000 * i)
         solo.append((prompts, images, td.init_weights(seed_cfg)))
     prompt = td.PromptEncoding(0, np.stack([prompts[0].tokens for prompts, _, _ in solo]))
     images = np.stack([images for _, images, _ in solo])
-    weights = td.stack_weights([weights for _, _, weights in solo])
+    weights = td.stack_weights(seed_cfgs)
     return solo, ([prompt] * batch, images, weights)
 
 
@@ -192,6 +192,34 @@ class TestJointAttention:
                 solo = td._joint_attention(q[index], k[index], v[index], heads)
                 assert solo.tobytes() == got[index].tobytes()
 
+    # each branch of numpy's pairwise sum: plain below 8 entries, 8
+    # accumulators and a remainder up to 128, split halves above
+    @pytest.mark.parametrize("n_tokens", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 257])
+    def test_every_pairwise_branch_matches_the_row_form(self, n_tokens):
+        rng = np.random.default_rng(n_tokens)
+        lead, dim = (2,), 4
+        q, k, v = (3.0 * rng.standard_normal((*lead, n_tokens, dim)) for _ in range(3))
+        for heads in (1, 2):
+            got = td._joint_attention(q, k, v, heads)
+            assert got.tobytes() == out_of_place_attention(q, k, v, heads).tobytes()
+            for index in np.ndindex(*lead):
+                solo = td._joint_attention(q[index], k[index], v[index], heads)
+                assert solo.tobytes() == got[index].tobytes()
+                want = out_of_place_attention(q[index], k[index], v[index], heads)
+                assert solo.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 127, 128, 129, 136, 255, 256, 257, 1000])
+    def test_column_sums_are_numpys_row_sums(self, n):
+        rng = np.random.default_rng(n)
+        # magnitudes over 60 decades, so that any other order moves bits
+        rows = rng.standard_normal((5, n)) * np.exp(rng.uniform(-70.0, 70.0, (5, n)))
+        rows[1] = -0.0
+        rows[2, ::2] = 0.0
+        rows[2, 1::2] = -0.0
+        rows[3, ::3] = -0.0
+        got = td._column_sums(np.ascontiguousarray(rows.T))
+        assert got.tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+
     def test_forward_makes_no_einsum_call(self, monkeypatch):
         # an ellipsis einsum takes about 6x the time of the stacked matmuls here
         def refuse(*args, **kwargs):
@@ -306,9 +334,10 @@ class TestSeedStack:
 
     def test_stack_weights_keeps_each_seeds_fill(self):
         cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
-        per_seed = [td.init_weights(dataclasses.replace(cfg, weight_seed=s)) for s in (3, 9)]
-        stacked = td.stack_weights(per_seed)
-        assert stacked.config == per_seed[0].config
+        configs = [dataclasses.replace(cfg, weight_seed=s) for s in (3, 9)]
+        per_seed = [td.init_weights(seed_cfg) for seed_cfg in configs]
+        stacked = td.stack_weights(configs)
+        assert stacked.config == configs[0]
         for blocks, names in ((lambda w: w.dual_blocks, td.DUAL_MATRIX_NAMES),
                               (lambda w: w.single_blocks, td.SINGLE_MATRIX_NAMES)):
             assert len(blocks(stacked)) == len(blocks(per_seed[0]))
@@ -317,13 +346,13 @@ class TestSeedStack:
                 for name in names:
                     assert block[name].shape == (2, 1, cfg.token_dim, cfg.token_dim)
                     for s, weights in enumerate(per_seed):
-                        assert np.array_equal(block[name][s, 0], blocks(weights)[b][name])
+                        solo = blocks(weights)[b][name]
+                        assert block[name][s, 0].flags.c_contiguous
+                        assert block[name][s, 0].tobytes() == solo.tobytes()
 
     def test_stack_weights_rejects_mixed_model_shapes(self):
-        a = td.init_weights(small_config())
-        b = td.init_weights(small_config(n_single_blocks=1, weight_seed=1))
         with pytest.raises(td.DimensionMismatch):
-            td.stack_weights([a, b])
+            td.stack_weights([small_config(), small_config(n_single_blocks=1, weight_seed=1)])
 
     def test_stack_weights_rejects_an_empty_stack(self):
         with pytest.raises(td.DimensionMismatch, match="no seeds"):
