@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -168,28 +167,28 @@ def _toy_config(cfg: ExperimentConfig) -> toydit.ToyDiTConfig:
 
 def _simulate_seeds(variants: list[ExperimentConfig], run_ids: range) -> list[list[dict]]:
     """For each variant config, the records of runs ``run_ids`` (seed
-    ``seed_start + run_id``) of its method, sampled as one seed block."""
-    per_variant = []
-    for cfg in variants:
-        world = _world_from_config(cfg)
-        prompts = gmmflow.one_hot_prompts(
-            world, cfg.batch_size, mode=cfg.prompt_mode, strength=cfg.prompt_strength
+    ``seed_start + run_id``) of its method. The variants differ at most in
+    batch size and intervals, and run as the segments of one seed block."""
+    cfg = variants[0]
+    world = _world_from_config(cfg)
+    repulsion = {"contextual": repulsion_from_config, "latent": latent_repulsion_from_config}
+    segments = [
+        gmmflow.Segment(
+            gmmflow.one_hot_prompts(world, v.batch_size, mode=v.prompt_mode,
+                                    strength=v.prompt_strength),
+            repulsion[v.method](v) if v.method in repulsion else None,
+            v.cads_interval,
         )
-        kwargs = {}
-        if cfg.method == "contextual":
-            kwargs["repulsion"] = repulsion_from_config(cfg)
-        elif cfg.method == "latent":
-            kwargs["repulsion"] = latent_repulsion_from_config(cfg)
-        elif cfg.method == "cads":
-            kwargs["cads"] = _cads_from_config(cfg)
-            kwargs["cads_interval"] = cfg.cads_interval
-        seeds = [cfg.seed_start + i for i in run_ids]
-        metrics = gmmflow.evaluate_seed_block(world, prompts, cfg.method, seeds=seeds, **kwargs)
-        per_variant.append([
-            {"run_id": run_id, "seed": seed, "method": cfg.method, **m.as_dict()}
-            for run_id, seed, m in zip(run_ids, seeds, metrics)
-        ])
-    return per_variant
+        for v in variants
+    ]
+    cads = _cads_from_config(cfg) if cfg.method == "cads" else None
+    seeds = [cfg.seed_start + i for i in run_ids]
+    per_segment = gmmflow.evaluate_segments(world, segments, cfg.method, seeds=seeds, cads=cads)
+    return [
+        [{"run_id": run_id, "seed": seed, "method": cfg.method, **m.as_dict()}
+         for run_id, seed, m in zip(run_ids, seeds, metrics)]
+        for metrics in per_segment
+    ]
 
 
 def _seed_by_seed_on_failure(run, variants: list, run_ids: range):
@@ -232,6 +231,10 @@ def _sweep(cfg: ExperimentConfig, variants: list, run) -> list:
     chunks = [range(k * seeds // workers, (k + 1) * seeds // workers) for k in range(workers)]
     task = functools.partial(_seed_by_seed_on_failure, run, variants)
     if workers > 1:
+        # imported here: the pool module and its multiprocessing imports are
+        # the costliest part of importing the CLI
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(task, chunks))
     else:

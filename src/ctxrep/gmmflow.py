@@ -15,15 +15,21 @@ enriched logits and its deltas persist in the context state, latent repulsion
 acts on the positions directly, and the noise-injection baseline corrupts the
 prompt upstream with an annealed schedule.
 
-The step helpers take any leading axes, so :func:`sample_seed_block` runs a
-block of seeds as one array program on (S, B, .) states, each seed bit for
-bit its own :func:`sample_batch` run, and :func:`evaluate_seed_block` scores
-the block's (S, B, 2) finals in one pass, each seed bit for bit its own
-:func:`evaluate`.
+One integrator runs every sampler entry point. It advances segments, batches
+of any sizes that share the world, the method and the seeds, side by side on
+the batch axis of one (S, B_1 + ... + B_V, .) state for S seeds. Each
+segment has its own prompts and windows; the steps are elementwise or reduce
+over the mode axis row by row, and the interventions act on each segment's
+own columns, so each segment at each seed is bit for bit its own
+:func:`sample_batch` run. :func:`sample_seed_block` and
+:func:`evaluate_seed_block` are the one-segment case, and
+:func:`evaluate_segments` scores each segment's (S, B, 2) finals in one pass,
+each seed bit for bit its own :func:`evaluate`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,6 +150,18 @@ class CadsParams:
         if t >= self.tau2:
             return 0.0
         return (self.tau2 - t) / (self.tau2 - self.tau1)
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One batch of a segmented run: its (B, M) prompts, the repulsion config
+    whose window gates ``contextual`` and ``latent``, and the window of
+    ``cads``. The segments of a run share the world, the method, the cads
+    params and the seeds; each is the run :func:`sample_batch` makes of it."""
+
+    prompts: np.ndarray
+    repulsion: RepulsionConfig | None = None
+    cads_interval: tuple[float, float] = (0.0, 1.0)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -299,10 +317,57 @@ def sample_batch(
     after the method intervention; they see (B, 2) latents and (B, M)
     contexts.
     """
-    prompts = _checked_prompts(world, prompts, method, repulsion, cads_interval)
-    return _trajectories(*_integrate(
-        world, prompts, method, [seed], repulsion, cads, cads_interval, context_hook, latent_hook
-    ))
+    segment = _checked_segment(world, Segment(prompts, repulsion, cads_interval), method)
+    times, latents, contexts = _integrate(
+        world, [segment], method, [seed], cads, context_hook, latent_hook
+    )
+    return _trajectories(times, latents[:, 0], contexts[:, 0])
+
+
+def sample_segments(
+    world: MixtureWorld,
+    segments: list[Segment],
+    method: str = "none",
+    *,
+    seeds,
+    cads: CadsParams | None = None,
+) -> list[list[list[SampleTrajectory]]]:
+    """The trajectories of each of ``segments`` at each of ``seeds``, run as
+    one array program on (S, B_1 + ... + B_V, .) states.
+
+    Each segment keeps its own noise streams, and each repulsion acts on its
+    own segment, so entry [v][s] is bit for bit ``sample_batch`` of segment v
+    at ``seeds[s]``. A non-finite state or an overflow in any segment at any
+    seed raises, as a solo call of that run would.
+    """
+    seeds = list(seeds)
+    run = _segment_run(world, segments, method, seeds, cads)
+    if run is None:
+        return [[] for _ in segments]
+    times, latents, contexts, columns = run
+    return [
+        [_trajectories(times, latents[:, s, cols], contexts[:, s, cols])
+         for s in range(len(seeds))]
+        for cols in columns
+    ]
+
+
+def evaluate_segments(
+    world: MixtureWorld,
+    segments: list[Segment],
+    method: str = "none",
+    *,
+    seeds,
+    cads: CadsParams | None = None,
+) -> list[list[RunMetrics]]:
+    """:func:`evaluate` of each entry of :func:`sample_segments`, bit for bit,
+    each segment scored in one pass over its (S, B, 2) finals without
+    building a trajectory per sample."""
+    run = _segment_run(world, segments, method, list(seeds), cads)
+    if run is None:
+        return [[] for _ in segments]
+    finals, columns = run[1][-1], run[3]
+    return [_score_finals(world, finals[:, cols]) for cols in columns]
 
 
 def sample_seed_block(
@@ -316,19 +381,16 @@ def sample_seed_block(
     cads_interval: tuple[float, float] = (0.0, 1.0),
 ) -> list[list[SampleTrajectory]]:
     """:func:`sample_batch` at each of ``seeds`` on the same (B, M) prompts,
-    run as one array program on (S, B, 2) latents and (S, B, M) contexts.
+    run as one array program on (S, B, 2) latents and (S, B, M) contexts:
+    the one-segment case of :func:`sample_segments`.
 
     Each seed keeps its own noise streams, and each repulsion normalizes
     per seed, so entry s is bit for bit ``sample_batch(..., seed=seeds[s])``.
     A non-finite state or an overflow in any seed raises, as a solo call of
     that seed would.
     """
-    seeds = list(seeds)
-    run = _seed_block(world, prompts, method, seeds, repulsion, cads, cads_interval)
-    if run is None:
-        return []
-    times, latents, contexts = run
-    return [_trajectories(times, latents[:, s], contexts[:, s]) for s in range(len(seeds))]
+    segment = Segment(prompts, repulsion, cads_interval)
+    return sample_segments(world, [segment], method, seeds=seeds, cads=cads)[0]
 
 
 def evaluate_seed_block(
@@ -344,36 +406,47 @@ def evaluate_seed_block(
     """:func:`evaluate` of each entry of :func:`sample_seed_block`, bit for
     bit, scored in one pass over the block's (S, B, 2) finals without
     building a trajectory per sample."""
-    run = _seed_block(world, prompts, method, list(seeds), repulsion, cads, cads_interval)
-    return [] if run is None else _score_finals(world, run[1][-1])
+    segment = Segment(prompts, repulsion, cads_interval)
+    return evaluate_segments(world, [segment], method, seeds=seeds, cads=cads)[0]
 
 
-def _seed_block(world, prompts, method, seeds: list, repulsion, cads, cads_interval):
-    """The times, latents and contexts of ``seeds`` on the same checked
-    prompts, as one run on (S, B, .) states; None for no seeds."""
-    prompts = _checked_prompts(world, prompts, method, repulsion, cads_interval)
-    if not seeds:
+def _segment_run(world, segments, method, seeds: list, cads):
+    """The times, latents and contexts of the checked ``segments`` at
+    ``seeds``, and the columns of each segment; None for no seeds or no
+    segments."""
+    segments = [_checked_segment(world, segment, method) for segment in segments]
+    if not seeds or not segments:
         return None
-    stacked = np.broadcast_to(prompts, (len(seeds),) + prompts.shape).copy()
-    return _integrate(world, stacked, method, seeds, repulsion, cads, cads_interval)
+    times, latents, contexts = _integrate(world, segments, method, seeds, cads)
+    return times, latents, contexts, _columns(segments)
 
 
-def _checked_prompts(world: MixtureWorld, prompts, method: str, repulsion,
-                     cads_interval: tuple[float, float]) -> np.ndarray:
+def _checked_segment(world: MixtureWorld, segment: Segment, method: str) -> Segment:
+    """``segment`` with its prompts copied to a float array, once they and
+    the windows ``method`` reads are checked."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "cads":
-        check_interval(cads_interval, "cads")
-    prompts = np.array(prompts, dtype=float)
+        check_interval(segment.cads_interval, "cads")
+    prompts = np.array(segment.prompts, dtype=float)
     if prompts.ndim != 2 or prompts.shape[1] != world.n_modes:
         raise ValueError(f"prompts must have shape (B, {world.n_modes})")
     if prompts.shape[0] < 1:
         raise ValueError("prompts must hold at least one sample")
     if not np.all(np.isfinite(prompts)):
         raise ValueError("prompt entries must be finite")
-    if method in ("contextual", "latent") and repulsion is None:
+    if method in ("contextual", "latent") and segment.repulsion is None:
         raise ValueError(f"method {method!r} requires a repulsion config")
-    return prompts
+    return dataclasses.replace(segment, prompts=prompts)
+
+
+def _columns(segments: list[Segment]) -> list[slice]:
+    """Each segment's columns on the batch axis of a segmented state."""
+    columns, end = [], 0
+    for segment in segments:
+        start, end = end, end + len(segment.prompts)
+        columns.append(slice(start, end))
+    return columns
 
 
 def _normals(rngs: list, shape: tuple[int, ...]) -> np.ndarray:
@@ -385,21 +458,55 @@ def _normals(rngs: list, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
-               context_hook=None, latent_hook=None):
-    """The sampler loop on prompts of shape (B, M) for one seed or (S, B, M)
-    for S seeds; returns the times and the (T + 1, ..., B, .) latents and
-    contexts."""
+def _steps_in(interval: tuple[float, float], t_steps: int) -> list[bool]:
+    return [fraction_in_interval(j, t_steps, interval) for j in range(t_steps)]
+
+
+def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_hook=None):
+    """The sampler loop on checked ``segments`` side by side at S ``seeds``,
+    as (S, B_1 + ... + B_V, .) states, or (B_1 + ... + B_V, .) for one seed;
+    returns the times and the (T + 1, S, B_1 + ... + B_V, .) latents and
+    contexts.
+
+    Each step, everything but the interventions runs once on the whole state:
+    every operation there is elementwise or reduces over the mode axis row by
+    row, so each row gets the bits it gets in a solo run. Each segment draws
+    its initial latents and its cads noise from its own generators, and is
+    repelled and corrupted on its own columns, as a solo run. The hooks see
+    the state of a one-seed run, (B, 2) latents and (B, M) contexts for one
+    segment.
+    """
     check_seeds(seeds)
     t_steps = world.n_steps
-    z = _normals([np.random.default_rng(seed) for seed in seeds], prompts.shape[:-1] + (2,))
-    if method == "cads":
+    # a lone seed runs without the seed axis, which would cost on every step
+    lead = (len(seeds),) if len(seeds) > 1 else ()
+    slices = _columns(segments)
+    columns = [(..., cols, slice(None)) for cols in slices]
+    prompts = np.empty(lead + (slices[-1].stop, world.n_modes))
+    z = np.empty(prompts.shape[:-1] + (2,))
+    for seg, cols in zip(segments, columns):
+        prompts[cols] = seg.prompts
+        z[cols] = _normals([np.random.default_rng(seed) for seed in seeds], z[cols].shape)
+    context_state = prompts.copy()
+
+    # the segments each method intervenes on, by step; steps without any are left out
+    repelled, corrupted = {}, {}
+    if method in ("contextual", "latent"):
+        for seg, cols in zip(segments, columns):
+            for j, inside in enumerate(_steps_in(seg.repulsion.timestep_interval, t_steps)):
+                if inside:
+                    repelled.setdefault(j, []).append((cols, seg.repulsion))
+    elif method == "cads":
         cads = CadsParams() if cads is None else cads
-        cads_rngs = [np.random.default_rng(derive_seed(seed, _CADS_SALT)) for seed in seeds]
         # fixed for the run: the row mean and std that the psi rescaling restores
         prompt_mean, _, prompt_std = _row_moments(prompts)
+        for seg, cols in zip(segments, columns):
+            rngs = [np.random.default_rng(derive_seed(seed, _CADS_SALT)) for seed in seeds]
+            fixed = (cols, rngs, prompts[cols], prompt_mean[cols], prompt_std[cols])
+            for j, inside in enumerate(_steps_in(seg.cads_interval, t_steps)):
+                if inside:
+                    corrupted.setdefault(j, []).append(fixed)
 
-    context_state = prompts.copy()
     times = 1.0 - np.arange(t_steps + 1) / t_steps
     # step j departs from t_j and takes its responsibilities at the arrival
     # time max(t_{j+1}, t_{T-1}); row j holds (1 - t) mu at both times, so one
@@ -416,25 +523,26 @@ def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
         for j in range(t_steps):
             t = times[j]
             dt = times[j] - times[j + 1]
-            in_window = repulsion is not None and fraction_in_interval(
-                j, t_steps, repulsion.timestep_interval
-            )
 
-            if method == "latent" and in_window:
-                z = repulse(ContextBatch(z), repulsion).vectors
+            if method == "latent":
+                for cols, repulsion in repelled.get(j, ()):
+                    z[cols] = repulse(ContextBatch(z[cols]), repulsion).vectors
             if latent_hook is not None:
                 z = latent_hook(j, t, z)
             diff, sq = _offsets(z, centers[j])
 
             base = context_state
-            if method == "cads" and fraction_in_interval(j, t_steps, cads_interval):
-                noise = _normals(cads_rngs, prompts.shape)
-                base = _cads_corrupt(prompts, prompt_mean, prompt_std, t, cads, noise)
+            if j in corrupted:
+                base = context_state.copy()
+                for cols, rngs, seg_prompts, mean, std in corrupted[j]:
+                    noise = _normals(rngs, seg_prompts.shape)
+                    base[cols] = _cads_corrupt(seg_prompts, mean, std, t, cads, noise)
             effective = base + world.feedback_scale * _feedback(sq[..., 0, :])
-            if method == "contextual" and in_window:
-                repelled = repulse(ContextBatch(effective), repulsion).vectors
-                context_state = context_state + (repelled - effective)
-                effective = repelled
+            if method == "contextual":
+                for cols, repulsion in repelled.get(j, ()):
+                    moved = repulse(ContextBatch(effective[cols]), repulsion).vectors
+                    context_state[cols] += moved - effective[cols]
+                    effective[cols] = moved
             if context_hook is not None:
                 effective = context_hook(j, t, effective)
 
@@ -447,6 +555,8 @@ def _integrate(world, prompts, method, seeds, repulsion, cads, cads_interval,
             latents[j + 1] = z
 
     contexts[t_steps] = contexts[t_steps - 1]
+    if not lead:
+        return times, latents[:, None], contexts[:, None]
     return times, latents, contexts
 
 

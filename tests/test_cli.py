@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -51,15 +52,18 @@ def small_gmm_config(tmp_path, **extra):
 
 
 def recorded_pools(monkeypatch) -> list:
-    """The worker count of every process pool the CLI starts from now on."""
+    """The worker count of every process pool the CLI starts from now on.
+
+    The CLI imports the pool class only where it starts one, so the class is
+    replaced where that import finds it."""
     pools = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
 
 
@@ -101,6 +105,20 @@ def write_rows(path, rows) -> None:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def mixture_sweep_rows(cfg: ExperimentConfig, axis: str, field: str) -> list[dict]:
+    """The rows of ``ablate --axis batch|timestep`` from seed-by-seed
+    ``simulation_record`` runs, each sweep value set on ``field`` alone."""
+    rows = []
+    for value in getattr(cfg, "sweep_batch_sizes" if axis == "batch" else "sweep_intervals"):
+        variant = dataclasses.replace(cfg, **{field: value})
+        label = str(value) if axis == "batch" else f"{value[0]:g}:{value[1]:g}"
+        for i in range(cfg.seeds):
+            record = simulation_record(variant, cfg.method, i)
+            rows.append({"axis": axis, "value": label, "seed": record["seed"],
+                         **{k: record[k] for k in list(record)[3:]}})
+    return rows
 
 
 def config_text(value, kind) -> str:
@@ -742,18 +760,80 @@ class TestAblateCommand:
         assert pools == [2]
         assert outputs[0] == outputs[1]
 
-        loaded = load_config(cfg)
-        rows = []
-        for value in getattr(loaded, "sweep_batch_sizes" if axis == "batch" else "sweep_intervals"):
-            variant = dataclasses.replace(loaded, **{field: value})
-            label = str(value) if axis == "batch" else f"{value[0]:g}:{value[1]:g}"
-            for i in range(loaded.seeds):
-                record = simulation_record(variant, loaded.method, i)
-                rows.append({"axis": axis, "value": label, "seed": record["seed"],
-                             **{k: record[k] for k in list(record)[3:]}})
         reference = tmp_path / "reference.csv"
-        write_rows(reference, rows)
+        write_rows(reference, mixture_sweep_rows(load_config(cfg), axis, field))
         assert outputs[0] == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "axis, field, settings",
+        [
+            ("batch", "batch_size", {"sweep_batch_sizes": "1,3,3", "method": "contextual"}),
+            ("timestep", "cads_interval", {
+                "sweep_intervals": "0:0.25,0.25:0.5,0.5:0.75,0.75:1,0:1", "method": "cads"}),
+        ],
+    )
+    def test_mixture_axes_run_one_flow_per_seed_chunk(self, tmp_path, monkeypatch, axis, field,
+                                                      settings):
+        # every batch size or window of a chunk, a size of 1 and a repeated
+        # size included, advances as a segment of one stacked flow, not one
+        # flow per sweep value, and each keeps its seed-by-seed bits
+        flows = []
+        integrate = gmmflow._integrate
+
+        def counting(world, segments, method, seeds, *args):
+            flows.append(([len(segment.prompts) for segment in segments], list(seeds)))
+            return integrate(world, segments, method, seeds, *args)
+
+        monkeypatch.setattr(gmmflow, "_integrate", counting)
+        cfg = small_gmm_config(tmp_path, seeds=3, seed_start=4, **settings)
+        out = tmp_path / f"{axis}.csv"
+        assert run_command(["ablate", "--axis", axis, "--config", cfg, "--output", str(out)]) == 0
+        sizes = [1, 3, 3] if axis == "batch" else [4] * 5
+        assert flows == [(sizes, [4, 5, 6])]
+        reference = tmp_path / "reference.csv"
+        write_rows(reference, mixture_sweep_rows(load_config(cfg), axis, field))
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_axis_error_is_the_first_failing_seeds_first_variant(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        # seed 11 fails at both batch sizes: at size 3 only when scored, at
+        # size 5 in repulse at step 0, which the flow shared by both sizes
+        # meets first; seed 12 fails at size 5 alone. The error must be seed
+        # 11's at size 3, the first value in sweep order, as when each run
+        # ran alone.
+        running = []
+        check_seeds, repulse, score = gmmflow.check_seeds, gmmflow.repulse, gmmflow._score_finals
+
+        def recording(seeds):
+            check_seeds(seeds)
+            running[:] = seeds
+
+        def overflowing(batch, repulsion):
+            failing = [seed for seed in running if seed in (11, 12)]
+            if batch.batch_size == 5 and failing:
+                raise NumericOverflow(f"planted overflow at seed {failing[0]}")
+            return repulse(batch, repulsion)
+
+        def unscorable(world, finals):
+            if finals.shape[1] == 3 and 11 in running:
+                raise ValueError("planted scoring failure at seed 11")
+            return score(world, finals)
+
+        monkeypatch.setattr(gmmflow, "check_seeds", recording)
+        monkeypatch.setattr(gmmflow, "repulse", overflowing)
+        monkeypatch.setattr(gmmflow, "_score_finals", unscorable)
+        pools = one_run_per_worker(monkeypatch)
+        cfg = small_gmm_config(tmp_path, seeds=4, seed_start=10, method="contextual",
+                               sweep_batch_sizes="3,5")
+        out = tmp_path / "batch.csv"
+        code = run_command(["ablate", "--axis", "batch", "--config", cfg, "--jobs", jobs,
+                            "--output", str(out)])
+        assert (code, json.loads(capsys.readouterr().err)) == (
+            2, {"error": "planted scoring failure at seed 11"})
+        assert not out.exists()
+        # at --jobs 2 the second worker's chunk holds seed 12's overflow
+        assert pools == ([2] if jobs == "2" else [])
 
     def test_mixture_axis_error_is_the_lowest_failing_seeds(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -1108,6 +1188,14 @@ class TestModuleEntryPoint:
 
     def test_cli_module_runs_too(self):
         assert self.run_module("ctxrep.cli").returncode == 2
+
+    def test_import_leaves_the_process_pool_unimported(self):
+        # concurrent.futures.process, with multiprocessing and logging, is
+        # imported only where a pool starts
+        result = self.run_python(
+            "-c", "import sys, ctxrep.cli; print('concurrent.futures' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     @pytest.mark.parametrize(
         "argv", [["simulate", "--method", "cads"], ["ablate", "--axis", "batch"]]
@@ -1536,6 +1624,14 @@ GOLDEN_CLI_SPLITMIX64 = {
 GOLDEN_BENCHMARK_BLOCKS = "b96feb91e5652a0ef1c595d4830c7d3d75df1c9da784a38b8ac35870785b53ab"
 
 
+# sha256 of ``ablate --axis batch`` on ablate_batch.cfg at the batch-sweep
+# benchmark's 5-seed block, and of ``ablate --axis timestep`` on
+# ablate_timestep.cfg as shipped, --jobs 1; recorded when each sweep value
+# ran its own flow.
+GOLDEN_ABLATE_BATCH_BLOCK = "3f99154522df3b17518589a0524e0a37b6d2baadddf5ecf41ce86849412070f2"
+GOLDEN_ABLATE_TIMESTEP = "4d94bc306cdcc92ee0dce1a86a49382afd4afa7017c76872afa6573e41c9108d"
+
+
 def command_digests(tmp_path, capsys, names=None) -> dict:
     """sha256 of the stdout and output files of each golden case in ``names``, or of all."""
     out = tmp_path / "out"
@@ -1582,3 +1678,23 @@ class TestGoldenOutputs:
         assert capsys.readouterr() == ("", "")
         # recorded before the key-major softmax and the in-place seed stacks
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BENCHMARK_BLOCKS
+
+    @pytest.mark.parametrize(
+        "axis, name, settings, digest",
+        [
+            ("batch", "ablate_batch.cfg", {"seeds": 5}, GOLDEN_ABLATE_BATCH_BLOCK),
+            ("timestep", "ablate_timestep.cfg", {}, GOLDEN_ABLATE_TIMESTEP),
+        ],
+    )
+    def test_shipped_mixture_sweeps(self, tmp_path, capsys, axis, name, settings, digest):
+        path = tmp_path / name
+        shipped = (CONFIG_DIR / name).read_text().splitlines(keepends=True)
+        path.write_text(
+            "".join(line for line in shipped if line.partition(" =")[0] not in settings)
+            + "".join(f"{k} = {v}\n" for k, v in settings.items())
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_command(["ablate", "--axis", axis, "--config", str(path),
+                            "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxrep.gmmflow as gf
@@ -457,6 +457,73 @@ class TestStackedScoring:
         trajectories[1].latents[-1, 0] = np.nan
         with pytest.raises(ValueError, match="^batch entries must be finite$"):
             gf.evaluate(trajectories, world)
+
+
+# With 8 steps: the first two, the middle four, the last half, all, and none
+# (step 7 sits at 0.875).
+SEGMENT_WINDOWS = [(0.0, 0.25), (0.25, 0.75), (0.5, 1.0), (0.0, 1.0), (0.9, 1.0)]
+
+
+def segment_of(method: str, size: int, mode: int, window) -> gf.Segment:
+    """A one-hot segment of ``size`` samples whose method reads ``window``."""
+    world = gf.MixtureWorld(n_modes=5)
+    prompts = gf.one_hot_prompts(world, size, mode=mode, strength=4.0)
+    if method in ("contextual", "latent"):
+        base = METHOD_KWARGS[method]["repulsion"]
+        return gf.Segment(prompts, dataclasses.replace(base, timestep_interval=window))
+    return gf.Segment(prompts, cads_interval=window)
+
+
+class TestSegments:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(gf.METHODS),
+        layout=st.lists(
+            st.tuples(st.integers(1, 16), st.integers(0, 4), st.sampled_from(SEGMENT_WINDOWS)),
+            min_size=1, max_size=4,
+        ),
+        seeds=st.sampled_from([1, 3]).flatmap(
+            lambda n: st.lists(st.integers(0, 2**31), min_size=n, max_size=n)
+        ),
+    )
+    @example(method="contextual", seeds=[5, 0, 5], layout=[
+        (1, 0, (0.0, 0.25)), (16, 0, (0.9, 1.0)), (3, 2, (0.0, 1.0)), (1, 0, (0.0, 1.0)),
+    ])
+    def test_each_segment_runs_as_its_own_batch(self, method, layout, seeds):
+        # every segment's latents, contexts and metrics have the bits of its
+        # own run, whatever the other segments' sizes, prompts and windows
+        world = gf.MixtureWorld(n_modes=5, n_steps=8)
+        cads = METHOD_KWARGS["cads"]["cads"]
+        segments = [segment_of(method, *entry) for entry in layout]
+        runs = gf.sample_segments(world, segments, method, seeds=seeds, cads=cads)
+        metrics = gf.evaluate_segments(world, segments, method, seeds=seeds, cads=cads)
+        assert [len(r) for r in runs] == [len(m) for m in metrics] == [len(seeds)] * len(layout)
+        for segment, seg_runs, seg_metrics in zip(segments, runs, metrics):
+            kwargs = {"repulsion": segment.repulsion, "cads": cads,
+                      "cads_interval": segment.cads_interval}
+            for seed, run, record in zip(seeds, seg_runs, seg_metrics):
+                solo = gf.sample_batch(world, segment.prompts, method, seed=seed, **kwargs)
+                assert trajectory_digest(run) == trajectory_digest(solo)
+                assert repr(record) == repr(gf.evaluate(solo, world))
+            assert repr(seg_metrics) == repr(
+                gf.evaluate_seed_block(world, segment.prompts, method, seeds=seeds, **kwargs))
+
+    def test_no_seeds_or_no_segments(self):
+        world = gf.MixtureWorld(n_steps=4)
+        segments = [gf.Segment(gf.one_hot_prompts(world, n)) for n in (2, 3)]
+        assert gf.sample_segments(world, segments, seeds=[]) == [[], []]
+        assert gf.evaluate_segments(world, segments, seeds=[]) == [[], []]
+        assert gf.evaluate_segments(world, [], seeds=[0, 1]) == []
+
+    def test_every_segment_is_checked_before_any_flow(self):
+        world = gf.MixtureWorld(n_steps=4)
+        good = gf.Segment(gf.one_hot_prompts(world, 2), COLLAPSE_REPULSION)
+        with pytest.raises(ValueError, match="requires a repulsion"):
+            gf.evaluate_segments(world, [good, gf.Segment(good.prompts)], "contextual",
+                                 seeds=[])
+        with pytest.raises(ValueError, match="cads interval"):
+            gf.sample_segments(world, [good, gf.Segment(good.prompts, cads_interval=(0.5, 0.5))],
+                               "cads", seeds=[0])
 
 
 class TestUnderflowingWeights:
