@@ -25,6 +25,12 @@ own columns, so each segment at each seed is bit for bit its own
 :func:`evaluate_seed_block` are the one-segment case, and
 :func:`evaluate_segments` scores each segment's (S, B, 2) finals in one pass,
 each seed bit for bit its own :func:`evaluate`.
+
+The step loop runs only the work that depends on the state. Each step's
+scalars come from a table of Python floats built once per run, the
+(T + 1, ...) contexts record is each step's context buffer, which the step
+writes in place, and the ``cads`` baseline builds every corrupted prompt of
+a run before the first step, one noise draw per segment and seed.
 """
 
 from __future__ import annotations
@@ -203,31 +209,45 @@ def _feedback(sq: np.ndarray) -> np.ndarray:
     return affinity
 
 
-def _log_joint(world: MixtureWorld, sq: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
-    """log w_k + log N(z; (1-t) mu_k, s_t^2 I) from the squared offsets at t.
+def _likelihood(world: MixtureWorld, t: float) -> tuple[float, float]:
+    """-2 s_t^2 and log(2 pi s_t^2): the scalars of log N(.; (1-t) mu_k, s_t^2 I)."""
+    s2 = _noise_scale_sq(world, t)
+    return -2.0 * s2, math.log(2.0 * math.pi * s2)
+
+
+def _shrink(world: MixtureWorld, t: float) -> float:
+    """(1-t) sigma^2 / s_t^2: the weight of an offset at t in its component's
+    posterior mean."""
+    return (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
+
+
+def _log_joint(sq: np.ndarray, likelihood: tuple[float, float], weights: np.ndarray) -> np.ndarray:
+    """log w_k + log N(z; (1-t) mu_k, s_t^2 I) from the squared offsets at t
+    and ``likelihood``, :func:`_likelihood` at t.
 
     A weight of exactly 0 gives a log of -inf, so callers silence numpy's
     divide-by-zero warning.
     """
-    s2 = _noise_scale_sq(world, t)
-    log_lik = sq / (-2.0 * s2)
-    log_lik -= math.log(2.0 * math.pi * s2)
+    neg_two_s2, log_norm = likelihood
+    log_lik = sq / neg_two_s2
+    log_lik -= log_norm
     log_lik += np.log(weights)
     return log_lik
 
 
-def _denoise(world: MixtureWorld, offsets: np.ndarray, t: float, sq_resp: np.ndarray,
-             t_resp: float, weights: np.ndarray):
+def _denoise(world: MixtureWorld, offsets: np.ndarray, shrink: float, sq_resp: np.ndarray,
+             likelihood: tuple[float, float], weights: np.ndarray):
     """E[x0 | z_t] and its responsibilities: component posterior means from the
-    offsets at ``t``, responsibilities from the squared offsets at ``t_resp``.
+    offsets at ``t`` and ``shrink``, :func:`_shrink` at t; responsibilities
+    from the squared offsets at ``t_resp`` and ``likelihood``,
+    :func:`_likelihood` at t_resp.
 
     The sampler takes ``t_resp`` at the step's arrival time. The earlier mode
     commitment cancels the discretization smear that same-time evaluation
     leaves near basin boundaries; single-mode dynamics are untouched and the
     scheme stays first-order consistent with the same ODE.
     """
-    resp = _softmax(_log_joint(world, sq_resp, t_resp, weights))
-    shrink = (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
+    resp = _softmax(_log_joint(sq_resp, likelihood, weights))
     pulled = shrink * offsets
     pulled += world.mode_centers
     pulled *= resp[..., None]
@@ -245,7 +265,7 @@ def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np
     offsets, sq = _offsets(_point(z), (1.0 - t) * world.mode_centers)
     w2 = np.asarray(weights, dtype=float).reshape(1, world.n_modes)
     with np.errstate(divide="ignore"):
-        x0, resp = _denoise(world, offsets, t, sq, t, w2)
+        x0, resp = _denoise(world, offsets, _shrink(world, t), sq, _likelihood(world, t), w2)
     return x0[0], resp[0]
 
 
@@ -258,7 +278,7 @@ def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarra
     """log p_t(z) of the mixture marginal, via log-sum-exp."""
     sq = _offsets(_point(z), (1.0 - t) * world.mode_centers)[1][0]
     with np.errstate(divide="ignore"):
-        terms = _log_joint(world, sq, t, np.asarray(weights, dtype=float))
+        terms = _log_joint(sq, _likelihood(world, t), np.asarray(weights, dtype=float))
     peak = np.max(terms)
     return float(peak + np.log(np.sum(np.exp(terms - peak))))
 
@@ -314,8 +334,11 @@ def sample_batch(
     the latent positions directly; ``cads`` corrupts the prompt with annealed
     seeded noise; ``none`` leaves the model alone. The optional hooks replace
     the context or latent at each step (used by the steering operator) and run
-    after the method intervention; they see (B, 2) latents and (B, M)
-    contexts.
+    after the method intervention; they are called as ``hook(j, t, state)``
+    with the step index, the departure time ``t`` as a Python float, and (B, 2)
+    latents or (B, M) contexts. The context a context hook receives is a view
+    of the run's contexts record: it may edit it in place and return it, or
+    return a new array, which is written into the record.
     """
     segment = _checked_segment(world, Segment(prompts, repulsion, cads_interval), method)
     times, latents, contexts = _integrate(
@@ -468,13 +491,20 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     returns the times and the (T + 1, S, B_1 + ... + B_V, .) latents and
     contexts.
 
+    The loop runs only the work that depends on the state. Each step's
+    scalars are Python floats from a table built once per run, and the
+    ``contexts`` record is each step's context buffer: the step adds the
+    image feedback into row j in place. For ``cads``, before the first step,
+    the record holds each segment's corrupted prompts in its in-window rows
+    and the prompts everywhere else (:func:`_write_cads_rows`).
+
     Each step, everything but the interventions runs once on the whole state:
     every operation there is elementwise or reduces over the mode axis row by
     row, so each row gets the bits it gets in a solo run. Each segment draws
     its initial latents and its cads noise from its own generators, and is
     repelled and corrupted on its own columns, as a solo run. The hooks see
     the state of a one-seed run, (B, 2) latents and (B, M) contexts for one
-    segment.
+    segment, the contexts as a view of the record's row j.
     """
     check_seeds(seeds)
     t_steps = world.n_steps
@@ -487,25 +517,9 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     for seg, cols in zip(segments, columns):
         prompts[cols] = seg.prompts
         z[cols] = _normals([np.random.default_rng(seed) for seed in seeds], z[cols].shape)
-    context_state = prompts.copy()
-
-    # the segments each method intervenes on, by step; steps without any are left out
-    repelled, corrupted = {}, {}
-    if method in ("contextual", "latent"):
-        for seg, cols in zip(segments, columns):
-            for j, inside in enumerate(_steps_in(seg.repulsion.timestep_interval, t_steps)):
-                if inside:
-                    repelled.setdefault(j, []).append((cols, seg.repulsion))
-    elif method == "cads":
-        cads = CadsParams() if cads is None else cads
-        # fixed for the run: the row mean and std that the psi rescaling restores
-        prompt_mean, _, prompt_std = _row_moments(prompts)
-        for seg, cols in zip(segments, columns):
-            rngs = [np.random.default_rng(derive_seed(seed, _CADS_SALT)) for seed in seeds]
-            fixed = (cols, rngs, prompts[cols], prompt_mean[cols], prompt_std[cols])
-            for j, inside in enumerate(_steps_in(seg.cads_interval, t_steps)):
-                if inside:
-                    corrupted.setdefault(j, []).append(fixed)
+    latents = np.empty((t_steps + 1,) + z.shape)
+    contexts = np.empty((t_steps + 1,) + prompts.shape)
+    latents[0] = z
 
     times = 1.0 - np.arange(t_steps + 1) / t_steps
     # step j departs from t_j and takes its responsibilities at the arrival
@@ -514,16 +528,31 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     arrival = [min(j + 1, t_steps - 1) for j in range(t_steps)]
     scaled = (1.0 - times[:t_steps, None, None]) * world.mode_centers
     centers = np.stack([scaled, scaled[arrival]], axis=1)
-    latents = np.empty((t_steps + 1,) + z.shape)
-    contexts = np.empty((t_steps + 1,) + prompts.shape)
-    latents[0] = z
+    # per step: t, dt / t, the shrink at t and the likelihood at the arrival time
+    t_list = times.tolist()
+    steps = [
+        (t, (t - t_list[j + 1]) / t, _shrink(world, t), _likelihood(world, t_list[arrival[j]]))
+        for j, t in enumerate(t_list[:t_steps])
+    ]
+
+    # the segments each repulsion acts on, by step; steps without any are left out
+    repelled = {}
+    if method in ("contextual", "latent"):
+        for seg, cols in zip(segments, columns):
+            for j, inside in enumerate(_steps_in(seg.repulsion.timestep_interval, t_steps)):
+                if inside:
+                    repelled.setdefault(j, []).append((cols, seg.repulsion))
+    elif method == "cads":
+        contexts[:t_steps] = prompts
+        _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list,
+                         CadsParams() if cads is None else cads)
+    # what each step adds the feedback to: the record's own row for cads, and
+    # the prompts plus any contextual deltas otherwise
+    context_state = None if method == "cads" else prompts
 
     # a weight that underflows to 0 has log -inf, which the softmax handles
     with np.errstate(divide="ignore"):
-        for j in range(t_steps):
-            t = times[j]
-            dt = times[j] - times[j + 1]
-
+        for j, (t, rate, shrink, likelihood) in enumerate(steps):
             if method == "latent":
                 for cols, repulsion in repelled.get(j, ()):
                     z[cols] = repulse(ContextBatch(z[cols]), repulsion).vectors
@@ -531,33 +560,62 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                 z = latent_hook(j, t, z)
             diff, sq = _offsets(z, centers[j])
 
-            base = context_state
-            if j in corrupted:
-                base = context_state.copy()
-                for cols, rngs, seg_prompts, mean, std in corrupted[j]:
-                    noise = _normals(rngs, seg_prompts.shape)
-                    base[cols] = _cads_corrupt(seg_prompts, mean, std, t, cads, noise)
-            effective = base + world.feedback_scale * _feedback(sq[..., 0, :])
+            effective = contexts[j]
+            feedback = _feedback(sq[..., 0, :])
+            feedback *= world.feedback_scale
+            np.add(effective if context_state is None else context_state, feedback, out=effective)
             if method == "contextual":
                 for cols, repulsion in repelled.get(j, ()):
                     moved = repulse(ContextBatch(effective[cols]), repulsion).vectors
                     context_state[cols] += moved - effective[cols]
                     effective[cols] = moved
             if context_hook is not None:
-                effective = context_hook(j, t, effective)
+                effective[...] = context_hook(j, t, effective)
 
             weights = _softmax(world.guidance_gamma * effective)
-            x0, _ = _denoise(world, diff[..., 0, :, :], t, sq[..., 1, :], times[arrival[j]],
-                             weights)
-            z = z - (dt / t) * (z - x0)
-
-            contexts[j] = effective
+            x0, _ = _denoise(world, diff[..., 0, :, :], shrink, sq[..., 1, :], likelihood, weights)
+            z = z - rate * (z - x0)
             latents[j + 1] = z
 
     contexts[t_steps] = contexts[t_steps - 1]
     if not lead:
         return times, latents[:, None], contexts[:, None]
     return times, latents, contexts
+
+
+# the most entries of record rows corrupted in one pass, so that the
+# temporaries of a large seed block stay a few MB
+_CADS_CHUNK = 1 << 15
+
+
+def _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list, cads) -> None:
+    """Write each segment's corrupted prompts into its in-window rows of the
+    (T + 1, [S,] B_1 + ... + B_V, M) record, before the first step.
+
+    Per segment and seed, one generator draws the noise of every in-window
+    step in one call: the stream, in the order, of one (B, M) draw per step.
+    The rows take the noise and are corrupted in place, a chunk of steps at a
+    time, so the only buffer is one seed's (steps, B, M) noise.
+    """
+    # fixed for the run: the row mean and std that the psi rescaling restores
+    mean, _, std = _row_moments(prompts)
+    t_steps = len(t_list) - 1
+    for seg, cols in zip(segments, columns):
+        window = [j for j, inside in enumerate(_steps_in(seg.cads_interval, t_steps)) if inside]
+        if not window:
+            continue
+        first, stop = window[0], window[-1] + 1
+        rows = contexts[first:stop][cols]
+        noise = np.empty((stop - first,) + seg.prompts.shape)
+        by_seed = rows if rows.ndim == 4 else rows[:, None]
+        for s, seed in enumerate(seeds):
+            np.random.default_rng(derive_seed(seed, _CADS_SALT)).standard_normal(out=noise)
+            by_seed[:, s] = noise
+        times = t_list[first:stop]
+        chunk = max(1, _CADS_CHUNK // rows[0].size)
+        for c in range(0, len(times), chunk):
+            _cads_corrupt(prompts[cols], mean[cols], std[cols], times[c:c + chunk], cads,
+                          rows[c:c + chunk])
 
 
 def _trajectories(times: np.ndarray, latents: np.ndarray, contexts: np.ndarray):
@@ -580,16 +638,28 @@ def _row_moments(rows: np.ndarray):
     return mean, centred, np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n)
 
 
-def _cads_corrupt(prompts: np.ndarray, mean_in: np.ndarray, std_in: np.ndarray, t: float,
-                  cads: CadsParams, noise: np.ndarray) -> np.ndarray:
-    gamma_c = cads.corruption(t)
-    corrupted = math.sqrt(gamma_c) * prompts + cads.scale * math.sqrt(1.0 - gamma_c) * noise
+def _cads_corrupt(prompts: np.ndarray, mean_in: np.ndarray, std_in: np.ndarray, times: list,
+                  cads: CadsParams, rows: np.ndarray) -> None:
+    """Corrupt ``rows`` in place: row block i holds standard normals on entry
+    and ``prompts`` corrupted at ``times[i]`` on return.
+
+    The weights sqrt(gamma) and scale * sqrt(1 - gamma) are Python floats,
+    one per time, and every operation is elementwise or reduces a row, so
+    each block has the bits of a corruption at its time alone.
+    """
+    gammas = [cads.corruption(t) for t in times]
+    shape = (len(times),) + (1,) * prompts.ndim
+    rows *= np.array([cads.scale * math.sqrt(1.0 - g) for g in gammas]).reshape(shape)
+    rows += np.array([math.sqrt(g) for g in gammas]).reshape(shape) * prompts
     if cads.psi == 0.0:
-        return corrupted
-    _, centred, std_c = _row_moments(corrupted)
-    safe_std = np.where(std_c > 0.0, std_c, 1.0)
-    rescaled = centred / safe_std * std_in + mean_in
-    return cads.psi * rescaled + (1.0 - cads.psi) * corrupted
+        return
+    _, rescaled, std_c = _row_moments(rows)
+    rescaled /= np.where(std_c > 0.0, std_c, 1.0)
+    rescaled *= std_in
+    rescaled += mean_in
+    rescaled *= cads.psi
+    rows *= 1.0 - cads.psi
+    rows += rescaled
 
 
 def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMetrics:

@@ -12,7 +12,8 @@ toy run, the coordinate-by-coordinate gradient check and the seed-by-seed
 simulation records are the straightforward forms of what the package
 computes in blocks or shares; the tests hold those forms to them. So is
 ``batch_metrics``, the per-batch scoring that ``gmmflow`` now runs on a stack
-of seeds.
+of seeds, and ``cads_run``, the one-step-at-a-time cads loop whose
+corruption ``gmmflow`` now builds once per run.
 ``SplitMix64`` and ``normal_array`` are the toy model's random source as it
 was before it drew from numpy's PCG64 generator: a SplitMix64 stream mapped
 to normals by Box-Muller on libm, one draw at a time. Patched into
@@ -40,7 +41,8 @@ from ctxrep.linalg import (
     jacobi_eigh,
     rbf_kernel,
 )
-from ctxrep.repulsion import RepulsionConfig
+from ctxrep.repulsion import RepulsionConfig, fraction_in_interval
+from ctxrep.rng import derive_seed
 from ctxrep.vendi import average_pair_vendi, entropy_and_score, entropy_gradient
 
 EIGENVALUE_FLOOR = 1e-12
@@ -388,3 +390,47 @@ def batch_metrics(trajectories, world) -> dict:
         "mean_nearest_mode_distance": float(np.mean(nearest_dist)),
         "avg_pair_vendi": float(average_pair_vendi(kernel)) if batch >= 2 else 1.0,
     }
+
+
+def cads_corrupt_step(prompts, mean_in, std_in, t: float, cads, noise) -> np.ndarray:
+    """The prompts corrupted at the one time ``t`` by the (B, M) ``noise``."""
+    gamma_c = cads.corruption(t)
+    corrupted = math.sqrt(gamma_c) * prompts + cads.scale * math.sqrt(1.0 - gamma_c) * noise
+    if cads.psi == 0.0:
+        return corrupted
+    _, centred, std_c = gmmflow._row_moments(corrupted)
+    safe_std = np.where(std_c > 0.0, std_c, 1.0)
+    rescaled = centred / safe_std * std_in + mean_in
+    return cads.psi * rescaled + (1.0 - cads.psi) * corrupted
+
+
+def cads_run(world, segment, seed: int, cads) -> tuple[np.ndarray, np.ndarray]:
+    """The (T + 1, B, 2) latents and (T + 1, B, M) contexts of one ``cads``
+    segment at one seed, one step at a time: a fresh generator per segment
+    and seed, one (B, M) draw and one corruption per in-window step, and
+    each step's scalars from numpy float64 times."""
+    prompts = np.array(segment.prompts, dtype=float)
+    t_steps = world.n_steps
+    z = np.random.default_rng(seed).standard_normal((len(prompts), 2))
+    noise_rng = np.random.default_rng(derive_seed(seed, gmmflow._CADS_SALT))
+    mean, _, std = gmmflow._row_moments(prompts)
+    times = 1.0 - np.arange(t_steps + 1) / t_steps
+    latents, contexts = [z], []
+    with np.errstate(divide="ignore"):
+        for j in range(t_steps):
+            t, t_resp = times[j], times[min(j + 1, t_steps - 1)]
+            diff, sq = gmmflow._offsets(z, (1.0 - t) * world.mode_centers)
+            sq_resp = gmmflow._offsets(z, (1.0 - t_resp) * world.mode_centers)[1]
+            base = prompts
+            if fraction_in_interval(j, t_steps, segment.cads_interval):
+                noise = noise_rng.standard_normal(prompts.shape)
+                base = cads_corrupt_step(prompts, mean, std, t, cads, noise)
+            effective = base + world.feedback_scale * gmmflow._feedback(sq)
+            weights = gmmflow._softmax(world.guidance_gamma * effective)
+            x0, _ = gmmflow._denoise(world, diff, gmmflow._shrink(world, t), sq_resp,
+                                     gmmflow._likelihood(world, t_resp), weights)
+            z = z - ((t - times[j + 1]) / t) * (z - x0)
+            latents.append(z)
+            contexts.append(effective)
+    contexts.append(contexts[-1])
+    return np.stack(latents), np.stack(contexts)

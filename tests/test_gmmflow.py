@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import ctxrep.gmmflow as gf
 from ctxrep.linalg import ContextBatch, rbf_kernel
 from ctxrep.repulsion import RepulsionConfig
+from ctxrep.rng import derive_seed
 from ctxrep.steering import SteeringSpec, steered_run
 from ctxrep.vendi import average_pair_vendi, entropy_and_score
 
@@ -524,6 +526,128 @@ class TestSegments:
         with pytest.raises(ValueError, match="cads interval"):
             gf.sample_segments(world, [good, gf.Segment(good.prompts, cads_interval=(0.5, 0.5))],
                                "cads", seeds=[0])
+
+
+class CountingGenerator:
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCadsRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        layout=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(0, 4), st.sampled_from(SEGMENT_WINDOWS)),
+            min_size=1, max_size=3,
+        ),
+        seeds=st.sampled_from([1, 3]).flatmap(
+            lambda n: st.lists(st.integers(0, 2**31), min_size=n, max_size=n)
+        ),
+        psi=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+        scale=st.sampled_from([0.0, 0.5]),
+    )
+    @example(layout=[(3, 1, (0.9, 1.0)), (1, 0, (0.25, 0.75)), (6, 4, (0.0, 1.0))],
+             seeds=[7, 0, 7], psi=1.5, scale=0.5)
+    def test_segments_match_the_step_by_step_loop(self, layout, seeds, psi, scale):
+        # the corruption built once per run has the bits of one draw and one
+        # corruption per in-window step, for empty, partial and full windows
+        world = gf.MixtureWorld(n_modes=5, n_steps=8)
+        cads = gf.CadsParams(scale=scale, psi=psi)
+        segments = [segment_of("cads", *entry) for entry in layout]
+        runs = gf.sample_segments(world, segments, "cads", seeds=seeds, cads=cads)
+        for segment, seg_runs in zip(segments, runs):
+            for seed, run in zip(seeds, seg_runs):
+                latents, contexts = _oracles.cads_run(world, segment, seed, cads)
+                assert np.stack([tr.latents for tr in run], axis=1).tobytes() == latents.tobytes()
+                assert np.stack([tr.contexts for tr in run], axis=1).tobytes() == contexts.tobytes()
+
+    def test_one_draw_per_seed_and_segment(self, monkeypatch):
+        # each (seed, segment) draws all its in-window noise in one call, and
+        # a segment whose window holds no step draws none
+        world = gf.MixtureWorld(n_modes=5, n_steps=8)
+        seeds = [3, 8, 3]
+        segments = [segment_of("cads", 2, 0, window)
+                    for window in [(0.0, 1.0), (0.9, 1.0), (0.25, 0.75)]]
+        expected = gf.sample_segments(world, segments, "cads", seeds=seeds)
+        built, real = [], np.random.default_rng
+
+        def counting_rng(seed):
+            built.append((seed, CountingGenerator(real(seed))))
+            return built[-1][1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        runs = gf.sample_segments(world, segments, "cads", seeds=seeds)
+        cads_seeds = {derive_seed(seed, gf._CADS_SALT) for seed in seeds}
+        assert [g.calls for seed, g in built if seed in cads_seeds] == [1] * 6
+        assert [g.calls for seed, g in built if seed not in cads_seeds] == [1] * 9
+        assert [[trajectory_digest(r) for r in seg] for seg in runs] == [
+            [trajectory_digest(r) for r in seg] for seg in expected]
+
+    def test_peak_memory_stays_near_none(self):
+        # the rows are corrupted in the record, a chunk of steps at a time,
+        # so a cads block needs about the memory of a plain one
+        world = gf.MixtureWorld()
+        prompts = gf.one_hot_prompts(world, 8)
+        peaks = {
+            method: traced_peak(lambda: gf.evaluate_seed_block(
+                world, prompts, method, seeds=range(300), cads=gf.CadsParams(scale=0.5)))
+            for method in ("none", "cads")
+        }
+        assert peaks["cads"] <= 1.5 * peaks["none"]
+
+
+class TestContextHook:
+    @pytest.mark.parametrize("method", gf.METHODS)
+    def test_editing_the_argument_in_place_equals_returning_a_copy(self, method):
+        # the hook sees a view of the record; editing it and returning it is
+        # the same as returning an edited copy
+        world = gf.MixtureWorld(n_steps=12)
+        prompts = gf.one_hot_prompts(world, 4)
+        times = []
+
+        def in_place(step, t, context):
+            times.append(t)
+            context[:, step % world.n_modes] += 0.5
+            return context
+
+        def copying(step, t, context):
+            edited = context.copy()
+            edited[:, step % world.n_modes] += 0.5
+            return edited
+
+        runs = [
+            gf.sample_batch(world, prompts, method, seed=5, context_hook=hook,
+                            **METHOD_KWARGS[method])
+            for hook in (in_place, copying, None)
+        ]
+        assert trajectory_digest(runs[0]) == trajectory_digest(runs[1])
+        assert trajectory_digest(runs[0]) != trajectory_digest(runs[2])
+        assert [type(t) for t in times] == [float] * world.n_steps
+
+    def test_latent_hook_gets_a_python_float_time(self):
+        world = gf.MixtureWorld(n_steps=6)
+        times = []
+        gf.sample_batch(world, gf.one_hot_prompts(world, 2), "none",
+                        latent_hook=lambda step, t, z: times.append(t) or z)
+        assert times == (1.0 - np.arange(6) / 6).tolist()
+        assert [type(t) for t in times] == [float] * 6
 
 
 class TestUnderflowingWeights:
