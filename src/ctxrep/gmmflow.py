@@ -21,8 +21,10 @@ the batch axis of one (S, B_1 + ... + B_V, .) state for S seeds. Each
 segment has its own prompts and windows; the steps are elementwise or reduce
 over the mode axis row by row, and the interventions act on each segment's
 own columns, so each segment at each seed is bit for bit its own
-:func:`sample_batch` run. :func:`sample_seed_block` and
-:func:`evaluate_seed_block` are the one-segment case, and
+:func:`sample_batch` run. Every sampler checks its segments and calls the
+integrator through one helper: :func:`sample_batch` is the one-segment,
+one-seed case and the only one that takes the steering hooks,
+:func:`sample_segments` returns every trajectory, and
 :func:`evaluate_segments` scores each segment's (S, B, 2) finals in one pass,
 each seed bit for bit its own :func:`evaluate`.
 
@@ -43,7 +45,13 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import ContextBatch, _rbf_entries, _row_sums
-from .repulsion import RepulsionConfig, check_interval, fraction_in_interval, repulse
+from .repulsion import (
+    NumericOverflow,
+    RepulsionConfig,
+    check_interval,
+    fraction_in_interval,
+    repulse,
+)
 from .rng import derive_seed
 from .vendi import _kernel_entropies, _mean_pair_scores
 
@@ -340,9 +348,9 @@ def sample_batch(
     of the run's contexts record: it may edit it in place and return it, or
     return a new array, which is written into the record.
     """
-    segment = _checked_segment(world, Segment(prompts, repulsion, cads_interval), method)
-    times, latents, contexts = _integrate(
-        world, [segment], method, [seed], cads, context_hook, latent_hook
+    times, latents, contexts, _ = _segment_run(
+        world, [Segment(prompts, repulsion, cads_interval)], method, [seed], cads,
+        context_hook, latent_hook,
     )
     return _trajectories(times, latents[:, 0], contexts[:, 0])
 
@@ -393,55 +401,14 @@ def evaluate_segments(
     return [_score_finals(world, finals[:, cols]) for cols in columns]
 
 
-def sample_seed_block(
-    world: MixtureWorld,
-    prompts: np.ndarray,
-    method: str = "none",
-    *,
-    seeds,
-    repulsion: RepulsionConfig | None = None,
-    cads: CadsParams | None = None,
-    cads_interval: tuple[float, float] = (0.0, 1.0),
-) -> list[list[SampleTrajectory]]:
-    """:func:`sample_batch` at each of ``seeds`` on the same (B, M) prompts,
-    run as one array program on (S, B, 2) latents and (S, B, M) contexts:
-    the one-segment case of :func:`sample_segments`.
-
-    Each seed keeps its own noise streams, and each repulsion normalizes
-    per seed, so entry s is bit for bit ``sample_batch(..., seed=seeds[s])``.
-    A non-finite state or an overflow in any seed raises, as a solo call of
-    that seed would.
-    """
-    segment = Segment(prompts, repulsion, cads_interval)
-    return sample_segments(world, [segment], method, seeds=seeds, cads=cads)[0]
-
-
-def evaluate_seed_block(
-    world: MixtureWorld,
-    prompts: np.ndarray,
-    method: str = "none",
-    *,
-    seeds,
-    repulsion: RepulsionConfig | None = None,
-    cads: CadsParams | None = None,
-    cads_interval: tuple[float, float] = (0.0, 1.0),
-) -> list[RunMetrics]:
-    """:func:`evaluate` of each entry of :func:`sample_seed_block`, bit for
-    bit, scored in one pass over the block's (S, B, 2) finals without
-    building a trajectory per sample."""
-    segment = Segment(prompts, repulsion, cads_interval)
-    return evaluate_segments(world, [segment], method, seeds=seeds, cads=cads)[0]
-
-
-def _segment_run(world, segments, method, seeds: list, cads):
-    """The times, latents and contexts of the checked ``segments`` at
-    ``seeds``, and the columns of each segment; None for no seeds or no
-    segments."""
+def _segment_run(world, segments, method, seeds: list, cads, context_hook=None,
+                 latent_hook=None):
+    """:func:`_integrate` of ``segments`` at ``seeds``, once every segment is
+    checked; None for no seeds or no segments."""
     segments = [_checked_segment(world, segment, method) for segment in segments]
     if not seeds or not segments:
         return None
-    times, latents, contexts = _integrate(world, segments, method, seeds, cads)
-    return times, latents, contexts, _columns(segments)
+    return _integrate(world, segments, method, seeds, cads, context_hook, latent_hook)
 
 
 def _checked_segment(world: MixtureWorld, segment: Segment, method: str) -> Segment:
@@ -488,8 +455,8 @@ def _steps_in(interval: tuple[float, float], t_steps: int) -> list[bool]:
 def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_hook=None):
     """The sampler loop on checked ``segments`` side by side at S ``seeds``,
     as (S, B_1 + ... + B_V, .) states, or (B_1 + ... + B_V, .) for one seed;
-    returns the times and the (T + 1, S, B_1 + ... + B_V, .) latents and
-    contexts.
+    returns the times, the (T + 1, S, B_1 + ... + B_V, .) latents and
+    contexts, and each segment's columns.
 
     The loop runs only the work that depends on the state. Each step's
     scalars are Python floats from a table built once per run, and the
@@ -544,8 +511,14 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                     repelled.setdefault(j, []).append((cols, seg.repulsion))
     elif method == "cads":
         contexts[:t_steps] = prompts
-        _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list,
-                         CadsParams() if cads is None else cads)
+        # an overflow is an error: an infinite std would make the psi
+        # rescaling erase each prompt to its mean
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list,
+                                 CadsParams() if cads is None else cads)
+            except FloatingPointError as exc:
+                raise NumericOverflow(f"cads corruption: {exc}") from None
     # what each step adds the feedback to: the record's own row for cads, and
     # the prompts plus any contextual deltas otherwise
     context_state = None if method == "cads" else prompts
@@ -579,8 +552,8 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
 
     contexts[t_steps] = contexts[t_steps - 1]
     if not lead:
-        return times, latents[:, None], contexts[:, None]
-    return times, latents, contexts
+        return times, latents[:, None], contexts[:, None], slices
+    return times, latents, contexts, slices
 
 
 # the most entries of record rows corrupted in one pass, so that the

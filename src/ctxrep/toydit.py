@@ -316,14 +316,20 @@ def forward_configs(
     image streams are recorded after every block, post-repulsion; the last
     two are the final state.
 
+    A config fires at most one stream per block, its ``target_stream``, and
+    the hook repels that stream's own rows: the text rows or the image rows
+    alone, and only for ``all_tokens`` each sample's text row then image row
+    as one row.
+
     Configs share the walk until their repulsion histories part. The walk
     starts as one branch holding every config and runs each block once per
-    branch; a branch then splits by which streams the hook repels for each
-    config and by what ``repulse`` reads of it (``eta``, ``inner_steps`` and
-    ``gradient_normalization``), so configs that differ only in schedule stay
-    together until they fire differently. Each config gets the bits of a
-    walk of its own. A branch's snapshots are shared by all of its configs,
-    so every snapshot array is read-only.
+    branch; a branch then splits by the stream the hook repels for each
+    config (or none) and by what ``repulse`` reads of it (``eta``,
+    ``inner_steps`` and ``gradient_normalization``), so configs that differ
+    only in schedule stay together until they fire differently. A part that
+    fires nothing keeps the block's state as it is. Each config gets the
+    bits of a walk of its own. A branch's snapshots are shared by all of its
+    configs, so every snapshot array is read-only.
 
     Leading seed axes run a stack of independent batches as one program:
     image tokens (..., B, N, D), each prompt's tokens (..., N, D) and weights
@@ -342,9 +348,7 @@ def forward_configs(
         if prompt.tokens.shape != (*lead, cfg.n_text_tokens, cfg.token_dim):
             raise DimensionMismatch("prompt token shape does not match config")
 
-    # columns of each stream in a (..., batch, all-token) row stack
     split = cfg.n_text_tokens * cfg.token_dim
-    columns = {"text": np.s_[:split], "image": np.s_[split:], "all_tokens": np.s_[:]}
     rows_shape = (*lead, batch, -1)
 
     # each branch: its state, the indices of its configs, and its snapshots
@@ -361,39 +365,34 @@ def forward_configs(
                 state = mm_block_forward(state, weights, block)
             else:
                 state = single_block_forward(state, weights, block - cfg.n_dual_blocks)
-            # the branch's configs, keyed by what the hook does to this state
+            # the branch's configs, keyed by the stream the hook repels for
+            # each (its target stream, or none) and by what repulse reads
             parts: dict[tuple, list[int]] = {}
             for i in members:
                 repulsion = repulsion_cfgs[i]
-                key = ((),)
-                if repulsion is not None:
-                    fired = tuple([
-                        stream for stream in available
-                        if should_apply(step_index, total_steps, block, cfg.total_blocks,
-                                        stream, repulsion)
-                    ])
-                    if fired:
-                        key = (fired, repulsion.eta, repulsion.inner_steps,
-                               repulsion.gradient_normalization)
+                key = (None,)
+                if (repulsion is not None and repulsion.target_stream in available
+                        and should_apply(step_index, total_steps, block, cfg.total_blocks,
+                                         repulsion.target_stream, repulsion)):
+                    key = (repulsion.target_stream, repulsion.eta, repulsion.inner_steps,
+                           repulsion.gradient_normalization)
                 parts.setdefault(key, []).append(i)
-            for (fired, *_), part in parts.items():
+            for (stream, *_), part in parts.items():
+                text = state.text_tokens.reshape(rows_shape)
+                image = state.image_tokens.reshape(rows_shape)
                 repelled = state
-                for stream in fired:
-                    rows = np.concatenate(
-                        [repelled.text_tokens.reshape(rows_shape),
-                         repelled.image_tokens.reshape(rows_shape)],
-                        axis=-1,
-                    )
-                    cols = columns[stream]
-                    rows[..., cols] = repulse(
-                        ContextBatch(rows[..., cols]), repulsion_cfgs[part[0]]
-                    ).vectors
-                    repelled = TokenState(
-                        rows[..., :split].reshape(repelled.text_tokens.shape),
-                        rows[..., split:].reshape(repelled.image_tokens.shape),
-                    )
-                text = repelled.text_tokens.reshape(rows_shape)
-                image = repelled.image_tokens.reshape(rows_shape)
+                if stream is not None:
+                    repulsion = repulsion_cfgs[part[0]]
+                    if stream == "text":
+                        text = repulse(ContextBatch(text), repulsion).vectors
+                    elif stream == "image":
+                        image = repulse(ContextBatch(image), repulsion).vectors
+                    else:
+                        rows = np.concatenate([text, image], axis=-1)
+                        rows = repulse(ContextBatch(rows), repulsion).vectors
+                        text, image = rows[..., :split], rows[..., split:]
+                    repelled = TokenState(text.reshape(state.text_tokens.shape),
+                                          image.reshape(state.image_tokens.shape))
                 # every config of the part shares these arrays
                 text.setflags(write=False)
                 image.setflags(write=False)

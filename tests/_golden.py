@@ -13,8 +13,8 @@ again after: the tables must not move.
 
 The matrix covers what ``GOLDEN_CLI`` does not: seed stacks on the shipped
 configs, sweeps with a repeated value and with one value, every toy
-stream, a real two-worker pool on each runner, and the two failure paths,
-each case's exit code and stderr line included.
+stream, a real two-worker pool on each runner, and the eta overflow and
+zero-norm prompt failures, each case's exit code and stderr line included.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import pathlib
 import tempfile
 import warnings
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
+import pytest
 
 import ctxrep.cli as cli
 from ctxrep import toydit
@@ -100,9 +100,9 @@ def matrix_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
                                 {"sweep_intervals": "0.125:0.5", "seeds": 3}),
     }
     for name, (axis, config, settings) in sweeps.items():
+        cfg = shipped_config(tmp_path, config, name, **settings)
         cases[name] = Case(
-            ["ablate", "--axis", axis, "--config", shipped_config(tmp_path, config, name, **settings),
-             "--output", str(out / "sweep.csv")],
+            ["ablate", "--axis", axis, "--config", cfg, "--output", str(out / "sweep.csv")],
             ("sweep.csv",),
         )
     for stream in ("text", "image", "all_tokens"):
@@ -116,11 +116,12 @@ def matrix_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
     # on the 4 + 2 block model: first_third fires on dual blocks 0 and 1,
     # last_third on the single blocks only, which merge the streams
     blocks = {
-        "image": "first_third,all,first_third",
-        "all_tokens": "last_third,all,last_third",
+        "image": ("image", "first_third,all,first_third"),
+        "all_tokens": ("all_tokens", "last_third,all,last_third"),
+        "one": ("text", "middle_third"),
     }
-    for stream, groups in blocks.items():
-        name = f"ablate-blocks-{stream}"
+    for label, (stream, groups) in blocks.items():
+        name = f"ablate-blocks-{label}"
         cfg = shipped_config(tmp_path, "toy.cfg", name, repulsion_target_stream=stream,
                              sweep_block_groups=groups, seeds=3, seed_start=2)
         cases[name] = Case(
@@ -137,6 +138,10 @@ def matrix_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
          "--output", str(out / "sweep.csv")], ("sweep.csv",), pool=True)
     overflow = shipped_config(tmp_path, "collapse.cfg", "overflow", repulsion_eta="1e40", seeds=3)
     cases["simulate-eta-1e40"] = Case(["simulate", "--config", overflow])
+    # a corruption scale far above the shipped ones, whose rows' moments stay finite
+    cads = shipped_config(tmp_path, "collapse.cfg", "cads", method="cads", cads_scale="1e40",
+                          batch_size=2, world_feedback=0, seeds=2)
+    cases["simulate-cads-1e40"] = Case(["simulate", "--config", cads])
     zero = shipped_config(tmp_path, "toy.cfg", "zero", sweep_block_groups="all", seeds=3)
     cases["ablate-blocks-zero-prompt"] = Case(
         ["ablate", "--axis", "blocks", "--config", zero, "--output", str(out / "sweep.csv")],
@@ -146,20 +151,27 @@ def matrix_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
     return cases
 
 
-@contextlib.contextmanager
-def _recorded_pools(pools: list):
-    """Every run pays for a worker, and each pool the CLI starts appends its
-    worker count to ``pools``; the CLI imports the pool class where it starts
-    one, so the class is replaced where that import finds it."""
+def recorded_pools(monkeypatch) -> list:
+    """The worker count of every process pool the CLI starts from now on.
+
+    The CLI imports the pool class only where it starts one, so the class is
+    replaced where that import finds it."""
+    pools = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    with mock.patch.object(cli, "MIN_RUNS_PER_WORKER", 1), \
-            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingPool):
-        yield
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def one_run_per_worker(monkeypatch) -> list:
+    """Let every run pay for a worker, so that small runs start pools; returns
+    the pools started, as ``recorded_pools`` does."""
+    monkeypatch.setattr(cli, "MIN_RUNS_PER_WORKER", 1)
+    return recorded_pools(monkeypatch)
 
 
 def matrix_digests(tmp_path: pathlib.Path, capsys, names=None) -> dict:
@@ -172,12 +184,10 @@ def matrix_digests(tmp_path: pathlib.Path, capsys, names=None) -> dict:
         if names is not None and name not in names:
             continue
         out.mkdir()
-        pools = []
-        with contextlib.ExitStack() as stack:
+        with pytest.MonkeyPatch.context() as monkeypatch:
             for target, attribute, value in case.patches:
-                stack.enter_context(mock.patch.object(target, attribute, value))
-            if case.pool:
-                stack.enter_context(_recorded_pools(pools))
+                monkeypatch.setattr(target, attribute, value)
+            pools = one_run_per_worker(monkeypatch) if case.pool else []
             code = run_command(case.argv)
         captured = capsys.readouterr()
         # the CLI's error contract: nothing on stderr, or one JSON line
@@ -243,10 +253,12 @@ class _Capture:
 
 
 def _literal(name: str, table) -> str:
+    """``name = table`` as Python source, one entry a line, double-quoted
+    (no name or digest holds a quote)."""
     if not isinstance(table, dict):
-        return f"{name} = {table!r}"
+        return f"{name} = {table!r}".replace("'", '"')
     lines = "".join(f"    {key!r}: {value!r},\n" for key, value in table.items())
-    return f"{name} = {{\n{lines}}}"
+    return f"{name} = {{\n{lines}}}".replace("'", '"')
 
 
 def main() -> None:

@@ -1,5 +1,4 @@
 import collections
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -28,6 +27,7 @@ from ctxrep.config import (
 )
 from ctxrep.repulsion import PRESETS, NumericOverflow
 
+from ._golden import one_run_per_worker, recorded_pools, shipped_config
 from ._oracles import ablate_blocks_rows, grad_check_record, simulation_record, toy_run_outputs
 from .test_rng import patch_splitmix64
 
@@ -51,29 +51,6 @@ def small_gmm_config(tmp_path, **extra):
     return str(path)
 
 
-def recorded_pools(monkeypatch) -> list:
-    """The worker count of every process pool the CLI starts from now on.
-
-    The CLI imports the pool class only where it starts one, so the class is
-    replaced where that import finds it."""
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
-def one_run_per_worker(monkeypatch) -> list:
-    """Let every run pay for a worker, so that small runs start pools; returns
-    the pools started, as ``recorded_pools`` does."""
-    monkeypatch.setattr(cli, "MIN_RUNS_PER_WORKER", 1)
-    return recorded_pools(monkeypatch)
-
-
 def pinned_worker_rule(monkeypatch) -> list:
     """Start one worker per ``RULE_RUNS_PER_WORKER`` runs; returns the pools
     started, as ``recorded_pools`` does."""
@@ -91,13 +68,7 @@ TWO_WORKERS = 2 * RULE_RUNS_PER_WORKER
 
 def shipped_toy_config(tmp_path, **settings) -> pathlib.Path:
     """``configs/toy.cfg`` with ``settings`` in place of its own values."""
-    shipped = (CONFIG_DIR / "toy.cfg").read_text().splitlines(keepends=True)
-    path = tmp_path / "toy.cfg"
-    path.write_text(
-        "".join(line for line in shipped if line.partition(" =")[0] not in settings)
-        + "".join(f"{k} = {v}\n" for k, v in settings.items())
-    )
-    return path
+    return pathlib.Path(shipped_config(tmp_path, "toy.cfg", "toy", **settings))
 
 
 def write_rows(path, rows) -> None:
@@ -598,6 +569,23 @@ class TestSimulateCommand:
             }
             assert not out.exists()
         assert pools == [2, 3]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", [["simulate"], ["ablate", "--axis", "timestep"]],
+                             ids=["simulate", "ablate-timestep"])
+    def test_cads_overflow_exit_3(self, tmp_path, capsys, monkeypatch, command, jobs):
+        # at this scale the corrupted rows' std overflows, and the psi
+        # rescaling would erase each prompt to its mean: one JSON error line,
+        # no records and no numpy warning, in-process and on a pool
+        pools = one_run_per_worker(monkeypatch)
+        cfg = small_gmm_config(tmp_path, method="cads", cads_scale="1e300", batch_size=2,
+                               world_feedback=0, seeds=2, sweep_intervals="0:1")
+        out = tmp_path / "out"
+        assert run_command(command + ["--config", cfg, "--jobs", jobs, "--output", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", '{"error": "cads corruption: overflow encountered in multiply"}\n')
+        assert not out.exists()
+        assert pools == ([2] if jobs == "2" else [])
 
     def test_error_is_the_first_failing_seeds(self, tmp_path, capsys, monkeypatch):
         # run 1 starts from latents near 1e31 and overflows (exit 3); run 2

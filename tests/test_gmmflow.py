@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ctxrep.gmmflow as gf
 from ctxrep.linalg import ContextBatch, rbf_kernel
-from ctxrep.repulsion import RepulsionConfig
+from ctxrep.repulsion import NumericOverflow, RepulsionConfig
 from ctxrep.rng import derive_seed
 from ctxrep.steering import SteeringSpec, steered_run
 from ctxrep.vendi import average_pair_vendi, entropy_and_score
@@ -217,6 +217,15 @@ class TestSampleBatch:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.latents, tb.latents)
 
+    @pytest.mark.filterwarnings("error")
+    def test_cads_overflow_raises(self):
+        # an infinite std of the corrupted rows would erase the prompts
+        world = gf.MixtureWorld(n_steps=4, feedback_scale=0.0)
+        prompts = gf.one_hot_prompts(world, 2)
+        with pytest.raises(NumericOverflow, match="^cads corruption: overflow encountered"):
+            gf.sample_batch(world, prompts, "cads", cads=gf.CadsParams(scale=1e300))
+        gf.sample_batch(world, prompts, "cads", cads=gf.CadsParams(scale=1e40))
+
     @pytest.mark.parametrize("method", gf.METHODS)
     def test_seed_block_matches_sample_batch(self, method):
         # a repeated seed, a batch of 3 and the uniform world's 5 modes
@@ -224,24 +233,28 @@ class TestSampleBatch:
         prompts = gf.one_hot_prompts(world, 3, strength=4.0)
         kwargs = METHOD_KWARGS[method]
         seeds = [3, 1, 3, 12]
-        blocks = gf.sample_seed_block(world, prompts, method, seeds=seeds, **kwargs)
+        segment = one_segment(prompts, **kwargs)
+        cads = kwargs.get("cads")
+        (blocks,) = gf.sample_segments(world, [segment], method, seeds=seeds, cads=cads)
         for seed, block in zip(seeds, blocks):
             solo = gf.sample_batch(world, prompts, method, seed=seed, **kwargs)
             assert trajectory_digest(block) == trajectory_digest(solo)
-        assert gf.sample_seed_block(world, prompts, method, seeds=[], **kwargs) == []
+        assert gf.sample_segments(world, [segment], method, seeds=[], cads=cads) == [[]]
 
     def test_seed_block_validates_like_sample_batch(self):
         world = gf.MixtureWorld()
         with pytest.raises(ValueError, match="shape"):
-            gf.sample_seed_block(world, np.zeros((2, 3)), "none", seeds=[0])
+            gf.sample_segments(world, [gf.Segment(np.zeros((2, 3)))], "none", seeds=[0])
         with pytest.raises(ValueError, match="requires a repulsion"):
-            gf.sample_seed_block(world, gf.one_hot_prompts(world, 2), "latent", seeds=[0])
+            gf.sample_segments(world, [gf.Segment(gf.one_hot_prompts(world, 2))], "latent",
+                               seeds=[0])
         prompts = gf.one_hot_prompts(world, 2)
         for bad in [(0.8, 0.2), (0.5, 0.5), (-0.1, 0.5), (0.0, 1.5)]:
             with pytest.raises(ValueError, match="cads interval"):
                 gf.sample_batch(world, prompts, "cads", cads_interval=bad)
             with pytest.raises(ValueError, match="cads interval"):
-                gf.sample_seed_block(world, prompts, "cads", seeds=[0], cads_interval=bad)
+                gf.sample_segments(world, [gf.Segment(prompts, cads_interval=bad)], "cads",
+                                   seeds=[0])
             # other methods ignore the cads window
             gf.sample_batch(gf.MixtureWorld(n_steps=2), prompts, "none", cads_interval=bad)
 
@@ -249,9 +262,9 @@ class TestSampleBatch:
         "sample, seed",
         [
             (lambda w, p: gf.sample_batch(w, p, "none", seed=-1), -1),
-            (lambda w, p: gf.sample_seed_block(w, p, "cads", seeds=[0, -4, -5]), -4),
+            (lambda w, p: gf.sample_segments(w, [gf.Segment(p)], "cads", seeds=[0, -4, -5]), -4),
         ],
-        ids=["sample_batch", "sample_seed_block"],
+        ids=["sample_batch", "sample_segments"],
     )
     def test_negative_seed_is_named(self, sample, seed):
         world = gf.MixtureWorld(n_steps=2)
@@ -396,6 +409,12 @@ METHOD_KWARGS = {
 }
 
 
+def one_segment(prompts, repulsion=None, cads=None, cads_interval=(0.0, 1.0)) -> gf.Segment:
+    """The one segment that ``sample_batch`` makes of its keyword arguments;
+    ``cads`` is a run's, not a segment's, so it is left out."""
+    return gf.Segment(prompts, repulsion, cads_interval)
+
+
 def trajectory_digest(trajectories) -> str:
     return digest([tr.latents for tr in trajectories] + [tr.contexts for tr in trajectories])
 
@@ -415,8 +434,10 @@ class TestGoldenTrajectories:
         # one array program over the seeds, each entry the seed's own golden run
         world = gf.MixtureWorld()
         seeds = (0, 7, 19)
-        blocks = gf.sample_seed_block(
-            world, gf.one_hot_prompts(world, 8), method, seeds=seeds, **METHOD_KWARGS[method]
+        kwargs = METHOD_KWARGS[method]
+        (blocks,) = gf.sample_segments(
+            world, [one_segment(gf.one_hot_prompts(world, 8), **kwargs)], method, seeds=seeds,
+            cads=kwargs.get("cads"),
         )
         assert [trajectory_digest(b) for b in blocks] == [
             GOLDEN_TRAJECTORIES[method, seed] for seed in seeds
@@ -440,8 +461,9 @@ class TestStackedScoring:
         world = gf.MixtureWorld(n_steps=8)
         prompts = gf.one_hot_prompts(world, batch)
         block = range(start, start + seeds)
-        stacked = gf.evaluate_seed_block(world, prompts, method, seeds=block,
-                                         **METHOD_KWARGS[method])
+        kwargs = METHOD_KWARGS[method]
+        (stacked,) = gf.evaluate_segments(world, [one_segment(prompts, **kwargs)], method,
+                                          seeds=block, cads=kwargs.get("cads"))
         assert len(stacked) == seeds
         for seed, metrics in zip(block, stacked):
             trajectories = gf.sample_batch(world, prompts, method, seed=seed,
@@ -451,7 +473,8 @@ class TestStackedScoring:
 
     def test_no_seeds_no_records(self):
         world = gf.MixtureWorld(n_steps=4)
-        assert gf.evaluate_seed_block(world, gf.one_hot_prompts(world, 3), seeds=[]) == []
+        segment = gf.Segment(gf.one_hot_prompts(world, 3))
+        assert gf.evaluate_segments(world, [segment], seeds=[]) == [[]]
 
     def test_non_finite_finals_are_named(self):
         world = gf.MixtureWorld()
@@ -508,7 +531,7 @@ class TestSegments:
                 assert trajectory_digest(run) == trajectory_digest(solo)
                 assert repr(record) == repr(gf.evaluate(solo, world))
             assert repr(seg_metrics) == repr(
-                gf.evaluate_seed_block(world, segment.prompts, method, seeds=seeds, **kwargs))
+                gf.evaluate_segments(world, [segment], method, seeds=seeds, cads=cads)[0])
 
     def test_no_seeds_or_no_segments(self):
         world = gf.MixtureWorld(n_steps=4)
@@ -526,6 +549,53 @@ class TestSegments:
         with pytest.raises(ValueError, match="cads interval"):
             gf.sample_segments(world, [good, gf.Segment(good.prompts, cads_interval=(0.5, 0.5))],
                                "cads", seeds=[0])
+
+
+class TestFeedbackZero:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 16),
+        mode=st.integers(0, 7),
+        inner_and_eta=st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.just(n), st.floats(0.0, 4.0 * n))),
+        window=st.sampled_from(SEGMENT_WINDOWS),
+        normalize=st.booleans(),
+        seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
+    )
+    @example(batch=9, mode=0, inner_and_eta=(1, 4.0), window=(0.0, 1.0), normalize=True,
+             seeds=[0])
+    def test_contextual_is_none_bit_for_bit(self, batch, mode, inner_and_eta, window,
+                                            normalize, seeds):
+        """Without image feedback, contextual repulsion of identical one-hot
+        prompts changes no bit of any latent or context.
+
+        Why. At ``feedback_scale = 0`` each step's context is the prompt
+        plus a feedback of signed zeros, so the repelled rows are the
+        prompts exactly: B identical rows of ``strength`` at the prompted
+        mode and zeros elsewhere. The entropy gradient of a row is a sum of
+        scalars times the unit rows, so it is exactly 0 off the prompted
+        mode. On the mode it is twice the difference of one kernel row sum
+        taken in two orders (the BLAS product and the radial sum), over
+        the strength: roundoff, at most 1.8e-16 at strength 10 for
+        B <= 32 (it peaks at B = 9, and is exactly 0 for B <= 7). That is
+        under the 1e-12 normalization floor, so the normalized gradient is
+        the same roundoff. Each inner step adds eta / inner_steps times it
+        to 10, whose half ulp is 8.9e-16: a step below 5 rounds back to 10,
+        the context deltas are exactly 0, and the run is ``none``'s.
+
+        Bound. eta / inner_steps < 5 at strength 10 (the step of 5.1 moves
+        a bit at B = 9); this property tests eta / inner_steps <= 4.
+        """
+        inner, eta = inner_and_eta
+        world = gf.MixtureWorld(n_steps=8, feedback_scale=0.0)
+        prompts = gf.one_hot_prompts(world, batch, mode=mode, strength=10.0)
+        repulsion = RepulsionConfig(eta=eta, inner_steps=inner, timestep_interval=window,
+                                    gradient_normalization=normalize)
+        (plain,) = gf.sample_segments(world, [gf.Segment(prompts)], "none", seeds=seeds)
+        (repelled,) = gf.sample_segments(world, [gf.Segment(prompts, repulsion)], "contextual",
+                                         seeds=seeds)
+        assert [trajectory_digest(run) for run in repelled] == [
+            trajectory_digest(run) for run in plain]
 
 
 class CountingGenerator:
@@ -606,8 +676,9 @@ class TestCadsRows:
         world = gf.MixtureWorld()
         prompts = gf.one_hot_prompts(world, 8)
         peaks = {
-            method: traced_peak(lambda: gf.evaluate_seed_block(
-                world, prompts, method, seeds=range(300), cads=gf.CadsParams(scale=0.5)))
+            method: traced_peak(lambda: gf.evaluate_segments(
+                world, [gf.Segment(prompts)], method, seeds=range(300),
+                cads=gf.CadsParams(scale=0.5)))
             for method in ("none", "cads")
         }
         assert peaks["cads"] <= 1.5 * peaks["none"]

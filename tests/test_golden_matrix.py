@@ -7,9 +7,22 @@ one must say so. ``PYTHONPATH=src python -m tests._golden`` prints this
 table at the current checkout.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from ._golden import matrix_digests
+from .test_cli import (
+    GOLDEN_ABLATE_BATCH_BLOCK,
+    GOLDEN_ABLATE_TIMESTEP,
+    GOLDEN_BENCHMARK_BLOCKS,
+    GOLDEN_CLI,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 GOLDEN_MATRIX = {
     ("simulate-none-1", "exit"): 0,
@@ -90,6 +103,10 @@ GOLDEN_MATRIX = {
     ("ablate-blocks-all_tokens", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-all_tokens", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-all_tokens", "sweep.csv"): "1b714260d749e3f9b5501b360909750fdd1ca51de5bd10ade05d27b6107079d1",
+    ("ablate-blocks-one", "exit"): 0,
+    ("ablate-blocks-one", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-blocks-one", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-blocks-one", "sweep.csv"): "5305660b08d6a2d0d4039b30f27396d078b83c289a91238252fc03ef9dea76c8",
     ("simulate-contextual-pool", "exit"): 0,
     ("simulate-contextual-pool", "stdout"): "5651a4e4ef3c20ea00fcb4cc5f45900a0f5f06cbe2e9e6d97d59f035478ead9d",
     ("simulate-contextual-pool", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -102,6 +119,9 @@ GOLDEN_MATRIX = {
     ("simulate-eta-1e40", "exit"): 3,
     ("simulate-eta-1e40", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("simulate-eta-1e40", "stderr"): "fc218bb3a5a9474e375283eb5b64f4c5289188257000c44f5c9fc8757030dc2f",
+    ("simulate-cads-1e40", "exit"): 0,
+    ("simulate-cads-1e40", "stdout"): "69893126d8894a56c188c4c3ddfa6da697b2ee042c0cb4d0f531bf5dbd8b4a49",
+    ("simulate-cads-1e40", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-zero-prompt", "exit"): 2,
     ("ablate-blocks-zero-prompt", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-zero-prompt", "stderr"): "3db54dde84ce15d7fe23ca00049cb8512b21e2a574ff714abae49840e13a5aaa",
@@ -115,3 +135,23 @@ CASES = list(dict.fromkeys(name for name, _ in GOLDEN_MATRIX))
 def test_case_byte_for_byte(tmp_path, capsys, name):
     expected = {key: value for key, value in GOLDEN_MATRIX.items() if key[0] == name}
     assert matrix_digests(tmp_path, capsys, {name}) == expected
+
+
+def test_printed_tables_are_the_recorded_ones():
+    # the command run in a fresh interpreter prints every table as recorded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    printed = subprocess.run([sys.executable, "-m", "tests._golden"], cwd=ROOT, env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+    assert printed.stderr == ""
+    tables = {}
+    exec(printed.stdout, tables)
+    recorded = {
+        "GOLDEN_CLI": GOLDEN_CLI, "GOLDEN_MATRIX": GOLDEN_MATRIX,
+        "GOLDEN_BENCHMARK_BLOCKS": GOLDEN_BENCHMARK_BLOCKS,
+        "GOLDEN_ABLATE_BATCH_BLOCK": GOLDEN_ABLATE_BATCH_BLOCK,
+        "GOLDEN_ABLATE_TIMESTEP": GOLDEN_ABLATE_TIMESTEP,
+    }
+    assert {name: tables[name] for name in recorded} == recorded
