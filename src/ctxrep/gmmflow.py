@@ -511,8 +511,8 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                     repelled.setdefault(j, []).append((cols, seg.repulsion))
     elif method == "cads":
         contexts[:t_steps] = prompts
-        # an overflow is an error: an infinite std would make the psi
-        # rescaling erase each prompt to its mean
+        # an overflow is an error: an infinite row std would make the psi
+        # rescaling erase each prompt to its mean, or fill its rows with NaN
         with np.errstate(over="raise", invalid="raise"):
             try:
                 _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list,

@@ -573,13 +573,16 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("command", [["simulate"], ["ablate", "--axis", "timestep"]],
                              ids=["simulate", "ablate-timestep"])
-    def test_cads_overflow_exit_3(self, tmp_path, capsys, monkeypatch, command, jobs):
-        # at this scale the corrupted rows' std overflows, and the psi
-        # rescaling would erase each prompt to its mean: one JSON error line,
-        # no records and no numpy warning, in-process and on a pool
+    @pytest.mark.parametrize("setting", [{"cads_scale": "1e300"}, {"prompt_strength": "1e200"}],
+                             ids=["scale", "prompt"])
+    def test_cads_overflow_exit_3(self, tmp_path, capsys, monkeypatch, command, jobs, setting):
+        # the corrupted rows' std, or the prompts' own, overflows: where the
+        # psi rescaling would erase each prompt to its mean, or fill the
+        # rows with NaN, the run ends with one JSON error line, no records
+        # and no numpy warning, in-process and on a pool
         pools = one_run_per_worker(monkeypatch)
-        cfg = small_gmm_config(tmp_path, method="cads", cads_scale="1e300", batch_size=2,
-                               world_feedback=0, seeds=2, sweep_intervals="0:1")
+        cfg = small_gmm_config(tmp_path, method="cads", batch_size=2, world_feedback=0, seeds=2,
+                               sweep_intervals="0:1", **setting)
         out = tmp_path / "out"
         assert run_command(command + ["--config", cfg, "--jobs", jobs, "--output", str(out)]) == 3
         assert capsys.readouterr() == (
