@@ -1,7 +1,8 @@
 """Command-line front end: metrics, checks, simulations, sweeps, steering.
 
 Exit codes: 0 on success, 2 on configuration or usage errors, 3 on numeric
-check failures. Errors go to stderr as single-line JSON.
+failures, numpy's floating-point faults included. Errors go to stderr as
+single-line JSON.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ _GRAD_CHECK_STACK = 256
 # 2-CPU machine, where one process and two workers cross over at 80 to 120
 # runs of every command; README, `--jobs`, has the crossovers.
 MIN_RUNS_PER_WORKER = 40
+
+# numpy's floating-point faults, which a command raises as errors, in this
+# process and in every worker
+_FP_ERRORS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class _UsageError(ValueError):
@@ -202,13 +207,14 @@ def _seed_by_seed_on_failure(run, variants: list, run_ids: range):
     error raised is the first failing seed's at its first failing variant, as
     when each run ran alone.
     """
-    try:
-        return run(variants, run_ids)
-    except (ArithmeticError, ValueError):
-        for run_id in run_ids:
-            for variant in variants:
-                run([variant], range(run_id, run_id + 1))
-        raise
+    with np.errstate(**_FP_ERRORS):
+        try:
+            return run(variants, run_ids)
+        except (ArithmeticError, ValueError):
+            for run_id in run_ids:
+                for variant in variants:
+                    run([variant], range(run_id, run_id + 1))
+            raise
 
 
 def _workers(runs: int, jobs: int) -> int:
@@ -590,9 +596,16 @@ def run_command(argv) -> int:
         # argparse exits directly for --help; keep its code
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        with np.errstate(**_FP_ERRORS):
+            return args.func(args)
     except (NonConvergence, NumericOverflow) as exc:
         _fail(str(exc))
+        return EXIT_NUMERIC
+    except (FloatingPointError, OverflowError) as exc:
+        # numpy's overflow, invalid operation or division by zero, or Python's
+        # float overflow, that no check named first; the last argument is the
+        # message, as Python's reads (34, 'Numerical result out of range')
+        _fail(f"{args.command}: {exc.args[-1]}")
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         # bad flags, configs and domain values, degenerate inputs, and files

@@ -511,44 +511,50 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                     repelled.setdefault(j, []).append((cols, seg.repulsion))
     elif method == "cads":
         contexts[:t_steps] = prompts
-        # an overflow is an error: an infinite row std would make the psi
-        # rescaling erase each prompt to its mean, or fill its rows with NaN
-        with np.errstate(over="raise", invalid="raise"):
+    # what each step adds the feedback to: the record's own row for cads, and
+    # the prompts plus any contextual deltas otherwise
+    context_state = None if method == "cads" else prompts
+
+    # an overflow or an invalid operation is an error: an infinite row std
+    # would make the cads psi rescaling erase each prompt to its mean, and an
+    # infinite logit turns a step's weights into NaN. A weight that
+    # underflows to 0 has log -inf, which the softmax handles.
+    with np.errstate(divide="ignore", over="raise", invalid="raise"):
+        if method == "cads":
             try:
                 _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list,
                                  CadsParams() if cads is None else cads)
             except FloatingPointError as exc:
                 raise NumericOverflow(f"cads corruption: {exc}") from None
-    # what each step adds the feedback to: the record's own row for cads, and
-    # the prompts plus any contextual deltas otherwise
-    context_state = None if method == "cads" else prompts
+        try:
+            for j, (t, rate, shrink, likelihood) in enumerate(steps):
+                if method == "latent":
+                    for cols, repulsion in repelled.get(j, ()):
+                        z[cols] = repulse(ContextBatch(z[cols]), repulsion).vectors
+                if latent_hook is not None:
+                    z = latent_hook(j, t, z)
+                diff, sq = _offsets(z, centers[j])
 
-    # a weight that underflows to 0 has log -inf, which the softmax handles
-    with np.errstate(divide="ignore"):
-        for j, (t, rate, shrink, likelihood) in enumerate(steps):
-            if method == "latent":
-                for cols, repulsion in repelled.get(j, ()):
-                    z[cols] = repulse(ContextBatch(z[cols]), repulsion).vectors
-            if latent_hook is not None:
-                z = latent_hook(j, t, z)
-            diff, sq = _offsets(z, centers[j])
+                effective = contexts[j]
+                feedback = _feedback(sq[..., 0, :])
+                feedback *= world.feedback_scale
+                np.add(effective if context_state is None else context_state, feedback,
+                       out=effective)
+                if method == "contextual":
+                    for cols, repulsion in repelled.get(j, ()):
+                        moved = repulse(ContextBatch(effective[cols]), repulsion).vectors
+                        context_state[cols] += moved - effective[cols]
+                        effective[cols] = moved
+                if context_hook is not None:
+                    effective[...] = context_hook(j, t, effective)
 
-            effective = contexts[j]
-            feedback = _feedback(sq[..., 0, :])
-            feedback *= world.feedback_scale
-            np.add(effective if context_state is None else context_state, feedback, out=effective)
-            if method == "contextual":
-                for cols, repulsion in repelled.get(j, ()):
-                    moved = repulse(ContextBatch(effective[cols]), repulsion).vectors
-                    context_state[cols] += moved - effective[cols]
-                    effective[cols] = moved
-            if context_hook is not None:
-                effective[...] = context_hook(j, t, effective)
-
-            weights = _softmax(world.guidance_gamma * effective)
-            x0, _ = _denoise(world, diff[..., 0, :, :], shrink, sq[..., 1, :], likelihood, weights)
-            z = z - rate * (z - x0)
-            latents[j + 1] = z
+                weights = _softmax(world.guidance_gamma * effective)
+                x0, _ = _denoise(world, diff[..., 0, :, :], shrink, sq[..., 1, :], likelihood,
+                                 weights)
+                z = z - rate * (z - x0)
+                latents[j + 1] = z
+        except FloatingPointError as exc:
+            raise NumericOverflow(f"flow step {j}: {exc}") from None
 
     contexts[t_steps] = contexts[t_steps - 1]
     if not lead:

@@ -267,12 +267,8 @@ def _rbf_entries(x: np.ndarray, bandwidth: float) -> np.ndarray:
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, each with the bits of a 1-D sum of its row.
 
-    numpy adds a row pairwise or in order depending on how it walks the
-    whole array, so a stacked reduction need not give a row its 1-D bits.
-    Rows of one or two entries add the same way in any walk; longer rows are
-    summed one at a time.
+    On a C-contiguous array numpy sums each row on its own, pairwise, as it
+    sums a 1-D row; other layouts it may walk across rows, adding in
+    another order, so they are made contiguous first.
     """
-    if a.shape[-1] <= 2:
-        return np.add.reduce(a, axis=-1)
-    rows = a.reshape(-1, a.shape[-1])
-    return np.array([np.add.reduce(row) for row in rows]).reshape(a.shape[:-1])
+    return np.add.reduce(np.ascontiguousarray(a), axis=-1)

@@ -22,7 +22,9 @@ moving to numpy's generator is shown to be the only source of changed toy
 bits; they also chain ``derive_seed``'s mixer.
 The einsum joint attention is the straightforward form of the toy model's
 stacked-matmul attention; it sums in another order, so the tests hold the
-shipped form to it within a roundoff tolerance.
+shipped form to it within a roundoff tolerance. ``row_sums_loop`` is
+``linalg._row_sums`` as it was before it reduced a whole stack in one call:
+one 1-D sum per row.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ def normal_array(rng, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
     count = int(np.prod(shape, dtype=np.int64))
     values = [scale * next_gauss(rng) for _ in range(count)]
     return np.array(values, dtype=float).reshape(shape)
+
+
+def row_sums_loop(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, one 1-D ``np.add.reduce`` per row."""
+    sums = np.empty(a.shape[:-1])
+    for index in np.ndindex(sums.shape):
+        sums[index] = np.add.reduce(a[index])
+    return sums
 
 
 def einsum_joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:

@@ -14,13 +14,14 @@ from ctxrep.linalg import (
     NonConvergence,
     SymMatrix,
     _eigh_descending,
+    _row_sums,
     _unit_rows_and_cosine,
     cosine_kernel,
     jacobi_eigh,
     rbf_kernel,
 )
 
-from ._oracles import canonical_signs
+from ._oracles import canonical_signs, row_sums_loop
 
 
 def random_symmetric(rng, n):
@@ -293,3 +294,30 @@ class TestRbfKernel:
         base = rbf_kernel(ContextBatch(pts), 1.1).entries
         shuffled = rbf_kernel(ContextBatch(pts[perm]), 1.1).entries
         assert np.max(np.abs(shuffled - base[np.ix_(perm, perm)])) <= 1e-15
+
+
+class TestRowSums:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(0, 5), max_size=2),
+        n=st.integers(0, 300),
+        layout=st.sampled_from(["C", "F", "sliced", "reversed"]),
+    )
+    def test_each_row_has_its_1d_bits(self, seed, lead, n, layout):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, n)
+        # magnitudes over 60 decades and signed zeros, so that any other order moves bits
+        a = rng.standard_normal(shape) * np.exp(rng.uniform(-70.0, 70.0, shape))
+        zeros = rng.random(shape)
+        a[zeros < 0.1] = 0.0
+        a[zeros > 0.9] = -0.0
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "sliced":
+            wide = np.zeros((*lead, 2 * n))
+            wide[..., ::2] = a
+            a = wide[..., ::2]
+        elif layout == "reversed":
+            a = a[..., ::-1]
+        assert _row_sums(a).tobytes() == row_sums_loop(a).tobytes()

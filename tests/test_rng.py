@@ -13,6 +13,7 @@ import ctxrep.toydit as td
 from ctxrep.rng import derive_seed, normal_array, seeded_generator
 
 from . import _oracles
+from ._golden import SPLITMIX64
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 SHAPES = st.lists(
@@ -145,8 +146,8 @@ CONFIGS = {16: td.ToyDiTConfig(), 3: td.ToyDiTConfig(token_dim=3, attention_head
 
 def patch_splitmix64(monkeypatch):
     """Draw the toy model's tensors from the scalar SplitMix64 oracle."""
-    monkeypatch.setattr(td, "seeded_generator", _oracles.SplitMix64)
-    monkeypatch.setattr(td, "normal_array", _oracles.normal_array)
+    for target, attribute, value in SPLITMIX64:
+        monkeypatch.setattr(target, attribute, value)
 
 
 def toy_tensor_digests(dim) -> dict:
