@@ -224,15 +224,15 @@ def _workers(runs: int, jobs: int) -> int:
 
 
 def _sweep(cfg: ExperimentConfig, variants: list, run) -> list:
-    """The rows of ``cfg.seeds`` runs of each variant, variant then seed.
+    """The records of ``cfg.seeds`` runs of each variant, variant then seed.
 
-    ``run(variants, run_ids)`` returns each variant's rows for one chunk of
-    run ids. The seeds split into one contiguous chunk per worker, and each
-    chunk runs every variant, in this process or on a pool of workers. When
-    runs fail, the error is the lowest failing seed's, at its first failing
-    variant, at every ``jobs``.
+    ``run(variants, run_ids)`` returns each variant's records for one chunk
+    of run ids. The seeds split into one contiguous chunk per worker, and
+    each chunk runs every variant, in this process or on a pool of workers;
+    an empty variant list runs no chunk. When runs fail, the error is the
+    lowest failing seed's, at its first failing variant, at every ``jobs``.
     """
-    seeds = cfg.seeds
+    seeds = cfg.seeds if variants else 0
     workers = min(_workers(seeds * len(variants), cfg.jobs), seeds)
     chunks = [range(k * seeds // workers, (k + 1) * seeds // workers) for k in range(workers)]
     task = functools.partial(_seed_by_seed_on_failure, run, variants)
@@ -396,67 +396,61 @@ def _cmd_toy_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _config(args)
+def _variants(cfg: ExperimentConfig, axis: str | None = None) -> list[tuple[str, object]]:
+    """The labelled variants of a seeded command: ``simulate``'s one config
+    (no ``axis``), or one per swept value of ``ablate --axis``.
+
+    Before any run, at any seed count, it rejects an unknown method for
+    every mixture command, and a swept value that no run takes, naming its
+    key.
+    """
+    if axis == "blocks":
+        _check_toy_batch(cfg)
+        base = repulsion_from_config(cfg)
+        try:
+            return [(group, dataclasses.replace(base, block_selector=group))
+                    for group in cfg.sweep_block_groups]
+        except ValueError as exc:
+            raise _UsageError(f"{exc} in sweep_block_groups") from None
     if cfg.method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {cfg.method!r}")
-    records = _sweep(cfg, [cfg], _simulate_seeds)
-    _emit_lines([json.dumps(r) for r in records], cfg.output)
-    return EXIT_OK
-
-
-def _check_sweep(cfg: ExperimentConfig, axis: str) -> None:
-    """Reject a swept value that no run of ``cfg.method`` takes, naming its
-    key, before any run."""
     if axis == "batch":
         for size in cfg.sweep_batch_sizes:
             if size < 1:
                 raise _UsageError(f"sweep_batch_sizes entries must be >= 1, got {size}")
-    elif axis == "blocks":
-        for group in cfg.sweep_block_groups:
-            try:
-                RepulsionConfig(block_selector=group)
-            except ValueError as exc:
-                raise _UsageError(f"{exc} in sweep_block_groups") from None
-    elif cfg.method != "none":
-        # the window the method's runs read, checked by the one interval rule
-        window = "cads" if cfg.method == "cads" else "timestep"
-        for interval in cfg.sweep_intervals:
-            try:
-                check_interval(interval, window)
-            except ValueError as exc:
-                raise _UsageError(f"{exc} in sweep_intervals") from None
-
-
-def _ablate_rows_gmm(cfg: ExperimentConfig, axis: str) -> tuple[list[str], list[list]]:
-    _check_sweep(cfg, axis)
-    metrics = [field.name for field in dataclasses.fields(gmmflow.RunMetrics)]
+        return [(str(size), dataclasses.replace(cfg, batch_size=size))
+                for size in cfg.sweep_batch_sizes]
     if axis == "timestep":
-        variants = [
+        if cfg.method != "none":
+            # the window the method's runs read, checked by the one interval rule
+            window = "cads" if cfg.method == "cads" else "timestep"
+            for interval in cfg.sweep_intervals:
+                try:
+                    check_interval(interval, window)
+                except ValueError as exc:
+                    raise _UsageError(f"{exc} in sweep_intervals") from None
+        return [
             (f"{a:g}:{b:g}", dataclasses.replace(
                 cfg, repulsion_interval=(a, b), latent_interval=(a, b), cads_interval=(a, b)
             ))
             for a, b in cfg.sweep_intervals
         ]
-    else:
-        variants = [
-            (str(size), dataclasses.replace(cfg, batch_size=size)) for size in cfg.sweep_batch_sizes
-        ]
-    records = _sweep(cfg, [v for _, v in variants], _simulate_seeds)
-    labels = [label for label, _ in variants for _ in range(cfg.seeds)]
-    rows = [
-        [axis, label, record["seed"], *(record[k] for k in metrics)]
-        for label, record in zip(labels, records)
-    ]
-    return ["axis", "value", "seed", *metrics], rows
+    return [("", cfg)]
 
 
-def _block_group_rows(
+def _cmd_simulate(args) -> int:
+    cfg = _config(args)
+    records = _sweep(cfg, [variant for _, variant in _variants(cfg)], _simulate_seeds)
+    _emit_lines([json.dumps(r) for r in records], cfg.output)
+    return EXIT_OK
+
+
+def _block_group_seeds(
     cfg: ExperimentConfig, repulsions: list[RepulsionConfig], run_ids: range
-) -> list[list[list]]:
-    """For each block group, the rows of runs ``run_ids``; the seeds' inputs
-    are built once, all groups run in one shared walk over the (S, B, N, D)
-    stack, and each group is scored as one stack."""
+) -> list[list[dict]]:
+    """For each block group, the records of runs ``run_ids``; the seeds'
+    inputs are built once, all groups run in one shared walk over the
+    (S, B, N, D) stack, and each group is scored as one stack."""
     seeds = [cfg.seed_start + i for i in run_ids]
     # vary weights and image noise together per seed
     inputs = _toy_inputs(cfg, [(cfg.toy_seed + seed, seed * 1000) for seed in seeds])
@@ -468,7 +462,7 @@ def _block_group_rows(
         seed = seeds[np.flatnonzero(prompt_norms == 0.0)[0]]
         raise DegenerateVector(f"zero-norm prompt encoding at seed {seed}")
     groups = []
-    for repulsion, snapshots in zip(repulsions, _toy_snapshots(cfg, inputs, repulsions)):
+    for snapshots in _toy_snapshots(cfg, inputs, repulsions):
         final = [s for s in snapshots if s.stream == "text"][-1]
         vendi = np.exp(_cosine_entropies(final.vectors))
         sims = np.vecdot(final.vectors, prompts) / (
@@ -476,31 +470,30 @@ def _block_group_rows(
         )
         similarity = _row_sums(sims) / cfg.toy_batch
         groups.append([
-            ["blocks", repulsion.block_selector, seed, score, sim]
+            {"seed": seed, "text_vendi": score, "prompt_similarity": sim}
             for seed, score, sim in zip(seeds, vendi.tolist(), similarity.tolist())
         ])
     return groups
 
 
-def _ablate_rows_blocks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    _check_toy_batch(cfg)
-    header = ["axis", "value", "seed", "text_vendi", "prompt_similarity"]
-    base = repulsion_from_config(cfg)
-    _check_sweep(cfg, "blocks")
-    repulsions = [
-        dataclasses.replace(base, block_selector=group) for group in cfg.sweep_block_groups
-    ]
-    return header, _sweep(cfg, repulsions, functools.partial(_block_group_rows, cfg))
-
-
 def _cmd_ablate(args) -> int:
     cfg = _config(args)
     output = _required_output(args, cfg)
+    variants = _variants(cfg, args.axis)
     if args.axis == "blocks":
-        header, rows = _ablate_rows_blocks(cfg)
+        run = functools.partial(_block_group_seeds, cfg)
+        columns = ["text_vendi", "prompt_similarity"]
     else:
-        header, rows = _ablate_rows_gmm(cfg, args.axis)
-    _write_csv(output, header, rows)
+        run = _simulate_seeds
+        columns = [field.name for field in dataclasses.fields(gmmflow.RunMetrics)]
+    records = _sweep(cfg, [variant for _, variant in variants], run)
+    labels = [label for label, _ in variants for _ in range(cfg.seeds)]
+    _write_csv(
+        output,
+        ["axis", "value", "seed", *columns],
+        ([args.axis, label, record["seed"], *(record[k] for k in columns)]
+         for label, record in zip(labels, records)),
+    )
     return EXIT_OK
 
 

@@ -73,7 +73,7 @@ class MixtureWorld:
 
     ``guidance_gamma`` is the softmax temperature applied to context logits;
     ``feedback_scale`` weights the per-step image-feedback term of the
-    context. ``context_dim`` equals ``n_modes``.
+    context.
     """
 
     n_modes: int = 8
@@ -100,10 +100,6 @@ class MixtureWorld:
                     f"mode_sigma {self.mode_sigma} too large for separable modes "
                     f"(needs < {gap / 6.0:.4f})"
                 )
-
-    @property
-    def context_dim(self) -> int:
-        return self.n_modes
 
     @cached_property
     def mode_centers(self) -> np.ndarray:
@@ -649,6 +645,10 @@ def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMe
     return _score_finals(world, np.stack([tr.latents[-1] for tr in trajectories])[None])[0]
 
 
+# an overflow or an invalid operation is an error, as in the step loop, for
+# library callers too: a squared distance past the float range would
+# otherwise warn and still score
+@np.errstate(over="raise", invalid="raise")
 def _score_finals(world: MixtureWorld, finals: np.ndarray) -> list[RunMetrics]:
     """The metrics of each batch of an (S, B, 2) stack of final samples.
 

@@ -11,10 +11,10 @@ whose outputs must keep their bits, and again after: the table must not
 move.
 
 The cases cover every command on small configs, seed stacks on the shipped
-configs, the shipped sweeps, sweeps with a repeated value and with one value,
-every toy stream, the toy commands on the SplitMix64 oracle stream, a real
-two-worker pool on each runner, and the failure paths, each case's exit code
-and stderr line included.
+configs, the shipped sweeps, sweeps with a repeated value, with one value and
+with none, every toy stream, the toy commands on the SplitMix64 oracle
+stream, a real two-worker pool on each runner, and the failure paths, each
+case's exit code and stderr line included.
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
         "ablate-batch-shipped": ("batch", "ablate_batch.cfg", {"seeds": 5}),
         "ablate-timestep-shipped": ("timestep", "ablate_timestep.cfg", {}),
     }
+    # an empty sweep writes only its header, and an unknown method is named
+    # before any run, at zero seeds too
+    for axis, key in (("batch", "sweep_batch_sizes"), ("timestep", "sweep_intervals")):
+        sweeps[f"ablate-{axis}-empty"] = (axis, f"ablate_{axis}.cfg", {key: ""})
+        sweeps[f"ablate-{axis}-unknown-method"] = (axis, f"ablate_{axis}.cfg",
+                                                   {"method": "bogus", "seeds": 0})
     for name, (axis, config, settings) in sweeps.items():
         cfg = shipped_config(tmp_path, config, name, **settings)
         cases[name] = Case(["ablate", "--axis", axis, "--config", cfg, *sweep], ("sweep.csv",))

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import ctxrep.cli as cli
@@ -1253,6 +1253,26 @@ class TestRunCounts:
         assert run_command(["simulate", "--config", cfg, "--output", str(out)] + flags) == 0
         assert out.read_text() == ""
 
+    MIXTURE_COLUMNS = ["vendi_rbf", "mode_coverage", "off_manifold_rate",
+                       "mean_nearest_mode_distance", "avg_pair_vendi"]
+
+    @pytest.mark.parametrize("axis, key, columns", [
+        ("batch", "sweep_batch_sizes", MIXTURE_COLUMNS),
+        ("timestep", "sweep_intervals", MIXTURE_COLUMNS),
+        ("blocks", "sweep_block_groups", ["text_vendi", "prompt_similarity"]),
+    ])
+    def test_empty_sweep_writes_only_the_header(self, tmp_path, monkeypatch, axis, key, columns):
+        # no chunk runs, so no flow and no toy input is drawn
+        drawn = []
+        monkeypatch.setattr(gmmflow, "_integrate", lambda *args, **kwargs: drawn.append(args))
+        monkeypatch.setattr(cli, "_toy_inputs", lambda *args: drawn.append(args))
+        cfg = small_gmm_config(tmp_path, seeds=3, method="cads", **{key: ""})
+        out = tmp_path / "sweep.csv"
+        assert run_command(["ablate", "--axis", axis, "--config", cfg, "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            assert list(csv.reader(handle)) == [["axis", "value", "seed", *columns]]
+        assert drawn == []
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
@@ -1268,6 +1288,24 @@ class TestUsageErrors:
         cfg = small_gmm_config(tmp_path)
         assert run_command(["simulate", "--config", cfg, "--method", "magic"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seeds", [0, 2])
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], ["ablate", "--axis", "batch"], ["ablate", "--axis", "timestep"]],
+        ids=["simulate", "ablate-batch", "ablate-timestep"],
+    )
+    def test_unknown_config_method_is_named_first(self, tmp_path, capsys, monkeypatch, argv,
+                                                  seeds):
+        # before any flow and before the bad sweep values, at any seed count
+        flows = []
+        monkeypatch.setattr(gmmflow, "_integrate", lambda *args, **kwargs: flows.append(args))
+        cfg = small_gmm_config(tmp_path, seeds=seeds, method="bogus", sweep_batch_sizes="4,0",
+                               sweep_intervals="0:0.5,1:0")
+        out = tmp_path / "out"
+        assert run_command(argv + ["--config", cfg, "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "unknown method 'bogus'"}
+        assert flows == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, settings, seed",
@@ -1538,32 +1576,45 @@ class TestConfigSpace:
         "ablate-blocks": ["ablate", "--axis", "blocks"],
         "toy-run": ["toy-run"],
     }
+    # each sweep list empty, with one value, with two, or with one value
+    # that no run takes
+    SWEEPS = {
+        "sweep_batch_sizes": ("", "3", "1,3", "3,0", "-1,3"),
+        "sweep_intervals": ("", "0.25:1", "0:0.5,0.25:1", "0:0.5,1:0"),
+        "sweep_block_groups": ("", "all", "first_third,all", "first_third,nope"),
+    }
 
+    # a failing example is reported as drawn: each shrink step reruns a CLI
+    # command, and shrinking took minutes
     @settings(max_examples=150, deadline=None, derandomize=True,
+              phases=[phase for phase in Phase if phase is not Phase.shrink],
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     # the prompt-erasing overflows that once printed numpy warnings
     @example(command="simulate", method="none", steps=8, seeds=2,
+             sweeps={key: values[2] for key, values in SWEEPS.items()},
              extremes={"prompt_strength": 1e308, "world_gamma": 2.0, "cads_scale": 0.0})
     @given(
         command=st.sampled_from(sorted(COMMANDS)),
         method=st.sampled_from(gmmflow.METHODS),
         steps=st.integers(1, 8),
-        seeds=st.integers(1, 2),
+        seeds=st.integers(0, 2),
+        sweeps=st.fixed_dictionaries({key: st.sampled_from(values)
+                                      for key, values in SWEEPS.items()}),
         extremes=st.lists(st.sampled_from(EXTREME_KEYS), min_size=3, max_size=3,
                           unique=True).flatmap(extreme_settings),
     )
     def test_any_accepted_config_exits_cleanly(self, tmp_path, capsys, command, method, steps,
-                                               seeds, extremes):
+                                               seeds, sweeps, extremes):
         # three keys at extreme values: the run exits 0, 2 or 3 under the
         # golden runner's contract (at most one JSON stderr line, no partial
         # output), and numpy warns of nothing
         root = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
         out = root / "out"
         cfg = small_gmm_config(
-            root, world_steps=steps, seeds=seeds, method=method, sweep_batch_sizes="1,3",
-            sweep_intervals="0:0.5,0.25:1", sweep_block_groups="first_third,all",
-            toy_dual_blocks=2, toy_single_blocks=1, toy_batch=3, output=out / "rows",
-            output_snapshots=out / "snaps.csv", output_report=out / "report.jsonl", **extremes,
+            root, world_steps=steps, seeds=seeds, method=method, toy_dual_blocks=2,
+            toy_single_blocks=1, toy_batch=3, output=out / "rows",
+            output_snapshots=out / "snaps.csv", output_report=out / "report.jsonl",
+            **sweeps, **extremes,
         )
         files = ("snaps.csv", "report.jsonl") if command == "toy-run" else ("rows",)
         case = Case(self.COMMANDS[command] + ["--config", cfg], files)

@@ -41,7 +41,6 @@ class TestWorld:
         world = gf.MixtureWorld()
         radii = np.linalg.norm(world.mode_centers, axis=1)
         assert np.allclose(radii, world.radius, atol=1e-12)
-        assert world.context_dim == world.n_modes
 
     def test_centers_built_once_and_read_only(self):
         world = gf.MixtureWorld()
@@ -378,6 +377,16 @@ class TestEvaluate:
         kernel = rbf_kernel(finals, world.radius / 2.0)
         assert metrics.avg_pair_vendi == average_pair_vendi(kernel)
         assert metrics.vendi_rbf == entropy_and_score(kernel).score
+
+    def test_scoring_overflow_raises(self):
+        # two steps leave the finals far inside a circle of radius 1e154, so
+        # squaring their offsets from the modes overflows. Scoring raises, as
+        # the CLI does, instead of warning and returning a finite mean
+        # nearest-mode distance
+        world = gf.MixtureWorld(radius=1e154, n_steps=2)
+        prompts = gf.one_hot_prompts(world, 8, strength=-1e300)
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            gf.evaluate_segments(world, [one_segment(prompts)], seeds=[0])
 
 
 # sha256 of every trajectory's latents, then every trajectory's contexts, on

@@ -3,9 +3,11 @@ every CLI case in ``tests/_golden.py``.
 
 Each case runs in-process through ``run_command``. The digests of
 successful runs were recorded before the change that they first guarded,
-and the ``fp-fault`` cases at the change that made numpy's floating-point
-faults exit 3; a change that moves one must say so. ``PYTHONPATH=src python -m tests._golden`` prints this
-table at the current checkout.
+the ``fp-fault`` cases at the change that made numpy's floating-point
+faults exit 3, and the ``empty`` and ``unknown-method`` sweeps at the change
+that gave every sweep one front half; a change that moves one must say so.
+``PYTHONPATH=src python -m tests._golden`` prints this table at the current
+checkout.
 """
 
 import os
@@ -86,6 +88,20 @@ GOLDEN_MATRIX = {
     ("ablate-timestep-shipped", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-timestep-shipped", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-timestep-shipped", "sweep.csv"): "4d94bc306cdcc92ee0dce1a86a49382afd4afa7017c76872afa6573e41c9108d",
+    ("ablate-batch-empty", "exit"): 0,
+    ("ablate-batch-empty", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-batch-empty", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-batch-empty", "sweep.csv"): "f7bb66cdcdea1d96b9ea31ccd60748d13805e679ede58904e6370f19e51ed54e",
+    ("ablate-batch-unknown-method", "exit"): 2,
+    ("ablate-batch-unknown-method", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-batch-unknown-method", "stderr"): "773c39ff4867da61be0ecbf31c0f5e40328257d5f7362ffe85eef55131fab145",
+    ("ablate-timestep-empty", "exit"): 0,
+    ("ablate-timestep-empty", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-timestep-empty", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-timestep-empty", "sweep.csv"): "f7bb66cdcdea1d96b9ea31ccd60748d13805e679ede58904e6370f19e51ed54e",
+    ("ablate-timestep-unknown-method", "exit"): 2,
+    ("ablate-timestep-unknown-method", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ablate-timestep-unknown-method", "stderr"): "773c39ff4867da61be0ecbf31c0f5e40328257d5f7362ffe85eef55131fab145",
     ("toy-run-text-1", "exit"): 0,
     ("toy-run-text-1", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-text-1", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
