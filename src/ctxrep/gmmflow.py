@@ -18,8 +18,10 @@ prompt upstream with an annealed schedule.
 One integrator runs every sampler entry point. It advances segments, batches
 of any sizes that share the world, the method and the seeds, side by side on
 the batch axis of one (S, B_1 + ... + B_V, .) state for S seeds. Each
-segment has its own prompts and windows; the steps are elementwise or reduce
-over the mode axis row by row, and the interventions act on each segment's
+segment has its own prompts and windows; the steps are elementwise, reduce
+each latent's contiguous row of modes, or add the denoiser's pulls as whole
+(2, L) slabs of all L latents in mode order, which is the order of a sum over
+the mode axis of (L, K, 2) pulls. The interventions act on each segment's
 own columns, so each segment at each seed is bit for bit its own
 :func:`sample_batch` run. Every sampler checks its segments and calls the
 integrator through one helper: :func:`sample_batch` is the one-segment,
@@ -28,11 +30,15 @@ one-seed case and the only one that takes the steering hooks,
 :func:`evaluate_segments` scores each segment's (S, B, 2) finals in one pass,
 each seed bit for bit its own :func:`evaluate`.
 
-The step loop runs only the work that depends on the state. Each step's
-scalars come from a table of Python floats built once per run, the
-(T + 1, ...) contexts record is each step's context buffer, which the step
-writes in place, and the ``cads`` baseline builds every corrupted prompt of
-a run before the first step, one noise draw per segment and seed.
+The step loop runs only the work that depends on the state, on long rows.
+Each step copies the latents once into a coordinate-major (2, L) array, and
+one subtraction of a (2 times, K, 2, 1) table gives the offsets from the mode
+centers at the departure and the arrival time, as (2, K, 2, L) rows. Each
+step's scalars come from a table of Python floats built once per run, from
+s_t^2 computed once per time, the (T + 1, ...) contexts record is each
+step's context buffer, which the step writes in place, and the ``cads``
+baseline builds every corrupted prompt of a run before the first step, one
+noise draw per segment and seed.
 """
 
 from __future__ import annotations
@@ -191,14 +197,15 @@ def _noise_scale_sq(world: MixtureWorld, t: float) -> float:
 
 
 def _offsets(z: np.ndarray, centers: np.ndarray):
-    """Offsets z - c of each latent from the time-scaled mode centers
-    ``centers`` = (1-t) mu, shape (..., B, K, 2) for (K, 2) centers, and their
-    squared lengths, shape (..., B, K). More leading axes of ``centers``
-    (several times at once) come before the K axis."""
-    diff = z.reshape(z.shape[:-1] + (1,) * (centers.ndim - 1) + (2,)) - centers
-    # x^2 + y^2 is the sum over the last axis, which numpy walks slowly at length 2
+    """Offsets z - c of L latents laid out coordinate-major, ``z`` of shape
+    (2, L), from the time-scaled mode centers (1-t) mu at T times,
+    ``centers`` of shape (T, K, 2, 1): the offsets, shape (T, K, 2, L), and
+    their squared lengths as contiguous rows, shape (T, L, K)."""
+    diff = z - centers
     squares = diff * diff
-    return diff, squares[..., 0] + squares[..., 1]
+    # x^2 + y^2 as one add of two whole slabs; the copy gives the row sums
+    # of the feedback and the softmaxes one contiguous row per latent
+    return diff, (squares[:, :, 0] + squares[:, :, 1]).transpose(0, 2, 1).copy()
 
 
 def _feedback(sq: np.ndarray) -> np.ndarray:
@@ -213,16 +220,16 @@ def _feedback(sq: np.ndarray) -> np.ndarray:
     return affinity
 
 
-def _likelihood(world: MixtureWorld, t: float) -> tuple[float, float]:
-    """-2 s_t^2 and log(2 pi s_t^2): the scalars of log N(.; (1-t) mu_k, s_t^2 I)."""
-    s2 = _noise_scale_sq(world, t)
+def _likelihood(s2: float) -> tuple[float, float]:
+    """-2 s_t^2 and log(2 pi s_t^2): the scalars of log N(.; (1-t) mu_k, s_t^2 I)
+    from ``s2`` = s_t^2, :func:`_noise_scale_sq` at t."""
     return -2.0 * s2, math.log(2.0 * math.pi * s2)
 
 
-def _shrink(world: MixtureWorld, t: float) -> float:
+def _shrink(world: MixtureWorld, t: float, s2: float) -> float:
     """(1-t) sigma^2 / s_t^2: the weight of an offset at t in its component's
-    posterior mean."""
-    return (1.0 - t) * world.mode_sigma**2 / _noise_scale_sq(world, t)
+    posterior mean, from ``s2`` = s_t^2, :func:`_noise_scale_sq` at t."""
+    return (1.0 - t) * world.mode_sigma**2 / s2
 
 
 def _log_joint(sq: np.ndarray, likelihood: tuple[float, float], weights: np.ndarray) -> np.ndarray:
@@ -241,10 +248,11 @@ def _log_joint(sq: np.ndarray, likelihood: tuple[float, float], weights: np.ndar
 
 def _denoise(world: MixtureWorld, offsets: np.ndarray, shrink: float, sq_resp: np.ndarray,
              likelihood: tuple[float, float], weights: np.ndarray):
-    """E[x0 | z_t] and its responsibilities: component posterior means from the
+    """E[x0 | z_t] of L latents, coordinate-major, shape (2, L), and their
+    (L, K) responsibilities: component posterior means from the (K, 2, L)
     offsets at ``t`` and ``shrink``, :func:`_shrink` at t; responsibilities
-    from the squared offsets at ``t_resp`` and ``likelihood``,
-    :func:`_likelihood` at t_resp.
+    from the (L, K) squared offsets at ``t_resp``, ``likelihood``,
+    :func:`_likelihood` at t_resp, and the (L, K) ``weights``.
 
     The sampler takes ``t_resp`` at the step's arrival time. The earlier mode
     commitment cancels the discretization smear that same-time evaluation
@@ -253,9 +261,21 @@ def _denoise(world: MixtureWorld, offsets: np.ndarray, shrink: float, sq_resp: n
     """
     resp = _softmax(_log_joint(sq_resp, likelihood, weights))
     pulled = shrink * offsets
-    pulled += world.mode_centers
-    pulled *= resp[..., None]
-    return np.add.reduce(pulled, axis=-2), resp
+    pulled += world.mode_centers[..., None]
+    pulled *= resp.T[:, None]
+    # the mode sum adds whole (2, L) slabs in mode order, the order of
+    # numpy's sum over the mode axis of (L, K, 2) pulls. The coordinate axis
+    # stays inside each slab: at L = 1 a (2, K, L) pull would make the mode
+    # axis innermost, which numpy sums pairwise
+    return np.add.reduce(pulled, axis=0), resp
+
+
+def _point_offsets(world: MixtureWorld, z, t: float):
+    """The (K, 2, 1) offsets and the (1, K) squared offsets of one latent from
+    the mode centers at t."""
+    diff, sq = _offsets(np.asarray(z, dtype=float).reshape(2, 1),
+                        ((1.0 - t) * world.mode_centers)[None, ..., None])
+    return diff[0], sq[0]
 
 
 def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray):
@@ -266,23 +286,20 @@ def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    offsets, sq = _offsets(_point(z), (1.0 - t) * world.mode_centers)
+    offsets, sq = _point_offsets(world, z, t)
     w2 = np.asarray(weights, dtype=float).reshape(1, world.n_modes)
+    s2 = _noise_scale_sq(world, t)
     with np.errstate(divide="ignore"):
-        x0, resp = _denoise(world, offsets, _shrink(world, t), sq, _likelihood(world, t), w2)
-    return x0[0], resp[0]
-
-
-def _point(z) -> np.ndarray:
-    """One latent as a (1, 2) batch."""
-    return np.asarray(z, dtype=float).reshape(1, 2)
+        x0, resp = _denoise(world, offsets, _shrink(world, t, s2), sq, _likelihood(s2), w2)
+    return x0[:, 0], resp[0]
 
 
 def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray) -> float:
     """log p_t(z) of the mixture marginal, via log-sum-exp."""
-    sq = _offsets(_point(z), (1.0 - t) * world.mode_centers)[1][0]
+    sq = _point_offsets(world, z, t)[1][0]
     with np.errstate(divide="ignore"):
-        terms = _log_joint(sq, _likelihood(world, t), np.asarray(weights, dtype=float))
+        terms = _log_joint(sq, _likelihood(_noise_scale_sq(world, t)),
+                           np.asarray(weights, dtype=float))
     peak = np.max(terms)
     return float(peak + np.log(np.sum(np.exp(terms - peak))))
 
@@ -290,7 +307,7 @@ def log_density(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarra
 def mixture_score(world: MixtureWorld, z: np.ndarray, t: float, weights: np.ndarray) -> np.ndarray:
     """Analytic grad_z log p_t(z) = -sum_k r_k (z - (1-t) mu_k) / s_t^2."""
     _, resp = posterior_denoiser(world, z, t, weights)
-    diff = _offsets(_point(z), (1.0 - t) * world.mode_centers)[0][0]
+    diff = _point_offsets(world, z, t)[0][..., 0]
     return -np.sum(resp[:, None] * diff, axis=0) / _noise_scale_sq(world, t)
 
 
@@ -461,13 +478,17 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     the record holds each segment's corrupted prompts in its in-window rows
     and the prompts everywhere else (:func:`_write_cads_rows`).
 
-    Each step, everything but the interventions runs once on the whole state:
-    every operation there is elementwise or reduces over the mode axis row by
-    row, so each row gets the bits it gets in a solo run. Each segment draws
-    its initial latents and its cads noise from its own generators, and is
-    repelled and corrupted on its own columns, as a solo run. The hooks see
-    the state of a one-seed run, (B, 2) latents and (B, M) contexts for one
-    segment, the contexts as a view of the record's row j.
+    Each step, everything but the interventions runs once on the whole state,
+    laid out coordinate-major as (2, L) rows of its L latents: every
+    operation there is elementwise, reduces a latent's contiguous (K,) row
+    of squared offsets, or sums the (K, 2, L) pulls over the mode axis,
+    which adds the K slabs in order, as the sum over the mode axis of
+    (L, K, 2) pulls did. So each row gets the bits it gets in a solo run.
+    Each segment draws its initial latents and its cads noise from its own
+    generators, and is repelled and corrupted on its own columns, as a solo
+    run. The hooks see the state of a one-seed run, (B, 2) latents and
+    (B, M) contexts for one segment, the contexts as a view of the record's
+    row j.
     """
     check_seeds(seeds)
     t_steps = world.n_steps
@@ -486,15 +507,18 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
 
     times = 1.0 - np.arange(t_steps + 1) / t_steps
     # step j departs from t_j and takes its responsibilities at the arrival
-    # time max(t_{j+1}, t_{T-1}); row j holds (1 - t) mu at both times, so one
-    # subtraction gives the step both offsets
+    # time max(t_{j+1}, t_{T-1}); row j holds (1 - t) mu at both times as a
+    # (2, K, 2, 1) block, so one subtraction from the (2, L) latents gives
+    # the step both offsets
     arrival = [min(j + 1, t_steps - 1) for j in range(t_steps)]
     scaled = (1.0 - times[:t_steps, None, None]) * world.mode_centers
-    centers = np.stack([scaled, scaled[arrival]], axis=1)
-    # per step: t, dt / t, the shrink at t and the likelihood at the arrival time
+    centers = np.stack([scaled, scaled[arrival]], axis=1)[..., None]
+    # per step: t, dt / t, the shrink at t and the likelihood at the arrival
+    # time, from s_t^2 computed once per time
     t_list = times.tolist()
+    s2 = [_noise_scale_sq(world, t) for t in t_list[:t_steps]]
     steps = [
-        (t, (t - t_list[j + 1]) / t, _shrink(world, t), _likelihood(world, t_list[arrival[j]]))
+        (t, (t - t_list[j + 1]) / t, _shrink(world, t, s2[j]), _likelihood(s2[arrival[j]]))
         for j, t in enumerate(t_list[:t_steps])
     ]
 
@@ -529,10 +553,12 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                         z[cols] = repulse(ContextBatch(z[cols]), repulsion).vectors
                 if latent_hook is not None:
                     z = latent_hook(j, t, z)
-                diff, sq = _offsets(z, centers[j])
+                # the offsets of the state's L = [S *] (B_1 + ... + B_V)
+                # latents, from a coordinate-major (2, L) copy
+                diff, sq = _offsets(z.reshape(-1, 2).T.copy(), centers[j])
 
                 effective = contexts[j]
-                feedback = _feedback(sq[..., 0, :])
+                feedback = _feedback(sq[0]).reshape(effective.shape)
                 feedback *= world.feedback_scale
                 np.add(effective if context_state is None else context_state, feedback,
                        out=effective)
@@ -545,9 +571,9 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                     effective[...] = context_hook(j, t, effective)
 
                 weights = _softmax(world.guidance_gamma * effective)
-                x0, _ = _denoise(world, diff[..., 0, :, :], shrink, sq[..., 1, :], likelihood,
-                                 weights)
-                z = z - rate * (z - x0)
+                x0, _ = _denoise(world, diff[0], shrink, sq[1], likelihood,
+                                 weights.reshape(sq[1].shape))
+                z = z - rate * (z - x0.T.reshape(z.shape))
                 latents[j + 1] = z
         except FloatingPointError as exc:
             raise NumericOverflow(f"flow step {j}: {exc}") from None

@@ -148,8 +148,12 @@ def repulse(batch: ContextBatch, cfg: RepulsionConfig) -> ContextBatch:
                 np.add.reduce(grad * grad, axis=-1, keepdims=True), axis=-2, keepdims=True
             ))
             largest[largest <= _NORMALIZATION_FLOOR] = 1.0
-            grad = grad / largest
-        vectors = vectors + step * grad
+            move = grad / largest
+            move *= step
+        else:
+            move = step * grad
+        # the gradient array is left as returned, and move is this call's own
+        vectors = np.add(vectors, move, out=move)
         # the max propagates NaN, so one scan finds a non-finite entry (which
         # NaN > limit alone would let through) and an overflow
         peak = np.maximum.reduce(np.abs(vectors), axis=None)

@@ -97,11 +97,25 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
         raise ValueError("gradient requires at least two samples")
     norms, unit, kernel = _unit_rows_and_cosine(batch.vectors)
     eigenvalues, u = _eigh_descending(kernel / b)
-    f_prime = -(np.log(np.maximum(eigenvalues, EIGENVALUE_FLOOR)) + 1.0)
-    dl_dk = (u * f_prime[..., None, :]) @ u.swapaxes(-1, -2) / b
+    # every array from here on is the call's own, so the arithmetic runs in
+    # place, operation for operation as the formula in its comment
+    # f' = -(log lambda + 1)
+    f_prime = np.maximum(eigenvalues, EIGENVALUE_FLOOR)
+    np.log(f_prime, out=f_prime)
+    np.subtract(-1.0, f_prime, out=f_prime)
+    # dL/dK = (U f') U^T / B
+    dl_dk = (u * f_prime[..., None, :]) @ u.swapaxes(-1, -2)
+    dl_dk /= b
     _fill_diagonal(dl_dk, 0.0)  # the unit diagonal contributes nothing
-    radial = (dl_dk * kernel).sum(axis=-1, keepdims=True)
-    return 2.0 * (dl_dk @ unit - radial * unit) / norms
+    # 2 (dL/dK c_hat - radial c_hat) / |c| with radial = sum_j dL/dK_ij K_ij
+    kernel *= dl_dk
+    radial = kernel.sum(axis=-1, keepdims=True)
+    grad = dl_dk @ unit
+    unit *= radial
+    grad -= unit
+    grad *= 2.0
+    grad /= norms
+    return grad
 
 
 def average_pair_vendi(kernel: SymMatrix) -> float:

@@ -13,7 +13,11 @@ simulation records are the straightforward forms of what the package
 computes in blocks or shares; the tests hold those forms to them. So is
 ``batch_metrics``, the per-batch scoring that ``gmmflow`` now runs on a stack
 of seeds, and ``cads_run``, the one-step-at-a-time cads loop whose
-corruption ``gmmflow`` now builds once per run.
+corruption ``gmmflow`` now builds once per run. ``cads_run`` takes its
+offsets, posterior means and step scalars from its own copies,
+``offsets_rows``, ``denoise_rows`` and ``step_scalars``: the sample-major
+(..., B, K, 2) step that ``gmmflow`` ran before it laid the offsets out
+coordinate-major, with s_t^2 computed per scalar.
 ``SplitMix64`` and ``normal_array`` are the toy model's random source as it
 was before it drew from numpy's PCG64 generator: a SplitMix64 stream mapped
 to normals by Box-Muller on libm, one draw at a time. Patched into
@@ -414,6 +418,35 @@ def cads_corrupt_step(prompts, mean_in, std_in, t: float, cads, noise) -> np.nda
     return cads.psi * rescaled + (1.0 - cads.psi) * corrupted
 
 
+def offsets_rows(z: np.ndarray, centers: np.ndarray):
+    """``gmmflow._offsets`` in its sample-major form: the offsets of (..., B, 2)
+    latents from (K, 2) centers, shape (..., B, K, 2), and their squared
+    lengths, shape (..., B, K); more leading axes of ``centers`` (several
+    times at once) come before the K axis."""
+    diff = z.reshape(z.shape[:-1] + (1,) * (centers.ndim - 1) + (2,)) - centers
+    squares = diff * diff
+    return diff, squares[..., 0] + squares[..., 1]
+
+
+def denoise_rows(world, offsets: np.ndarray, shrink: float, sq_resp: np.ndarray,
+                 likelihood: tuple[float, float], weights: np.ndarray):
+    """``gmmflow._denoise`` in its sample-major form: the (..., B, 2) posterior
+    means from (..., B, K, 2) offsets, summed over the mode axis of the
+    pulls, and the (..., B, K) responsibilities."""
+    neg_two_s2, log_norm = likelihood
+    log_joint = sq_resp / neg_two_s2 - log_norm + np.log(weights)
+    resp = gmmflow._softmax(log_joint)
+    pulled = (shrink * offsets + world.mode_centers) * resp[..., None]
+    return np.add.reduce(pulled, axis=-2), resp
+
+
+def step_scalars(world, t: float) -> tuple[float, tuple[float, float]]:
+    """The shrink (1-t) sigma^2 / s_t^2 and the likelihood scalars
+    (-2 s_t^2, log(2 pi s_t^2)) at ``t``, each from its own s_t^2."""
+    s2 = (1.0 - t) ** 2 * world.mode_sigma**2 + t * t
+    return (1.0 - t) * world.mode_sigma**2 / s2, (-2.0 * s2, math.log(2.0 * math.pi * s2))
+
+
 def cads_run(world, segment, seed: int, cads) -> tuple[np.ndarray, np.ndarray]:
     """The (T + 1, B, 2) latents and (T + 1, B, M) contexts of one ``cads``
     segment at one seed, one step at a time: a fresh generator per segment
@@ -429,16 +462,16 @@ def cads_run(world, segment, seed: int, cads) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         for j in range(t_steps):
             t, t_resp = times[j], times[min(j + 1, t_steps - 1)]
-            diff, sq = gmmflow._offsets(z, (1.0 - t) * world.mode_centers)
-            sq_resp = gmmflow._offsets(z, (1.0 - t_resp) * world.mode_centers)[1]
+            diff, sq = offsets_rows(z, (1.0 - t) * world.mode_centers)
+            sq_resp = offsets_rows(z, (1.0 - t_resp) * world.mode_centers)[1]
             base = prompts
             if fraction_in_interval(j, t_steps, segment.cads_interval):
                 noise = noise_rng.standard_normal(prompts.shape)
                 base = cads_corrupt_step(prompts, mean, std, t, cads, noise)
             effective = base + world.feedback_scale * gmmflow._feedback(sq)
             weights = gmmflow._softmax(world.guidance_gamma * effective)
-            x0, _ = gmmflow._denoise(world, diff, gmmflow._shrink(world, t), sq_resp,
-                                     gmmflow._likelihood(world, t_resp), weights)
+            x0, _ = denoise_rows(world, diff, step_scalars(world, t)[0], sq_resp,
+                                 step_scalars(world, t_resp)[1], weights)
             z = z - ((t - times[j + 1]) / t) * (z - x0)
             latents.append(z)
             contexts.append(effective)

@@ -141,6 +141,52 @@ class TestPosteriorDenoiser:
             assert rel <= 1e-6
 
 
+class TestCoordinateMajorStep:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seeds=st.sampled_from([1, 2, 5, 64]),
+        batch=st.sampled_from([1, 2, 3, 8, 28]),
+        modes=st.sampled_from([1, 2, 3, 8, 16]),
+        log_scale=st.floats(-5.0, 5.0),
+        step=st.integers(0, 7),
+        draw=st.integers(0, 2**31),
+    )
+    def test_step_matches_the_sample_major_step(self, seeds, batch, modes, log_scale, step,
+                                                draw):
+        # offsets, squared offsets, feedback, posterior means and
+        # responsibilities of the coordinate-major step have the bits of the
+        # (..., B, 2t, K, 2) step, at one seed without the seed axis as the
+        # integrator runs it
+        world = gf.MixtureWorld(n_modes=modes, mode_sigma=0.2, n_steps=8)
+        rng = np.random.default_rng(draw)
+        lead = (seeds, batch) if seeds > 1 else (batch,)
+        z = rng.standard_normal(lead + (2,)) * np.exp(log_scale)
+        weights = gf._softmax(rng.standard_normal(lead + (modes,)))
+        t, t_resp = 1.0 - step / 8, 1.0 - min(step + 1, 7) / 8
+        centers = np.stack([(1.0 - t) * world.mode_centers, (1.0 - t_resp) * world.mode_centers])
+        shrink = _oracles.step_scalars(world, t)[0]
+        likelihood = _oracles.step_scalars(world, t_resp)[1]
+
+        diff, sq = gf._offsets(z.reshape(-1, 2).T.copy(), centers[..., None])
+        x0, resp = gf._denoise(world, diff[0], shrink, sq[1], likelihood,
+                               weights.reshape(-1, modes))
+        diff_rows, sq_rows = _oracles.offsets_rows(z, centers)
+        x0_rows, resp_rows = _oracles.denoise_rows(world, diff_rows[..., 0, :, :], shrink,
+                                                   sq_rows[..., 1, :], likelihood, weights)
+
+        assert diff.transpose(3, 0, 1, 2).tobytes() == diff_rows.tobytes()
+        assert sq.transpose(1, 0, 2).tobytes() == sq_rows.tobytes()
+        assert gf._feedback(sq[0]).tobytes() == gf._feedback(sq_rows[..., 0, :]).tobytes()
+        assert resp.tobytes() == resp_rows.tobytes()
+        assert x0.T.tobytes() == x0_rows.tobytes()
+
+    def test_step_scalars_match_the_oracle(self):
+        world = gf.MixtureWorld()
+        for t in (1.0, 0.75, 0.015625):
+            s2 = gf._noise_scale_sq(world, t)
+            assert (gf._shrink(world, t, s2), gf._likelihood(s2)) == _oracles.step_scalars(world, t)
+
+
 class TestSampleBatch:
     def test_trajectory_shape_and_times(self):
         world = gf.MixtureWorld(n_steps=16)
