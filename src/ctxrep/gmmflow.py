@@ -31,12 +31,12 @@ one-seed case and the only one that takes the steering hooks,
 each seed bit for bit its own :func:`evaluate`.
 
 The step loop runs only the work that depends on the state, on long rows.
-Each step copies the latents once into a coordinate-major (2, L) array, and
-one subtraction of a (2 times, K, 2, 1) table gives the offsets from the mode
-centers at the departure and the arrival time, as (2, K, 2, L) rows. Each
-step's scalars come from a table of Python floats built once per run, from
-s_t^2 computed once per time, the (T + 1, ...) contexts record is each
-step's context buffer, which the step writes in place, and the ``cads``
+The latents stay coordinate-major, one (2, L) array, for the whole run, and
+one subtraction of a (2 times, K, 2, 1) table gives each step the offsets
+from the mode centers at the departure and the arrival time, as (2, K, 2, L)
+rows. Each step's scalars come from a table of Python floats built once per
+run, from s_t^2 computed once per time, the (T + 1, ...) contexts record is
+each step's context buffer, which the step writes in place, and the ``cads``
 baseline builds every corrupted prompt of a run before the first step, one
 noise draw per segment and seed.
 """
@@ -246,10 +246,11 @@ def _log_joint(sq: np.ndarray, likelihood: tuple[float, float], weights: np.ndar
     return log_lik
 
 
-def _denoise(world: MixtureWorld, offsets: np.ndarray, shrink: float, sq_resp: np.ndarray,
+def _denoise(centers: np.ndarray, offsets: np.ndarray, shrink: float, sq_resp: np.ndarray,
              likelihood: tuple[float, float], weights: np.ndarray):
     """E[x0 | z_t] of L latents, coordinate-major, shape (2, L), and their
-    (L, K) responsibilities: component posterior means from the (K, 2, L)
+    (L, K) responsibilities: component posterior means from the (K, 2, 1)
+    mode ``centers`` (``world.mode_centers[..., None]``), the (K, 2, L)
     offsets at ``t`` and ``shrink``, :func:`_shrink` at t; responsibilities
     from the (L, K) squared offsets at ``t_resp``, ``likelihood``,
     :func:`_likelihood` at t_resp, and the (L, K) ``weights``.
@@ -261,7 +262,7 @@ def _denoise(world: MixtureWorld, offsets: np.ndarray, shrink: float, sq_resp: n
     """
     resp = _softmax(_log_joint(sq_resp, likelihood, weights))
     pulled = shrink * offsets
-    pulled += world.mode_centers[..., None]
+    pulled += centers
     pulled *= resp.T[:, None]
     # the mode sum adds whole (2, L) slabs in mode order, the order of
     # numpy's sum over the mode axis of (L, K, 2) pulls. The coordinate axis
@@ -290,7 +291,8 @@ def posterior_denoiser(world: MixtureWorld, z: np.ndarray, t: float, weights: np
     w2 = np.asarray(weights, dtype=float).reshape(1, world.n_modes)
     s2 = _noise_scale_sq(world, t)
     with np.errstate(divide="ignore"):
-        x0, resp = _denoise(world, offsets, _shrink(world, t, s2), sq, _likelihood(s2), w2)
+        x0, resp = _denoise(world.mode_centers[..., None], offsets, _shrink(world, t, s2), sq,
+                            _likelihood(s2), w2)
     return x0[:, 0], resp[0]
 
 
@@ -478,17 +480,20 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     the record holds each segment's corrupted prompts in its in-window rows
     and the prompts everywhere else (:func:`_write_cads_rows`).
 
-    Each step, everything but the interventions runs once on the whole state,
-    laid out coordinate-major as (2, L) rows of its L latents: every
+    The latents are held for the whole run as one coordinate-major (2, L)
+    array of the state's L = [S *] (B_1 + ... + B_V) latents, and each step
+    writes them into the record through its (T + 1, L, 2) view. Each step,
+    everything but the interventions runs once on the whole state: every
     operation there is elementwise, reduces a latent's contiguous (K,) row
     of squared offsets, or sums the (K, 2, L) pulls over the mode axis,
     which adds the K slabs in order, as the sum over the mode axis of
     (L, K, 2) pulls did. So each row gets the bits it gets in a solo run.
     Each segment draws its initial latents and its cads noise from its own
     generators, and is repelled and corrupted on its own columns, as a solo
-    run. The hooks see the state of a one-seed run, (B, 2) latents and
-    (B, M) contexts for one segment, the contexts as a view of the record's
-    row j.
+    run. Only latent repulsion and the hooks see sample-major rows: the
+    hooks see the state of a one-seed run, (B, 2) latents and (B, M)
+    contexts for one segment, the contexts as a view of the record's row j;
+    the latents a latent hook returns are the state the step reads.
     """
     check_seeds(seeds)
     t_steps = world.n_steps
@@ -504,6 +509,16 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     latents = np.empty((t_steps + 1,) + z.shape)
     contexts = np.empty((t_steps + 1,) + prompts.shape)
     latents[0] = z
+    record = latents.reshape(t_steps + 1, -1, 2)
+    # the run's state: the latents coordinate-major, (2, L)
+    z = record[0].T.copy()
+    # the state's (2, [S,] B_1 + ... + B_V) view takes each segment's
+    # columns, and the axis orders to its ([S,] B, 2) rows and back
+    by_segment = (2,) + prompts.shape[:-1]
+    lead_axes = tuple(range(len(by_segment) - 1))
+    to_rows = tuple(axis + 1 for axis in lead_axes) + (0,)
+    from_rows = (len(lead_axes),) + lead_axes
+    center_columns = world.mode_centers[..., None]
 
     times = 1.0 - np.arange(t_steps + 1) / t_steps
     # step j departs from t_j and takes its responsibilities at the arrival
@@ -525,7 +540,7 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     # the segments each repulsion acts on, by step; steps without any are left out
     repelled = {}
     if method in ("contextual", "latent"):
-        for seg, cols in zip(segments, columns):
+        for seg, cols in zip(segments, slices):
             for j, inside in enumerate(_steps_in(seg.repulsion.timestep_interval, t_steps)):
                 if inside:
                     repelled.setdefault(j, []).append((cols, seg.repulsion))
@@ -550,12 +565,13 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
             for j, (t, rate, shrink, likelihood) in enumerate(steps):
                 if method == "latent":
                     for cols, repulsion in repelled.get(j, ()):
-                        z[cols] = repulse(ContextBatch(z[cols]), repulsion).vectors
+                        coords = z.reshape(by_segment)[..., cols]
+                        rows = coords.transpose(to_rows).copy()
+                        coords[...] = repulse(ContextBatch(rows), repulsion).vectors.transpose(
+                            from_rows)
                 if latent_hook is not None:
-                    z = latent_hook(j, t, z)
-                # the offsets of the state's L = [S *] (B_1 + ... + B_V)
-                # latents, from a coordinate-major (2, L) copy
-                diff, sq = _offsets(z.reshape(-1, 2).T.copy(), centers[j])
+                    z = latent_hook(j, t, z.T.copy()).T.copy()
+                diff, sq = _offsets(z, centers[j])
 
                 effective = contexts[j]
                 feedback = _feedback(sq[0]).reshape(effective.shape)
@@ -564,17 +580,18 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                        out=effective)
                 if method == "contextual":
                     for cols, repulsion in repelled.get(j, ()):
-                        moved = repulse(ContextBatch(effective[cols]), repulsion).vectors
-                        context_state[cols] += moved - effective[cols]
-                        effective[cols] = moved
+                        rows = effective[..., cols, :]
+                        moved = repulse(ContextBatch(rows), repulsion).vectors
+                        context_state[..., cols, :] += moved - rows
+                        rows[...] = moved
                 if context_hook is not None:
                     effective[...] = context_hook(j, t, effective)
 
                 weights = _softmax(world.guidance_gamma * effective)
-                x0, _ = _denoise(world, diff[0], shrink, sq[1], likelihood,
+                x0, _ = _denoise(center_columns, diff[0], shrink, sq[1], likelihood,
                                  weights.reshape(sq[1].shape))
-                z = z - rate * (z - x0.T.reshape(z.shape))
-                latents[j + 1] = z
+                z = z - rate * (z - x0)
+                record[j + 1] = z.T
         except FloatingPointError as exc:
             raise NumericOverflow(f"flow step {j}: {exc}") from None
 

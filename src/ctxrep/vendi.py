@@ -109,7 +109,7 @@ def entropy_gradient(batch: ContextBatch) -> np.ndarray:
     _fill_diagonal(dl_dk, 0.0)  # the unit diagonal contributes nothing
     # 2 (dL/dK c_hat - radial c_hat) / |c| with radial = sum_j dL/dK_ij K_ij
     kernel *= dl_dk
-    radial = kernel.sum(axis=-1, keepdims=True)
+    radial = np.add.reduce(kernel, axis=-1, keepdims=True)
     grad = dl_dk @ unit
     unit *= radial
     grad -= unit

@@ -28,7 +28,8 @@ The einsum joint attention is the straightforward form of the toy model's
 stacked-matmul attention; it sums in another order, so the tests hold the
 shipped form to it within a roundoff tolerance. ``row_sums_loop`` is
 ``linalg._row_sums`` as it was before it reduced a whole stack in one call:
-one 1-D sum per row.
+one 1-D sum per row. ``fail_lapack`` is not an oracle but a fault: it makes
+one of the LAPACK gufuncs ``linalg`` calls fail as LAPACK fails.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 
 import numpy as np
 
+import ctxrep.linalg
 from ctxrep import gmmflow, toydit
 from ctxrep.config import latent_repulsion_from_config, repulsion_from_config
 from ctxrep.linalg import (
@@ -129,6 +131,22 @@ def einsum_joint_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: i
     weights = weights / np.sum(weights, axis=-1, keepdims=True)
     out = np.einsum("...hts,...shd->...thd", weights, vh)
     return out.reshape(*lead, n_tokens, dim)
+
+
+def fail_lapack(monkeypatch, gufunc: str) -> None:
+    """Make ``ctxrep.linalg``'s LAPACK gufunc ``gufunc`` (``"_eigh_lo"`` or
+    ``"_eigvalsh_lo"``) fail with the gufunc's real failure signal: the
+    stand-in runs the real gufunc on a NaN matrix, which returns NaN output
+    and sets the invalid flag."""
+    real = getattr(ctxrep.linalg, gufunc)
+
+    def failing(a, **kwargs):
+        # LAPACK fails on a NaN matrix from 3 x 3 up; a smaller one comes
+        # back as NaN with no failure
+        size = max(a.shape[-1], 3)
+        return real(np.full(a.shape[:-2] + (size, size), np.nan), **kwargs)
+
+    monkeypatch.setattr(ctxrep.linalg, gufunc, failing)
 
 
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:

@@ -39,7 +39,13 @@ from ._golden import (
     shipped_config,
     small_gmm_config,
 )
-from ._oracles import ablate_blocks_rows, grad_check_record, simulation_record, toy_run_outputs
+from ._oracles import (
+    ablate_blocks_rows,
+    fail_lapack,
+    grad_check_record,
+    simulation_record,
+    toy_run_outputs,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -368,10 +374,7 @@ class TestRepulseCommand:
         src = tmp_path / "in.csv"
         write_vector_csv(str(src), np.array([[1.0, 0.0], [0.6, 0.8]]))
 
-        def failing(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        fail_lapack(monkeypatch, "_eigh_lo")
         assert run_command(
             ["repulse", "--input", str(src), "--output", str(tmp_path / "out.csv"),
              "--eta", "0.01", "--steps", "1"]
@@ -1513,10 +1516,7 @@ class TestFaultExitCodes:
 
     @pytest.mark.parametrize("command", ["vendi", "simulate"])
     def test_lapack_eigenvalue_failure_exit_3(self, tmp_path, monkeypatch, capsys, command):
-        def failing(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        fail_lapack(monkeypatch, "_eigvalsh_lo")
         vectors = tmp_path / "in.csv"
         write_vector_csv(str(vectors), np.array([[1.0, 0.0], [0.6, 0.8]]))
         argv = {

@@ -168,7 +168,7 @@ class TestCoordinateMajorStep:
         likelihood = _oracles.step_scalars(world, t_resp)[1]
 
         diff, sq = gf._offsets(z.reshape(-1, 2).T.copy(), centers[..., None])
-        x0, resp = gf._denoise(world, diff[0], shrink, sq[1], likelihood,
+        x0, resp = gf._denoise(world.mode_centers[..., None], diff[0], shrink, sq[1], likelihood,
                                weights.reshape(-1, modes))
         diff_rows, sq_rows = _oracles.offsets_rows(z, centers)
         x0_rows, resp_rows = _oracles.denoise_rows(world, diff_rows[..., 0, :, :], shrink,
@@ -774,6 +774,52 @@ class TestContextHook:
                         latent_hook=lambda step, t, z: times.append(t) or z)
         assert times == (1.0 - np.arange(6) / 6).tolist()
         assert [type(t) for t in times] == [float] * 6
+
+
+class TestHooks:
+    @settings(max_examples=20, deadline=None)
+    @given(method=st.sampled_from(gf.METHODS), batch=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    def test_identity_hooks_returning_a_copy_keep_every_bit(self, method, batch, seed):
+        world = gf.MixtureWorld(n_steps=10)
+        prompts = gf.one_hot_prompts(world, batch)
+        runs = [
+            gf.sample_batch(world, prompts, method, seed=seed, **hooks, **METHOD_KWARGS[method])
+            for hooks in ({}, {"latent_hook": lambda step, t, z: z.copy()},
+                          {"context_hook": lambda step, t, context: context.copy()})
+        ]
+        assert len({trajectory_digest(run) for run in runs}) == 1
+
+    @pytest.mark.parametrize("method", gf.METHODS)
+    def test_the_latents_a_hook_returns_are_the_state(self, method):
+        # an edit in place, an edited copy and an edited Fortran-ordered copy
+        # all move the run alike, so the step reads what the hook returns
+        world = gf.MixtureWorld(n_steps=10)
+        prompts = gf.one_hot_prompts(world, 4)
+        seen = []
+
+        def in_place(step, t, z):
+            seen.append(z.copy())
+            z[:, 0] += 0.25
+            return z
+
+        hooks = [
+            in_place,
+            lambda step, t, z: z + [0.25, 0.0],
+            lambda step, t, z: np.asfortranarray(z + [0.25, 0.0]),
+            None,
+        ]
+        runs = [
+            gf.sample_batch(world, prompts, method, seed=5, latent_hook=hook,
+                            **METHOD_KWARGS[method])
+            for hook in hooks
+        ]
+        digests = [trajectory_digest(run) for run in runs]
+        assert digests[0] == digests[1] == digests[2] != digests[3]
+        # without latent repulsion, step j's hook sees the record's row j
+        if method != "latent":
+            record = np.stack([tr.latents for tr in runs[0]], axis=1)
+            assert np.stack(seen).tobytes() == record[:-1].tobytes()
 
 
 class TestUnderflowingWeights:

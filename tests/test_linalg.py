@@ -1,4 +1,6 @@
 import pathlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ctxrep.linalg import (
     NonConvergence,
     SymMatrix,
     _eigh_descending,
+    _eigvalsh,
     _row_sums,
     _unit_rows_and_cosine,
     cosine_kernel,
@@ -21,7 +24,7 @@ from ctxrep.linalg import (
     rbf_kernel,
 )
 
-from ._oracles import canonical_signs, row_sums_loop
+from ._oracles import canonical_signs, fail_lapack, row_sums_loop
 
 
 def random_symmetric(rng, n):
@@ -145,28 +148,59 @@ class TestEigh:
         assert np.array_equal(canonical_signs(tiny_lead), np.array([[1e-13, 0.0], [0.5, 2.0]]))
 
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
-        def failing(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        fail_lapack(monkeypatch, "_eigh_lo")
         with pytest.raises(NonConvergence, match="did not converge"):
             _eigh_descending(np.eye(3))
 
     def test_eigenvalues_only_failure_is_nonconvergence(self, monkeypatch):
-        def failing(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
         eigvalsh = ctxrep.linalg._eigvalsh
         assert np.array_equal(eigvalsh(np.diag([2.0, 1.0])), [1.0, 2.0])
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        fail_lapack(monkeypatch, "_eigvalsh_lo")
         with pytest.raises(NonConvergence, match="did not converge"):
             eigvalsh(np.eye(3))
 
     def test_every_lapack_call_goes_through_linalg(self):
-        # so a LAPACK failure is NonConvergence (exit 3) wherever it happens
+        # so a LAPACK failure is NonConvergence (exit 3) wherever it happens:
+        # only linalg.py reaches numpy's eigensolvers or their LAPACK gufuncs,
+        # and it calls the gufuncs, not numpy's wrappers
         package = pathlib.Path(ctxrep.__file__).parent
-        callers = sorted(p.name for p in package.glob("*.py") if "np.linalg.eig" in p.read_text())
+        sources = {p.name: p.read_text() for p in package.glob("*.py")}
+        reaching = re.compile(r"linalg\.eig|from numpy\.linalg import[^\n]*\beig|_umath_linalg")
+        callers = sorted(name for name, text in sources.items() if reaching.search(text))
         assert callers == ["linalg.py"]
+        assert "np.linalg.eig" not in sources["linalg.py"]
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    def test_gufunc_calls_equal_numpys_wrappers_bitwise(self, lead):
+        # symmetric matrices, and rank-deficient kernels as the gradient and
+        # the scores pass them: a cosine kernel of a batch with repeated rows
+        # and the all-ones kernel of identical samples, each over B
+        rng = np.random.default_rng(30)
+        for n in range(1, 17):
+            a = rng.standard_normal(lead + (n, n))
+            rows = rng.standard_normal(lead + (n, 3))
+            rows[..., n // 2:, :] = rows[..., :1, :]
+            for m in ((a + a.swapaxes(-1, -2)) / 2.0, _unit_rows_and_cosine(rows)[2] / n,
+                      np.ones(lead + (n, n)) / n):
+                eigenvalues, vectors = _eigh_descending(m)
+                expected_values, expected_vectors = np.linalg.eigh(m)
+                assert eigenvalues.shape == lead + (n,) and vectors.shape == lead + (n, n)
+                assert eigenvalues.tobytes() == expected_values[..., ::-1].tobytes()
+                assert vectors.tobytes() == expected_vectors[..., ::-1].tobytes()
+                assert _eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+    @pytest.mark.parametrize("policy", ["ignore", "warn", "raise"])
+    def test_nan_matrix_is_nonconvergence_under_any_policy(self, policy):
+        # LAPACK fails on a NaN matrix from 3 x 3 up: the failure is
+        # NonConvergence and warns nothing, whatever the caller's policy
+        stack = np.stack([np.eye(4), np.full((4, 4), np.nan)])
+        for a in (stack[1], stack):
+            with warnings.catch_warnings(), np.errstate(all=policy):
+                warnings.simplefilter("error")
+                with pytest.raises(NonConvergence, match="eigh failed: Eigenvalues did not"):
+                    _eigh_descending(a)
+                with pytest.raises(NonConvergence, match="eigvalsh failed: Eigenvalues did not"):
+                    _eigvalsh(a)
 
 
 class TestContextBatch:

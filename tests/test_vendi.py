@@ -25,6 +25,7 @@ from ._oracles import (
     canonical_eigh,
     entropy_gradient_with,
     entropy_of_vectors,
+    fail_lapack,
     fd_entropy_gradient,
     jacobi_entropy,
 )
@@ -225,10 +226,7 @@ class TestEntropyGradient:
         assert np.max(np.abs(permuted - grad[perm])) <= 1e-9 * max(np.max(np.abs(grad)), 1.0)
 
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
-        def failing(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        fail_lapack(monkeypatch, "_eigh_lo")
         with pytest.raises(NonConvergence):
             entropy_gradient(ContextBatch(np.eye(3)))
 
