@@ -511,7 +511,7 @@ def _cmd_steer(args) -> int:
         output,
         ["step", "time", "zx", "zy"],
         ([j, repr(float(t)), repr(float(zx)), repr(float(zy))]
-         for j, (t, (zx, zy)) in enumerate(zip(trajectory.times, trajectory.latents))),
+         for j, (t, (zx, zy)) in enumerate(zip(trajectory.times, trajectory.latents[:, 0]))),
     )
     return EXIT_OK
 

@@ -26,9 +26,10 @@ own columns, so each segment at each seed is bit for bit its own
 :func:`sample_batch` run. Every sampler checks its segments and calls the
 integrator through one helper: :func:`sample_batch` is the one-segment,
 one-seed case and the only one that takes the steering hooks,
-:func:`sample_segments` returns every trajectory, and
+:func:`sample_segments` returns every segment's record at every seed, and
 :func:`evaluate_segments` scores each segment's (S, B, 2) finals in one pass,
-each seed bit for bit its own :func:`evaluate`.
+each seed bit for bit its own :func:`evaluate`. A record,
+:class:`Trajectories`, holds read-only views of the integrator's arrays.
 
 The step loop runs only the work that depends on the state, on long rows.
 The latents stay coordinate-major, one (2, L) array, for the whole run, and
@@ -121,12 +122,14 @@ class MixtureWorld:
 
 
 @dataclass(frozen=True)
-class SampleTrajectory:
-    """One sample's integration record: times descend 1 -> 0, length T + 1.
+class Trajectories:
+    """One batch's integration record: (T + 1,) times descending 1 -> 0,
+    (T + 1, B, 2) latents and (T + 1, B, M) contexts, read-only views of one
+    run's arrays; the records of one run share ``times``.
 
-    ``contexts[j]`` is the effective (enriched, post-intervention) context the
-    generator consumed when stepping from ``times[j]``; the final row repeats
-    the last consumed context.
+    ``contexts[j]`` holds the effective (enriched, post-intervention) contexts
+    the generator consumed when stepping from ``times[j]``; the final row
+    repeats the last consumed one.
     """
 
     times: np.ndarray
@@ -346,7 +349,7 @@ def sample_batch(
     cads_interval: tuple[float, float] = (0.0, 1.0),
     context_hook=None,
     latent_hook=None,
-) -> list[SampleTrajectory]:
+) -> Trajectories:
     """Integrate the batch from t=1 to t=0 with the chosen intervention.
 
     Each of the T uniform steps moves z by -dt * (z - x0_hat)/t, where the
@@ -361,13 +364,14 @@ def sample_batch(
     with the step index, the departure time ``t`` as a Python float, and (B, 2)
     latents or (B, M) contexts. The context a context hook receives is a view
     of the run's contexts record: it may edit it in place and return it, or
-    return a new array, which is written into the record.
+    return a new array, which is written into the record. Returns the
+    batch's :class:`Trajectories`.
     """
     times, latents, contexts, _ = _segment_run(
         world, [Segment(prompts, repulsion, cads_interval)], method, [seed], cads,
         context_hook, latent_hook,
     )
-    return _trajectories(times, latents[:, 0], contexts[:, 0])
+    return Trajectories(times, latents[:, 0], contexts[:, 0])
 
 
 def sample_segments(
@@ -377,14 +381,15 @@ def sample_segments(
     *,
     seeds,
     cads: CadsParams | None = None,
-) -> list[list[list[SampleTrajectory]]]:
-    """The trajectories of each of ``segments`` at each of ``seeds``, run as
-    one array program on (S, B_1 + ... + B_V, .) states.
+) -> list[list[Trajectories]]:
+    """The record of each of ``segments`` at each of ``seeds``, run as one
+    array program on (S, B_1 + ... + B_V, .) states.
 
     Each segment keeps its own noise streams, and each repulsion acts on its
     own segment, so entry [v][s] is bit for bit ``sample_batch`` of segment v
-    at ``seeds[s]``. A non-finite state or an overflow in any segment at any
-    seed raises, as a solo call of that run would.
+    at ``seeds[s]``, a view of the run's arrays. A non-finite state or an
+    overflow in any segment at any seed raises, as a solo call of that run
+    would.
     """
     seeds = list(seeds)
     run = _segment_run(world, segments, method, seeds, cads)
@@ -392,7 +397,7 @@ def sample_segments(
         return [[] for _ in segments]
     times, latents, contexts, columns = run
     return [
-        [_trajectories(times, latents[:, s, cols], contexts[:, s, cols])
+        [Trajectories(times, latents[:, s, cols], contexts[:, s, cols])
          for s in range(len(seeds))]
         for cols in columns
     ]
@@ -408,7 +413,7 @@ def evaluate_segments(
 ) -> list[list[RunMetrics]]:
     """:func:`evaluate` of each entry of :func:`sample_segments`, bit for bit,
     each segment scored in one pass over its (S, B, 2) finals without
-    building a trajectory per sample."""
+    building a record per seed."""
     run = _segment_run(world, segments, method, list(seeds), cads)
     if run is None:
         return [[] for _ in segments]
@@ -471,7 +476,7 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     """The sampler loop on checked ``segments`` side by side at S ``seeds``,
     as (S, B_1 + ... + B_V, .) states, or (B_1 + ... + B_V, .) for one seed;
     returns the times, the (T + 1, S, B_1 + ... + B_V, .) latents and
-    contexts, and each segment's columns.
+    contexts, all three read-only, and each segment's columns.
 
     The loop runs only the work that depends on the state. Each step's
     scalars are Python floats from a table built once per run, and the
@@ -596,6 +601,8 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
             raise NumericOverflow(f"flow step {j}: {exc}") from None
 
     contexts[t_steps] = contexts[t_steps - 1]
+    for record in (times, latents, contexts):
+        record.flags.writeable = False
     if not lead:
         return times, latents[:, None], contexts[:, None], slices
     return times, latents, contexts, slices
@@ -636,16 +643,6 @@ def _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list, cads) 
                           rows[c:c + chunk])
 
 
-def _trajectories(times: np.ndarray, latents: np.ndarray, contexts: np.ndarray):
-    """One :class:`SampleTrajectory` per sample of (T + 1, B, .) records."""
-    return [
-        SampleTrajectory(
-            times=times.copy(), latents=latents[:, i, :].copy(), contexts=contexts[:, i, :].copy()
-        )
-        for i in range(latents.shape[1])
-    ]
-
-
 def _row_moments(rows: np.ndarray):
     """Each row's mean, the rows less their means, and each row's population
     std, as columns: the bits of ``np.mean`` and ``np.std`` on the last axis,
@@ -680,12 +677,10 @@ def _cads_corrupt(prompts: np.ndarray, mean_in: np.ndarray, std_in: np.ndarray, 
     rows += rescaled
 
 
-def evaluate(trajectories: list[SampleTrajectory], world: MixtureWorld) -> RunMetrics:
-    """Diversity and fidelity metrics over the batch's final samples: the
-    one-seed case of :func:`_score_finals`."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    return _score_finals(world, np.stack([tr.latents[-1] for tr in trajectories])[None])[0]
+def evaluate(trajectories: Trajectories, world: MixtureWorld) -> RunMetrics:
+    """Diversity and fidelity metrics over the batch's final samples,
+    ``trajectories.latents[-1]``: the one-seed case of :func:`_score_finals`."""
+    return _score_finals(world, trajectories.latents[-1][None])[0]
 
 
 # an overflow or an invalid operation is an error, as in the step loop, for
@@ -700,6 +695,8 @@ def _score_finals(world: MixtureWorld, finals: np.ndarray) -> list[RunMetrics]:
     every sum over more than two entries is taken one batch at a time
     (``linalg._row_sums``). One RBF kernel per batch feeds both scores.
     """
+    # a fresh ContextBatch names an empty batch or non-finite finals first
+    finals = ContextBatch(finals).vectors
     seeds, batch, _ = finals.shape
     diff = finals[..., None, :] - world.mode_centers
     dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
@@ -712,8 +709,7 @@ def _score_finals(world: MixtureWorld, finals: np.ndarray) -> list[RunMetrics]:
     off_rate = np.count_nonzero(~on_manifold, axis=-1) / batch
     mean_dist = _row_sums(nearest_dist) / batch
 
-    # a fresh ContextBatch rejects non-finite finals, naming them as evaluate always has
-    kernels = _rbf_entries(ContextBatch(finals).vectors, world.radius / 2.0)
+    kernels = _rbf_entries(finals, world.radius / 2.0)
     vendi = np.exp(_kernel_entropies(kernels))
     pair = _mean_pair_scores(kernels) if batch >= 2 else np.ones(seeds)
     return [

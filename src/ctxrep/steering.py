@@ -56,8 +56,9 @@ def steered_run(
     target_seed: int,
     spec: SteeringSpec,
     prompt_strength: float = 10.0,
-) -> gmmflow.SampleTrajectory:
-    """Replay the source mixture-flow run while blending toward the target.
+) -> gmmflow.Trajectories:
+    """Replay the source mixture-flow run while blending toward the target,
+    and return its B = 1 record.
 
     Each run's prompt selects the mode derived from its seed, so source and
     target head to different modes and the blend steers between them. Both
@@ -69,7 +70,7 @@ def steered_run(
         gmmflow.seed_prompt(world, target_seed, prompt_strength)[None, :],
         "none",
         seed=target_seed,
-    )[0]
+    )
     if spec.space == "contextual":
         recorded, hook_name = target.contexts, "context_hook"
     else:
@@ -78,7 +79,7 @@ def steered_run(
     def hook(step, t, current):
         if not fraction_in_interval(step, world.n_steps, spec.apply_interval):
             return current
-        return blend(current[0], recorded[step], spec.alpha)[None, :]
+        return blend(current, recorded[step], spec.alpha)
 
     return gmmflow.sample_batch(
         world,
@@ -86,4 +87,4 @@ def steered_run(
         "none",
         seed=source_seed,
         **{hook_name: hook},
-    )[0]
+    )

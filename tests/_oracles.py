@@ -406,7 +406,7 @@ def simulation_record(cfg, method: str, run_id: int) -> dict:
 def batch_metrics(trajectories, world) -> dict:
     """``gmmflow.evaluate``'s record of one batch, scored on its own through
     the public kernel and score functions."""
-    finals = np.stack([tr.latents[-1] for tr in trajectories])
+    finals = trajectories.latents[-1]
     batch = finals.shape[0]
     diff = finals[:, None, :] - world.mode_centers[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))

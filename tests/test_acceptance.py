@@ -228,7 +228,7 @@ def test_criterion_6_flow_correctness_and_landing():
     total = 0
     for seed in range(50):
         trajectories = gf.sample_batch(uniform_world, np.zeros((64, 8)), "none", seed=seed)
-        finals = np.stack([tr.latents[-1] for tr in trajectories])
+        finals = trajectories.latents[-1]
         diff = finals[:, None, :] - uniform_world.mode_centers[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
         on_manifold += int(np.sum(dist <= 3.0 * uniform_world.mode_sigma))
@@ -361,13 +361,13 @@ def test_criterion_9_ablation_trends(tmp_path):
 
 def test_criterion_10_steering():
     world = gf.MixtureWorld()
-    plain = gf.sample_batch(world, gf.seed_prompt(world, 0)[None, :], "none", seed=0)[0]
+    plain = gf.sample_batch(world, gf.seed_prompt(world, 0)[None, :], "none", seed=0)
     endpoints = True
     for space in ("contextual", "latent"):
         zero = steered_run(world, 0, 3, SteeringSpec(alpha=0.0, space=space))
         if not np.array_equal(zero.latents, plain.latents):
             endpoints = False
-    target = gf.sample_batch(world, gf.seed_prompt(world, 3)[None, :], "none", seed=3)[0]
+    target = gf.sample_batch(world, gf.seed_prompt(world, 3)[None, :], "none", seed=3)
     one = steered_run(world, 0, 3, SteeringSpec(alpha=1.0, space="latent"))
     if not np.array_equal(one.latents[-1], target.latents[-1]):
         endpoints = False

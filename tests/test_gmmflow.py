@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 import tracemalloc
 import warnings
@@ -27,7 +28,7 @@ LATENT_REPULSION = RepulsionConfig(
 
 
 def nearest_distances(trajectories, world):
-    finals = np.stack([t.latents[-1] for t in trajectories])
+    finals = trajectories.latents[-1]
     diff = finals[:, None, :] - world.mode_centers[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
 
@@ -190,11 +191,9 @@ class TestCoordinateMajorStep:
 class TestSampleBatch:
     def test_trajectory_shape_and_times(self):
         world = gf.MixtureWorld(n_steps=16)
-        trajectories = gf.sample_batch(world, np.zeros((3, 8)), "none", seed=0)
-        assert len(trajectories) == 3
-        tr = trajectories[0]
-        assert tr.latents.shape == (17, 2)
-        assert tr.contexts.shape == (17, 8)
+        tr = gf.sample_batch(world, np.zeros((3, 8)), "none", seed=0)
+        assert tr.latents.shape == (17, 3, 2)
+        assert tr.contexts.shape == (17, 3, 8)
         assert tr.times[0] == 1.0 and tr.times[-1] == 0.0
         assert np.all(np.diff(tr.times) < 0)
 
@@ -203,9 +202,8 @@ class TestSampleBatch:
         prompts = gf.one_hot_prompts(world, 4)
         a = gf.sample_batch(world, prompts, "contextual", seed=9, repulsion=COLLAPSE_REPULSION)
         b = gf.sample_batch(world, prompts, "contextual", seed=9, repulsion=COLLAPSE_REPULSION)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.latents, tb.latents)
-            assert np.array_equal(ta.contexts, tb.contexts)
+        assert np.array_equal(a.latents, b.latents)
+        assert np.array_equal(a.contexts, b.contexts)
 
     def test_uniform_world_covers_all_modes(self):
         world = gf.MixtureWorld(guidance_gamma=0.0)
@@ -259,8 +257,7 @@ class TestSampleBatch:
         prompts = gf.one_hot_prompts(world, 4)
         a = gf.sample_batch(world, prompts, "cads", seed=4, cads=params)
         b = gf.sample_batch(world, prompts, "cads", seed=4, cads=params)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.latents, tb.latents)
+        assert np.array_equal(a.latents, b.latents)
 
     @pytest.mark.filterwarnings("error")
     def test_cads_overflow_raises(self):
@@ -343,18 +340,21 @@ class TestSampleBatch:
         assert np.max(np.abs(after - before)) <= 1e-9
 
 
+def two_row_record(start, finals) -> gf.Trajectories:
+    """A hand-built record of one step from ``start`` to the (B, 2) ``finals``."""
+    finals = np.array(finals, dtype=float)
+    return gf.Trajectories(
+        times=np.array([1.0, 0.0]),
+        latents=np.stack([np.broadcast_to(start, finals.shape), finals]),
+        contexts=np.zeros((2, len(finals), 8)),
+    )
+
+
 class TestEvaluate:
     def test_single_cluster_at_center(self):
         world = gf.MixtureWorld()
         center = world.mode_centers[0]
-        trajectories = [
-            gf.SampleTrajectory(
-                times=np.array([1.0, 0.0]),
-                latents=np.array([[0.0, 0.0], center]),
-                contexts=np.zeros((2, 8)),
-            )
-            for _ in range(4)
-        ]
+        trajectories = two_row_record([0.0, 0.0], [center] * 4)
         metrics = gf.evaluate(trajectories, world)
         assert metrics.mode_coverage == 1
         assert metrics.off_manifold_rate == 0.0
@@ -363,28 +363,14 @@ class TestEvaluate:
 
     def test_one_sample_per_center(self):
         world = gf.MixtureWorld()
-        trajectories = [
-            gf.SampleTrajectory(
-                times=np.array([1.0, 0.0]),
-                latents=np.array([[0.0, 0.0], c]),
-                contexts=np.zeros((2, 8)),
-            )
-            for c in world.mode_centers
-        ]
+        trajectories = two_row_record([0.0, 0.0], world.mode_centers)
         metrics = gf.evaluate(trajectories, world)
         assert metrics.mode_coverage == 8
         assert metrics.off_manifold_rate == 0.0
 
     def test_final_latent_at_origin_accepted(self):
         world = gf.MixtureWorld()
-        trajectories = [
-            gf.SampleTrajectory(
-                times=np.array([1.0, 0.0]),
-                latents=np.array([[1.0, 1.0], p]),
-                contexts=np.zeros((2, 8)),
-            )
-            for p in (np.zeros(2), world.mode_centers[0])
-        ]
+        trajectories = two_row_record([1.0, 1.0], [np.zeros(2), world.mode_centers[0]])
         metrics = gf.evaluate(trajectories, world)
         assert metrics.off_manifold_rate == 0.5
         assert 1.0 < metrics.vendi_rbf <= 2.0
@@ -394,16 +380,18 @@ class TestEvaluate:
         world = gf.MixtureWorld()
         displaced = world.mode_centers[0] + np.array([10.0 * world.mode_sigma, 0.0])
         points = [world.mode_centers[0], world.mode_centers[1], displaced, world.mode_centers[2]]
-        trajectories = [
-            gf.SampleTrajectory(
-                times=np.array([1.0, 0.0]),
-                latents=np.array([[0.0, 0.0], p]),
-                contexts=np.zeros((2, 8)),
-            )
-            for p in points
-        ]
+        trajectories = two_row_record([0.0, 0.0], points)
         metrics = gf.evaluate(trajectories, world)
         assert metrics.off_manifold_rate == 0.25
+
+    def test_empty_record_is_rejected_by_name(self):
+        # a record of no samples fails before any arithmetic, not as a
+        # floating-point fault from the mean of no distances
+        world = gf.MixtureWorld(n_steps=2)
+        empty = gf.Trajectories(np.array([1.0, 0.5, 0.0]), np.empty((3, 0, 2)),
+                                np.empty((3, 0, 8)))
+        with pytest.raises(ValueError, match="^batch must contain at least one sample$"):
+            gf.evaluate(empty, world)
 
     def test_one_rbf_kernel_feeds_both_scores(self, monkeypatch):
         world = gf.MixtureWorld()
@@ -419,7 +407,7 @@ class TestEvaluate:
         metrics = gf.evaluate(trajectories, world)
         assert built == [world.radius / 2.0]
         # the kernel is the public rbf_kernel's, and both scores are the public ones
-        finals = ContextBatch(np.stack([tr.latents[-1] for tr in trajectories]))
+        finals = ContextBatch(trajectories.latents[-1])
         kernel = rbf_kernel(finals, world.radius / 2.0)
         assert metrics.avg_pair_vendi == average_pair_vendi(kernel)
         assert metrics.vendi_rbf == entropy_and_score(kernel).score
@@ -470,8 +458,10 @@ def one_segment(prompts, repulsion=None, cads=None, cads_interval=(0.0, 1.0)) ->
     return gf.Segment(prompts, repulsion, cads_interval)
 
 
-def trajectory_digest(trajectories) -> str:
-    return digest([tr.latents for tr in trajectories] + [tr.contexts for tr in trajectories])
+def trajectory_digest(run) -> str:
+    """sha256 of each sample's latents, then each sample's contexts: the
+    record's arrays in sample-major order."""
+    return digest([run.latents.swapaxes(0, 1), run.contexts.swapaxes(0, 1)])
 
 
 class TestGoldenTrajectories:
@@ -501,7 +491,7 @@ class TestGoldenTrajectories:
     @pytest.mark.parametrize("space", ("contextual", "latent"))
     def test_steered_run(self, space):
         run = steered_run(gf.MixtureWorld(), 0, 3, SteeringSpec(alpha=0.5, space=space))
-        assert trajectory_digest([run]) == GOLDEN_STEERED[space]
+        assert trajectory_digest(run) == GOLDEN_STEERED[space]
 
 
 class TestStackedScoring:
@@ -534,9 +524,10 @@ class TestStackedScoring:
     def test_non_finite_finals_are_named(self):
         world = gf.MixtureWorld()
         trajectories = gf.sample_batch(world, gf.one_hot_prompts(world, 3), "none", seed=0)
-        trajectories[1].latents[-1, 0] = np.nan
+        latents = trajectories.latents.copy()
+        latents[-1, 1, 0] = np.nan
         with pytest.raises(ValueError, match="^batch entries must be finite$"):
-            gf.evaluate(trajectories, world)
+            gf.evaluate(dataclasses.replace(trajectories, latents=latents), world)
 
 
 # With 8 steps: the first two, the middle four, the last half, all, and none
@@ -587,6 +578,24 @@ class TestSegments:
                 assert repr(record) == repr(gf.evaluate(solo, world))
             assert repr(seg_metrics) == repr(
                 gf.evaluate_segments(world, [segment], method, seeds=seeds, cads=cads)[0])
+
+    def test_records_are_read_only_views_of_one_run(self):
+        world = gf.MixtureWorld(n_modes=5, n_steps=8)
+        segments = [segment_of("none", 2, 0, (0.0, 1.0)), segment_of("none", 3, 1, (0.0, 1.0))]
+        records = [r for seg in gf.sample_segments(world, segments, seeds=[4, 9]) for r in seg]
+        for record in records:
+            for name in ("times", "latents", "contexts"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(record, name)[-1] = 0.0
+        for a, b in itertools.combinations(records, 2):
+            assert a.times is b.times
+            assert not np.shares_memory(a.latents, b.latents)
+            assert not np.shares_memory(a.contexts, b.contexts)
+        # every record is a view of the run's one latents buffer, which they tile
+        buffer = records[0].latents.base
+        assert buffer is not None
+        assert all(r.latents.base is buffer for r in records)
+        assert sum(r.latents.size for r in records) == buffer.size
 
     def test_no_seeds_or_no_segments(self):
         world = gf.MixtureWorld(n_steps=4)
@@ -700,8 +709,8 @@ class TestCadsRows:
         for segment, seg_runs in zip(segments, runs):
             for seed, run in zip(seeds, seg_runs):
                 latents, contexts = _oracles.cads_run(world, segment, seed, cads)
-                assert np.stack([tr.latents for tr in run], axis=1).tobytes() == latents.tobytes()
-                assert np.stack([tr.contexts for tr in run], axis=1).tobytes() == contexts.tobytes()
+                assert run.latents.tobytes() == latents.tobytes()
+                assert run.contexts.tobytes() == contexts.tobytes()
 
     def test_one_draw_per_seed_and_segment(self, monkeypatch):
         # each (seed, segment) draws all its in-window noise in one call, and
@@ -818,8 +827,7 @@ class TestHooks:
         assert digests[0] == digests[1] == digests[2] != digests[3]
         # without latent repulsion, step j's hook sees the record's row j
         if method != "latent":
-            record = np.stack([tr.latents for tr in runs[0]], axis=1)
-            assert np.stack(seen).tobytes() == record[:-1].tobytes()
+            assert np.stack(seen).tobytes() == runs[0].latents[:-1].tobytes()
 
 
 class TestUnderflowingWeights:
@@ -835,5 +843,5 @@ class TestUnderflowingWeights:
             trajectories = gf.sample_batch(world, prompts, method, seed=0,
                                            **METHOD_KWARGS[method])
             gf.evaluate(trajectories, world)
-        assert all(np.isfinite(tr.latents).all() for tr in trajectories)
+        assert np.isfinite(trajectories.latents).all()
 

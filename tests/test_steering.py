@@ -47,7 +47,7 @@ class TestSteeredMixtureRun:
         world = gf.MixtureWorld()
         plain = gf.sample_batch(
             world, gf.seed_prompt(world, 0)[None, :], "none", seed=0
-        )[0]
+        )
         for space in ("contextual", "latent"):
             steered = steered_run(world, 0, 3, SteeringSpec(alpha=0.0, space=space))
             assert np.array_equal(steered.latents, plain.latents)
@@ -57,7 +57,7 @@ class TestSteeredMixtureRun:
         world = gf.MixtureWorld()
         target = gf.sample_batch(
             world, gf.seed_prompt(world, 3)[None, :], "none", seed=3
-        )[0]
+        )
         steered = steered_run(world, 0, 3, SteeringSpec(alpha=1.0, space="contextual"))
         uniform = np.full(world.n_modes, 1.0 / world.n_modes)
         t_probe = 1.0 / world.n_steps
@@ -80,6 +80,6 @@ class TestSteeredMixtureRun:
         world = gf.MixtureWorld()
         target = gf.sample_batch(
             world, gf.seed_prompt(world, 3)[None, :], "none", seed=3
-        )[0]
+        )
         steered = steered_run(world, 0, 3, SteeringSpec(alpha=1.0, space="latent"))
         assert np.max(np.abs(steered.latents[-1] - target.latents[-1])) <= 1e-12
