@@ -402,25 +402,30 @@ def _variants(cfg: ExperimentConfig, axis: str | None = None) -> list[tuple[str,
 
     Before any run, at any seed count, it rejects an unknown method for
     every mixture command, and a swept value that no run takes, naming its
-    key.
+    key. Then it builds what each variant's runs build, in their order and
+    with their constructors, so that a value outside the maths fails with
+    the runs' message at zero seeds too.
     """
     if axis == "blocks":
         _check_toy_batch(cfg)
         base = repulsion_from_config(cfg)
         try:
-            return [(group, dataclasses.replace(base, block_selector=group))
-                    for group in cfg.sweep_block_groups]
+            variants = [(group, dataclasses.replace(base, block_selector=group))
+                        for group in cfg.sweep_block_groups]
         except ValueError as exc:
             raise _UsageError(f"{exc} in sweep_block_groups") from None
+        if variants:
+            _toy_config(cfg)
+        return variants
     if cfg.method not in gmmflow.METHODS:
         raise _UsageError(f"unknown method {cfg.method!r}")
     if axis == "batch":
         for size in cfg.sweep_batch_sizes:
             if size < 1:
                 raise _UsageError(f"sweep_batch_sizes entries must be >= 1, got {size}")
-        return [(str(size), dataclasses.replace(cfg, batch_size=size))
-                for size in cfg.sweep_batch_sizes]
-    if axis == "timestep":
+        variants = [(str(size), dataclasses.replace(cfg, batch_size=size))
+                    for size in cfg.sweep_batch_sizes]
+    elif axis == "timestep":
         if cfg.method != "none":
             # the window the method's runs read, checked by the one interval rule
             window = "cads" if cfg.method == "cads" else "timestep"
@@ -429,13 +434,19 @@ def _variants(cfg: ExperimentConfig, axis: str | None = None) -> list[tuple[str,
                     check_interval(interval, window)
                 except ValueError as exc:
                     raise _UsageError(f"{exc} in sweep_intervals") from None
-        return [
+        variants = [
             (f"{a:g}:{b:g}", dataclasses.replace(
                 cfg, repulsion_interval=(a, b), latent_interval=(a, b), cads_interval=(a, b)
             ))
             for a, b in cfg.sweep_intervals
         ]
-    return [("", cfg)]
+    else:
+        variants = [("", cfg)]
+    # no run ids: each variant's world, prompts, repulsion and cads params,
+    # checked as a failed chunk re-runs them, variant by variant
+    for _, variant in variants:
+        _simulate_seeds([variant], range(0))
+    return variants
 
 
 def _cmd_simulate(args) -> int:

@@ -152,7 +152,8 @@ class RunMetrics:
 @dataclass(frozen=True)
 class CadsParams:
     """Annealed prompt-noise baseline: corruption follows the (tau1, tau2)
-    schedule on diffusion time with optional psi rescaling."""
+    schedule on diffusion time with optional psi rescaling. ``tau1`` may not
+    exceed ``tau2``; equal, they make a step schedule."""
 
     scale: float = 0.15
     tau1: float = 0.3
@@ -161,6 +162,10 @@ class CadsParams:
 
     def __post_init__(self):
         _check_finite(self, ("scale", "tau1", "tau2", "psi"), prefix="cads ")
+        if self.tau1 > self.tau2:
+            raise ValueError(
+                f"cads tau1 must not exceed tau2, got tau1 {self.tau1} > tau2 {self.tau2}"
+            )
 
     def corruption(self, t: float) -> float:
         """Clean fraction gamma_c(t): 1 below tau1, 0 above tau2, linear between."""

@@ -3,18 +3,22 @@ prints the table at the current checkout.
 
 From the repository root::
 
-    PYTHONPATH=src python -m tests._golden
+    PYTHONPATH=src python -m tests._golden [CASE ...]
 
-prints ``GOLDEN_MATRIX`` (``tests/test_golden_matrix.py``) as a Python
-literal, ready to paste. Run it at the parent commit before editing code
-whose outputs must keep their bits, and again after: the table must not
-move.
+prints ``GOLDEN_KERNELS`` and ``GOLDEN_MATRIX``
+(``tests/test_golden_matrix.py``), every case's or the named ones', as
+Python literals ready to paste. Run it at the parent commit before editing
+code whose outputs must keep their bits, and again after: the table must not
+move. A digest can move at the last bit on other kernels than those it was
+recorded on, which ``GOLDEN_KERNELS`` names.
 
-The cases cover every command on small configs, seed stacks on the shipped
-configs, the shipped sweeps, sweeps with a repeated value, with one value and
-with none, every toy stream, the toy commands on the SplitMix64 oracle
-stream, a real two-worker pool on each runner, and the failure paths, each
-case's exit code and stderr line included.
+A case, a CLI invocation (``Case``) or a library call (``Call``), returns its
+digests by field. The CLI cases cover every command on small configs, seed
+stacks on the shipped configs, the shipped sweeps, sweeps with a repeated
+value, with one value and with none, every toy stream, the toy commands on
+the SplitMix64 oracle stream, a real two-worker pool on each runner, and the
+failure paths, each case's exit code and stderr line included. The library
+cases hash mixture runs, ``repulse`` calls and toy tensors and snapshots.
 """
 
 from __future__ import annotations
@@ -22,25 +26,44 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath as _umath
 
 import ctxrep.cli as cli
-from ctxrep import toydit
+from ctxrep import gmmflow, toydit
 from ctxrep.cli import run_command, write_vector_csv
+from ctxrep.linalg import ContextBatch
+from ctxrep.repulsion import RepulsionConfig, repulse
+from ctxrep.steering import SteeringSpec, steered_run
 
 from . import _oracles
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+
+
+def digest(arrays) -> str:
+    """sha256 of ``arrays`` in turn, each as contiguous little-endian float64."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -53,6 +76,44 @@ class Case:
     files: tuple[str, ...] = ()
     patches: tuple = ()
     pool: bool = False
+
+    def digests(self, out: pathlib.Path, capsys, monkeypatch) -> dict:
+        """Run the invocation, held to the CLI's contract: nothing on stderr
+        or one JSON error line, and under ``out`` every file the case names on
+        success but none on failure. Returns its exit code, the sha256 of its
+        stdout, stderr and files, and a pool case's pool sizes."""
+        out.mkdir()
+        pools = one_run_per_worker(monkeypatch) if self.pool else []
+        code = run_command(self.argv)
+        captured = capsys.readouterr()
+        assert captured.err == "" or (
+            captured.err.count("\n") == 1 and "error" in json.loads(captured.err)), self.argv
+        digests = {
+            "exit": code,
+            "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(captured.err.encode()).hexdigest(),
+        }
+        if self.pool:
+            digests["pools"] = pools
+        written = sorted(p.name for p in out.iterdir())
+        assert written == (sorted(self.files) if code == 0 else []), self.argv
+        for file in written:
+            digests[file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
+            (out / file).unlink()
+        out.rmdir()
+        return digests
+
+
+@dataclass(frozen=True)
+class Call:
+    """One library call: ``arrays()`` returns, for each field, the arrays
+    whose ``digest`` the field records; ``patches`` as for a ``Case``."""
+
+    arrays: Callable[[], dict]
+    patches: tuple = ()
+
+    def digests(self, out: pathlib.Path, capsys, monkeypatch) -> dict:
+        return {field: digest(arrays) for field, arrays in self.arrays().items()}
 
 
 def shipped_config(tmp_path: pathlib.Path, name: str, label: str, **settings) -> str:
@@ -93,9 +154,120 @@ def _zero_prompt_at(weight_seed: int):
 # the toy model's random source before it drew from numpy's PCG64 generator
 SPLITMIX64 = ((toydit, "seeded_generator", _oracles.SplitMix64),
               (toydit, "normal_array", _oracles.normal_array))
+# the toy model's attention as an einsum, which sums in another order
+EINSUM = ((toydit, "_joint_attention", _oracles.einsum_joint_attention),)
 
 
-def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
+# the collapse world's runs (collapse.cfg: B = 8 one-hot prompts, cads_scale 0.5)
+COLLAPSE_REPULSION = RepulsionConfig(
+    eta=2.0, inner_steps=2, timestep_interval=(0.0, 0.25), gradient_normalization=True
+)
+LATENT_REPULSION = RepulsionConfig(
+    eta=0.65, inner_steps=2, timestep_interval=(0.0, 1.0), gradient_normalization=True
+)
+METHOD_KWARGS = {
+    "none": {},
+    "cads": {"cads": gmmflow.CadsParams(scale=0.5)},
+    "contextual": {"repulsion": COLLAPSE_REPULSION},
+    "latent": {"repulsion": LATENT_REPULSION},
+}
+
+
+def trajectory_arrays(run) -> list:
+    """Each sample's latents, then each sample's contexts: the record's
+    arrays in sample-major order."""
+    return [run.latents.swapaxes(0, 1), run.contexts.swapaxes(0, 1)]
+
+
+def _trajectories(run_function, *args, **kwargs) -> dict:
+    return {"trajectories": trajectory_arrays(run_function(*args, **kwargs))}
+
+
+def golden_vectors(b: int, d: int) -> np.ndarray:
+    rng = np.random.default_rng(1000 * b + d)
+    vectors = rng.standard_normal((b, d))
+    if b > 2:
+        vectors[-1] = vectors[0]  # a duplicate row: the kernel's snap path
+    return vectors
+
+
+def _repulse(b: int, d: int) -> dict:
+    # repulse for normalization off then on, each at inner steps 1 then 3,
+    # leaving its input as it was
+    vectors = golden_vectors(b, d)
+    batch = ContextBatch(vectors)
+    outputs = [
+        repulse(batch, RepulsionConfig(eta=0.5, inner_steps=steps, gradient_normalization=norm))
+        .vectors
+        for norm in (False, True)
+        for steps in (1, 3)
+    ]
+    assert np.array_equal(batch.vectors, vectors)
+    return {"outputs": outputs}
+
+
+def _toy_snapshots(stream) -> dict:
+    # a 3-sample batch through two dual blocks and one single-stream block
+    cfg = toydit.ToyDiTConfig(n_dual_blocks=2, n_single_blocks=1)
+    weights = toydit.init_weights(cfg)
+    prompts = [toydit.encode_prompt(cfg, 0) for _ in range(3)]
+    images = np.stack([toydit.seed_image_tokens(cfg, i) for i in range(3)])
+    repulsion = None if stream is None else RepulsionConfig(
+        eta=0.04, inner_steps=2, timestep_interval=(0.0, 1.0), target_stream=stream,
+        gradient_normalization=True)
+    _, snaps = toydit.forward_with_hooks(prompts, images, weights, repulsion)
+    return {"snapshots": [s.vectors for s in snaps]}
+
+
+def _toy_tensors(dim: int, heads: int) -> dict:
+    # at token_dim 3 a matrix holds 9 entries, so on the SplitMix64 stream the
+    # spare sine carries from one matrix fill into the next
+    cfg = toydit.ToyDiTConfig(token_dim=dim, attention_heads=heads)
+    weights = toydit.init_weights(cfg)
+    matrices = [block[name] for block in weights.dual_blocks for name in toydit.DUAL_MATRIX_NAMES]
+    matrices += [block[name] for block in weights.single_blocks
+                 for name in toydit.SINGLE_MATRIX_NAMES]
+    return {
+        "init": matrices,
+        "prompt": [toydit.encode_prompt(cfg, prompt_id).tokens for prompt_id in (0, 5)],
+        "image": [toydit.seed_image_tokens(cfg, seed) for seed in (0, 12345)],
+    }
+
+
+def _library_cases() -> dict[str, Call]:
+    """Each library case by name. The collapse world's ``sample_batch`` runs
+    were recorded before the mixture-flow step was fused, ``repulse`` before
+    its inner step dropped its checks and copies, and the toy model when it
+    moved to numpy's PCG64 generator. Its ``splitmix64`` cases keep the
+    values from before that move (and before attention was stacked, for
+    ``einsum-splitmix64``): those were the only sources of moved bits."""
+    world = gmmflow.MixtureWorld()
+    cases = {
+        f"sample_batch-{method}-{seed}": Call(functools.partial(
+            _trajectories, gmmflow.sample_batch, world, gmmflow.one_hot_prompts(world, 8),
+            method, seed=seed, **METHOD_KWARGS[method]))
+        for method in gmmflow.METHODS
+        for seed in (0, 7, 19)
+    }
+    for space in ("contextual", "latent"):
+        cases[f"steered_run-{space}"] = Call(functools.partial(
+            _trajectories, steered_run, world, 0, 3, SteeringSpec(alpha=0.5, space=space)))
+    for b in (2, 4, 8, 16):
+        for d in (2, 8, 64):
+            cases[f"repulse-{b}x{d}"] = Call(functools.partial(_repulse, b, d))
+    for suffix, patches in (("", ()), ("-einsum", EINSUM), ("-splitmix64", SPLITMIX64),
+                            ("-einsum-splitmix64", EINSUM + SPLITMIX64)):
+        for stream in ("text", "image", "all_tokens", None):
+            cases[f"toy-snapshots-{stream or 'off'}{suffix}"] = Call(
+                functools.partial(_toy_snapshots, stream), patches)
+    for suffix, patches in (("", ()), ("-splitmix64", SPLITMIX64)):
+        for dim, heads in ((16, 2), (3, 1)):
+            cases[f"toy-tensors-{dim}{suffix}"] = Call(
+                functools.partial(_toy_tensors, dim, heads), patches)
+    return cases
+
+
+def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case | Call]:
     """Each case by name; configs are written under ``tmp_path`` and outputs
     go to ``tmp_path / "out"``."""
     out = tmp_path / "out"
@@ -231,7 +403,7 @@ def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case]:
     huge = str(tmp_path / "huge.csv")
     write_vector_csv(huge, np.array([[1e200, 2e200], [3e200, -1e200]]))
     cases["vendi-fp-fault"] = Case(["vendi", "--input", huge])
-    return cases
+    return cases | _library_cases()
 
 
 def recorded_pools(monkeypatch) -> list:
@@ -257,35 +429,13 @@ def one_run_per_worker(monkeypatch) -> list:
     return recorded_pools(monkeypatch)
 
 
-def run_case(case: Case, out: pathlib.Path, capsys) -> dict:
-    """Run ``case`` with its outputs under ``out``, which must not exist, and
-    hold it to the CLI's contract: nothing on stderr or one JSON error line,
-    and every file the case names on success but none on failure. Returns its
-    exit code, the sha256 of its stdout, its stderr and every file it wrote,
-    and for a pool case the worker counts of the pools it started."""
-    out.mkdir()
+def run_case(case: Case | Call, out: pathlib.Path, capsys) -> dict:
+    """``case``'s digests, taken with its module attributes set; a CLI case
+    writes under ``out``, which must not exist."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         for target, attribute, value in case.patches:
             monkeypatch.setattr(target, attribute, value)
-        pools = one_run_per_worker(monkeypatch) if case.pool else []
-        code = run_command(case.argv)
-    captured = capsys.readouterr()
-    assert captured.err == "" or (
-        captured.err.count("\n") == 1 and "error" in json.loads(captured.err)), case.argv
-    digests = {
-        "exit": code,
-        "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
-        "stderr": hashlib.sha256(captured.err.encode()).hexdigest(),
-    }
-    if case.pool:
-        digests["pools"] = pools
-    written = sorted(p.name for p in out.iterdir())
-    assert written == (sorted(case.files) if code == 0 else []), case.argv
-    for file in written:
-        digests[file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
-        (out / file).unlink()
-    out.rmdir()
-    return digests
+        return case.digests(out, capsys, monkeypatch)
 
 
 def golden_digests(tmp_path: pathlib.Path, capsys, names=None) -> dict:
@@ -302,36 +452,80 @@ _Captured = collections.namedtuple("_Captured", "out err")
 
 
 class _Capture:
-    """Outside pytest, what ``capsys`` gives: ``readouterr()`` returns and
-    clears what was printed since the last call, while ``active()`` holds
-    stdout and stderr."""
-
-    def __init__(self):
-        self._out, self._err = io.StringIO(), io.StringIO()
+    """Outside pytest, what ``capsys`` gives: while ``active()`` holds stdout
+    and stderr, ``readouterr()`` returns and clears what was printed since
+    the last call."""
 
     @contextlib.contextmanager
     def active(self):
-        with contextlib.redirect_stdout(self._out), contextlib.redirect_stderr(self._err):
-            yield self
+        with (contextlib.redirect_stdout(io.StringIO()) as self._out,
+              contextlib.redirect_stderr(io.StringIO()) as self._err):
+            yield
 
     def readouterr(self):
-        captured = (self._out.getvalue(), self._err.getvalue())
+        captured = _Captured(self._out.getvalue(), self._err.getvalue())
         for buffer in (self._out, self._err):
             buffer.seek(0)
             buffer.truncate()
-        return _Captured(*captured)
+        return captured
 
 
-def main() -> None:
+# names the core that numpy's bundled OpenBLAS dispatched to
+CORENAME_SYMBOL = "scipy_openblas_get_corename64_"
+
+
+def openblas_corename() -> str:
+    """The core numpy's bundled OpenBLAS runs, such as ``SkylakeX``, or
+    ``"unknown"`` where no bundled library holds ``CORENAME_SYMBOL``."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), CORENAME_SYMBOL, None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def kernels() -> dict:
+    """The kernels this process runs: the OpenBLAS core, and the dispatch
+    targets of numpy's SIMD loops on (see ``NPY_DISABLE_CPU_FEATURES``)."""
+    return {
+        "openblas": openblas_corename(),
+        "simd": [target for target in _umath.__cpu_dispatch__
+                 if _umath.__cpu_features__.get(target)],
+    }
+
+
+def where(recorded: dict, running: dict | None = None) -> str:
+    """A golden assertion's message: the kernels the digests were recorded
+    on and the ones they ran on, this process's by default."""
+    return f"digests recorded on {recorded}, running on {running or kernels()}"
+
+
+def printed_tables(*names: str, **environ: str) -> dict:
+    """The tables that ``python -m tests._golden *names`` prints in a fresh
+    interpreter, with ``environ`` added to its environment."""
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    printed = subprocess.run([sys.executable, "-m", "tests._golden", *names], cwd=ROOT,
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert printed.stderr == ""
+    tables = {}
+    exec(printed.stdout, tables)
+    del tables["__builtins__"]
+    return tables
+
+
+def main(names=None) -> None:
     capture = _Capture()
     # as under pytest, a warning is a fault
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), capture.active():
         warnings.simplefilter("error")
-        table = golden_digests(pathlib.Path(tmp), capture)
-    # one entry a line, double-quoted (no name or digest holds a quote)
+        table = golden_digests(pathlib.Path(tmp), capture, names)
+    # one entry a line, double-quoted (no name, field or digest holds a quote)
     lines = "".join(f"    {key!r}: {value!r},\n" for key, value in table.items())
-    print(f"GOLDEN_MATRIX = {{\n{lines}}}".replace("'", '"'))
+    print(f"GOLDEN_KERNELS = {kernels()!r}\nGOLDEN_MATRIX = {{\n{lines}}}".replace("'", '"'))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or None)

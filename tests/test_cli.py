@@ -1529,6 +1529,7 @@ class TestFaultExitCodes:
         assert captured.out == ""
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seeds", (0, 2))
     @pytest.mark.parametrize(
         "setting, method, message",
         [
@@ -1541,15 +1542,30 @@ class TestFaultExitCodes:
             ("cads_tau1 = nan", "cads", "cads tau1 must be finite, got nan"),
             ("cads_tau2 = -inf", "cads", "cads tau2 must be finite, got -inf"),
             ("cads_psi = inf", "cads", "cads psi must be finite, got inf"),
+            ("cads_tau1 = 0.9", "cads", "cads tau1 must not exceed tau2, got tau1 0.9 > tau2 0.8"),
+            ("world_sigma = 0", "none", "mode_sigma must be positive"),
+            ("repulsion_eta = -1", "contextual", "eta must be finite and non-negative, got -1.0"),
+            ("latent_eta = nan", "latent", "eta must be finite and non-negative, got nan"),
         ],
     )
     def test_mixture_values_outside_the_maths_exit_2(self, tmp_path, capsys, setting, method,
-                                                     message):
-        # named by the check, before any step can warn or fail on them
+                                                     message, seeds):
+        # named by the check, before any step can warn or fail on them, at
+        # every seed count
         key, _, value = setting.partition(" = ")
-        cfg = small_gmm_config(tmp_path, **{key: value})
+        cfg = small_gmm_config(tmp_path, seeds=seeds, **{key: value})
         assert run_command(["simulate", "--config", cfg, "--method", method]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": message}
+
+    @pytest.mark.parametrize("seeds", (0, 2))
+    def test_toy_values_outside_the_maths_exit_2(self, tmp_path, capsys, seeds):
+        cfg = small_gmm_config(tmp_path, seeds=seeds, toy_heads=3)
+        output = tmp_path / "sweep.csv"
+        assert run_command(["ablate", "--axis", "blocks", "--config", cfg,
+                            "--output", str(output)]) == 2
+        assert not output.exists()
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "token_dim must be divisible by attention_heads"}
 
 
 

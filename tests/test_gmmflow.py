@@ -13,24 +13,11 @@ import ctxrep.gmmflow as gf
 from ctxrep.linalg import ContextBatch, rbf_kernel
 from ctxrep.repulsion import NumericOverflow, RepulsionConfig
 from ctxrep.rng import derive_seed
-from ctxrep.steering import SteeringSpec, steered_run
 from ctxrep.vendi import average_pair_vendi, entropy_and_score
 
 from . import _oracles
-from .test_rng import digest
-
-COLLAPSE_REPULSION = RepulsionConfig(
-    eta=2.0, inner_steps=2, timestep_interval=(0.0, 0.25), gradient_normalization=True
-)
-LATENT_REPULSION = RepulsionConfig(
-    eta=0.65, inner_steps=2, timestep_interval=(0.0, 1.0), gradient_normalization=True
-)
-
-
-def nearest_distances(trajectories, world):
-    finals = trajectories.latents[-1]
-    diff = finals[:, None, :] - world.mode_centers[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
+from ._golden import COLLAPSE_REPULSION, METHOD_KWARGS, digest, trajectory_arrays, where
+from .test_golden_matrix import GOLDEN_KERNELS, GOLDEN_MATRIX
 
 
 class TestWorld:
@@ -259,6 +246,14 @@ class TestSampleBatch:
         b = gf.sample_batch(world, prompts, "cads", seed=4, cads=params)
         assert np.array_equal(a.latents, b.latents)
 
+    def test_cads_schedule_must_not_run_backwards(self):
+        with pytest.raises(ValueError, match=r"^cads tau1 must not exceed tau2, got tau1 0\.9 > "
+                                             r"tau2 0\.8$"):
+            gf.CadsParams(tau1=0.9, tau2=0.8)
+        # equal ends are a step at tau, with no division
+        step = gf.CadsParams(tau1=0.5, tau2=0.5)
+        assert [step.corruption(t) for t in (0.0, 0.5, 0.5000001, 1.0)] == [1.0, 1.0, 0.0, 0.0]
+
     @pytest.mark.filterwarnings("error")
     def test_cads_overflow_raises(self):
         # an infinite std of the corrupted rows would erase the prompts
@@ -423,35 +418,6 @@ class TestEvaluate:
             gf.evaluate_segments(world, [one_segment(prompts)], seeds=[0])
 
 
-# sha256 of every trajectory's latents, then every trajectory's contexts, on
-# the collapse world (collapse.cfg: B=8 one-hot prompts, cads_scale 0.5),
-# recorded before the mixture-flow step was fused.
-GOLDEN_TRAJECTORIES = {
-    ("none", 0): "656430c1d2ebb1be463def4bbf75a76b63e29fa9ef6a67b10385e8834a25b39b",
-    ("none", 7): "fb899a77769aa3728be9057eed1e436dd1f6c93fa4ce4c7a1feac0459dc86162",
-    ("none", 19): "6777433add1f4482a8b6e8ff7b8e0d06137795dbd1317a987283afce2907e7b8",
-    ("contextual", 0): "aaf2dd294b3e508faa573ebf903003c7bf62ba8cfb6bc34f89eaa5946c1bd009",
-    ("contextual", 7): "87786892aebc9602a169d11ad04995f93ceeeed831889b7bf16520047385a667",
-    ("contextual", 19): "82735748fc28ab613e8c049c7ba8f2dddd67bd8c6f64134b6f8160113a3ffd95",
-    ("latent", 0): "c09bed28abde172eeb544a8a39308cb7c40de9f455ac59a97a468bbdc46634ae",
-    ("latent", 7): "88c59b172b37be6d605c10cadb26300c083531ae7dc02a9f4110d0ea97c99e6e",
-    ("latent", 19): "e47b1f7c7ccbd597573f870a42383ab9dccfb66d292831a692107109b568031e",
-    ("cads", 0): "7533ec642ca4031ff0cd6a6210c68687499e53e14515d44abc2141664b41f51d",
-    ("cads", 7): "c57bc4344a811895c3ac467f20272947b4df3c8e015bcf103e812020f6a46919",
-    ("cads", 19): "44cdf4993c67f9332210f2a42d2fb3f7d151bde58c8d3631142bc06970325bac",
-}
-GOLDEN_STEERED = {
-    "contextual": "51fd4db45dd68813e0386b4fbb3bdf73feb8fbbf621ad2d8d4589d5cabbc65c1",
-    "latent": "92e24db515793d8f04810af21e7554a491942b33385684fd57e48720ee7153d0",
-}
-METHOD_KWARGS = {
-    "none": {},
-    "cads": {"cads": gf.CadsParams(scale=0.5)},
-    "contextual": {"repulsion": COLLAPSE_REPULSION},
-    "latent": {"repulsion": LATENT_REPULSION},
-}
-
-
 def one_segment(prompts, repulsion=None, cads=None, cads_interval=(0.0, 1.0)) -> gf.Segment:
     """The one segment that ``sample_batch`` makes of its keyword arguments;
     ``cads`` is a run's, not a segment's, so it is left out."""
@@ -459,21 +425,10 @@ def one_segment(prompts, repulsion=None, cads=None, cads_interval=(0.0, 1.0)) ->
 
 
 def trajectory_digest(run) -> str:
-    """sha256 of each sample's latents, then each sample's contexts: the
-    record's arrays in sample-major order."""
-    return digest([run.latents.swapaxes(0, 1), run.contexts.swapaxes(0, 1)])
+    return digest(trajectory_arrays(run))
 
 
 class TestGoldenTrajectories:
-    @pytest.mark.parametrize("method", gf.METHODS)
-    @pytest.mark.parametrize("seed", (0, 7, 19))
-    def test_sample_batch(self, method, seed):
-        world = gf.MixtureWorld()
-        trajectories = gf.sample_batch(
-            world, gf.one_hot_prompts(world, 8), method, seed=seed, **METHOD_KWARGS[method]
-        )
-        assert trajectory_digest(trajectories) == GOLDEN_TRAJECTORIES[method, seed]
-
     @pytest.mark.parametrize("method", gf.METHODS)
     def test_seed_block(self, method):
         # one array program over the seeds, each entry the seed's own golden run
@@ -485,13 +440,8 @@ class TestGoldenTrajectories:
             cads=kwargs.get("cads"),
         )
         assert [trajectory_digest(b) for b in blocks] == [
-            GOLDEN_TRAJECTORIES[method, seed] for seed in seeds
-        ]
-
-    @pytest.mark.parametrize("space", ("contextual", "latent"))
-    def test_steered_run(self, space):
-        run = steered_run(gf.MixtureWorld(), 0, 3, SteeringSpec(alpha=0.5, space=space))
-        assert trajectory_digest(run) == GOLDEN_STEERED[space]
+            GOLDEN_MATRIX[f"sample_batch-{method}-{seed}", "trajectories"] for seed in seeds
+        ], where(GOLDEN_KERNELS)
 
 
 class TestStackedScoring:

@@ -15,38 +15,11 @@ from ctxrep.repulsion import (
 from ctxrep.steering import SteeringSpec
 from ctxrep.vendi import entropy_and_score, entropy_gradient
 
-from .test_rng import digest
+from ._golden import golden_vectors
 
 
 def batch_score(vectors):
     return entropy_and_score(cosine_kernel(ContextBatch(vectors))).score
-
-
-def golden_vectors(b: int, d: int) -> np.ndarray:
-    rng = np.random.default_rng(1000 * b + d)
-    vectors = rng.standard_normal((b, d))
-    if b > 2:
-        vectors[-1] = vectors[0]  # a duplicate row: the kernel's snap path
-    return vectors
-
-
-# sha256 of the repulse outputs for normalization off then on, each at inner
-# steps 1 then 3 (eta 0.5), recorded before the inner step dropped its
-# SymMatrix checks, its eigenvector sign step and its copies.
-GOLDEN_REPULSE = {
-    (2, 2): "c205c5cb7c56aa60f710591d90e464b96f38491a5d7d3aa69696dd5cdafdd136",
-    (2, 8): "35958765d9053550b0f3ad690ec7456cfccdfbca614e1d654b5d5b2ad87edf83",
-    (2, 64): "92bcea7ce9b2e6c43290b424e252fc0623e86f71fcc7540f4e442f05e4c3350d",
-    (4, 2): "c381df276d642e655b83b28541729313f3f6bd48c4e143de160acae07eb19b7e",
-    (4, 8): "b9d036bfe7e201a20c279ff9d7e96246ed0cd7f0a2fe1e3988bc2e278ee9eba1",
-    (4, 64): "9a0921432f758d60856924483b3943e4cb70010f0d80a02cfa1dcf7e2312978f",
-    (8, 2): "c1161bb7dbb31bf1e0a42511028ca548c845a306f5a30325e24f11dafd828017",
-    (8, 8): "b2552aed1bf9612b60b2c8189fb6793a6c61bcad70c3b7b518d0c9bc9f54c6e3",
-    (8, 64): "c20b3d142cb814cae12ba525ad02d8a303d15ac4f6b94c739d0491bde70d99aa",
-    (16, 2): "6d30232824f0cce56d84de5e6f75e0f91a9f599dbda5f33f5b997da7c7422e97",
-    (16, 8): "971954168d11bc8209129120c994060655f9a35e679e06c405724e85803c0b34",
-    (16, 64): "e0ee1960c39f2ae393309f5e2a03d50c2fc39ee5fdd88787a91928519a01e72a",
-}
 
 
 def gradient_poisoned_at(call: int, value: float):
@@ -131,20 +104,6 @@ class TestRepulse:
         cfg = RepulsionConfig(eta=1e31, inner_steps=1, gradient_normalization=True)
         with pytest.raises(NumericOverflow):
             repulse(ContextBatch(vectors), cfg)
-
-    @pytest.mark.parametrize("b", (2, 4, 8, 16))
-    @pytest.mark.parametrize("d", (2, 8, 64))
-    def test_golden_digests(self, b, d):
-        vectors = golden_vectors(b, d)
-        batch = ContextBatch(vectors)
-        outputs = [
-            repulse(batch, RepulsionConfig(eta=0.5, inner_steps=steps, gradient_normalization=norm))
-            .vectors
-            for norm in (False, True)
-            for steps in (1, 3)
-        ]
-        assert digest(outputs) == GOLDEN_REPULSE[b, d]
-        assert np.array_equal(batch.vectors, vectors)
 
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("steps", (1, 3))

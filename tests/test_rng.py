@@ -1,8 +1,4 @@
-import hashlib
-import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +9,8 @@ import ctxrep.toydit as td
 from ctxrep.rng import derive_seed, normal_array, seeded_generator
 
 from . import _oracles
-from ._golden import SPLITMIX64
+from ._golden import digest, kernels, printed_tables, where
+from .test_golden_matrix import GOLDEN_KERNELS, GOLDEN_MATRIX
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 SHAPES = st.lists(
@@ -103,102 +100,15 @@ class TestSeeds:
         assert digest(tensors(-1)) != digest(tensors(0))
 
 
-def digest(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-# Hashes of the toy model's seeded tensors, recorded when the toy model moved
-# to numpy's PCG64 generator.
-GOLDEN = {
-    16: {
-        "init": "30bfbda012c27c01be94dbdeb5aa08d07fe6055b6f86b608893170fea8ee84b6",
-        "prompt": "1f75a2a406f8944b64feb44cce8cd1f40b75fa863bf60c3b092a7650aad903a3",
-        "image": "dfabea7a0c6d129a4d3d1f48eaf4310aad846d580683614ab4faffeccd843181",
-    },
-    3: {
-        "init": "61489968e4cb1dd35833fa25fc36fec998c1ebcf628d0b0b4fdad64e263b6d2d",
-        "prompt": "ae402f896aed1bb58a938c158e25bf31d2fb332ab3af678a980db4e7c578965c",
-        "image": "1d8013e9bf0f46043ef0becfa1b38c1fafa3ce100ccb14438858dc4bba9b673a",
-    },
-}
-
-# The same tensors on the one-draw-at-a-time SplitMix64 stream they came from
-# before. token_dim=3 gives 9-entry matrices, so there the spare sine carries
-# from one matrix fill into the next inside init_weights.
-GOLDEN_SPLITMIX64 = {
-    16: {
-        "init": "5a0279f7e0eaa785a3b9cec73e84d2157067b719f340f28891757fea5d51e745",
-        "prompt": "2ce1a2318b253fec272db734f7065454197fc0afc8cc352d1b0500db456f259e",
-        "image": "3cfc2bf99caf1e0bc5a0a65e2b1f660303be8137c36771ec67560e245181d27c",
-    },
-    3: {
-        "init": "2ef2bb085082fbae408c66f1768ba690aa4f896a3fa6784f7425b2da465984a5",
-        "prompt": "6d671006eab7edb4c60516e111b56563d16d6ef964329109571408f8e9a163a8",
-        "image": "c28de23481ee5a7c117b49045a656a01fbac89112de964cc16ee5b0e787c3299",
-    },
-}
-
-CONFIGS = {16: td.ToyDiTConfig(), 3: td.ToyDiTConfig(token_dim=3, attention_heads=1)}
-
-
-def patch_splitmix64(monkeypatch):
-    """Draw the toy model's tensors from the scalar SplitMix64 oracle."""
-    for target, attribute, value in SPLITMIX64:
-        monkeypatch.setattr(target, attribute, value)
-
-
-def toy_tensor_digests(dim) -> dict:
-    weights = td.init_weights(CONFIGS[dim])
-    matrices = [block[name] for block in weights.dual_blocks for name in td.DUAL_MATRIX_NAMES]
-    matrices += [block[name] for block in weights.single_blocks
-                 for name in td.SINGLE_MATRIX_NAMES]
-    return {
-        "init": digest(matrices),
-        "prompt": digest(td.encode_prompt(CONFIGS[dim], prompt_id).tokens for prompt_id in (0, 5)),
-        "image": digest(td.seed_image_tokens(CONFIGS[dim], seed) for seed in (0, 12345)),
-    }
-
-
-@pytest.mark.parametrize("dim", sorted(GOLDEN))
-class TestGoldenToyTensors:
-    def test_init_weights(self, dim):
-        assert toy_tensor_digests(dim)["init"] == GOLDEN[dim]["init"]
-
-    def test_encode_prompt(self, dim):
-        assert toy_tensor_digests(dim)["prompt"] == GOLDEN[dim]["prompt"]
-
-    def test_seed_image_tokens(self, dim):
-        assert toy_tensor_digests(dim)["image"] == GOLDEN[dim]["image"]
-
-    def test_splitmix64_oracle_keeps_the_old_digests(self, dim, monkeypatch):
-        patch_splitmix64(monkeypatch)
-        assert toy_tensor_digests(dim) == GOLDEN_SPLITMIX64[dim]
-
-
-try:
-    from numpy._core import _multiarray_umath as _umath
-except ImportError:  # numpy 1.x
-    from numpy.core import _multiarray_umath as _umath
-
-# the dispatch targets of numpy's SIMD kernels that this CPU runs
-DISPATCHED = [target for target in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(target)]
-
-
-@pytest.mark.skipif(not DISPATCHED, reason="this CPU runs none of numpy's dispatch targets")
+@pytest.mark.skipif(not kernels()["simd"],
+                    reason="this CPU runs none of numpy's dispatch targets")
 def test_golden_toy_tensors_do_not_depend_on_cpu_dispatch():
-    script = (
-        "import json, os\n"
-        "from tests.test_rng import GOLDEN, _umath, toy_tensor_digests\n"
-        "off = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
-        "assert not any(_umath.__cpu_features__[target] for target in off)\n"
-        "print(json.dumps({dim: toy_tensor_digests(dim) for dim in GOLDEN}))\n"
-    )
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(DISPATCHED))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
-    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
-                          capture_output=True, text=True, check=True)
-    assert {int(dim): d for dim, d in json.loads(done.stdout).items()} == GOLDEN
+    # the toy-tensors cases, printed with every dispatch target turned off,
+    # the ones this process runs without included
+    names = ("toy-tensors-16", "toy-tensors-3")
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() + kernels()["simd"]
+    tables = printed_tables(*names, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    assert tables["GOLDEN_KERNELS"]["simd"] == []
+    assert tables["GOLDEN_MATRIX"] == {
+        key: value for key, value in GOLDEN_MATRIX.items() if key[0] in names
+    }, where(GOLDEN_KERNELS, tables["GOLDEN_KERNELS"])

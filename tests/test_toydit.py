@@ -11,7 +11,8 @@ from ctxrep.repulsion import BLOCK_GROUPS, STREAM_TAGS, RepulsionConfig
 from ctxrep.vendi import entropy_and_score
 
 from . import _oracles
-from .test_rng import SEEDS, digest, patch_splitmix64
+from ._golden import SPLITMIX64
+from .test_rng import SEEDS
 
 
 def small_config(**overrides):
@@ -94,7 +95,8 @@ class TestInitWeights:
         cfg = small_config(token_dim=d, attention_heads=heads, n_dual_blocks=n_dual,
                            n_single_blocks=n_single, weight_seed=seed)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            patch_splitmix64(monkeypatch)
+            for target, attribute, value in SPLITMIX64:
+                monkeypatch.setattr(target, attribute, value)
             weights = td.init_weights(cfg)
         blocks = [(blk, td.DUAL_MATRIX_NAMES) for blk in weights.dual_blocks]
         blocks += [(blk, td.SINGLE_MATRIX_NAMES) for blk in weights.single_blocks]
@@ -608,77 +610,3 @@ class TestForwardWithHooks:
             if sims[0] > sims[1] > sims[2]:
                 hold += 1
         assert hold >= 95
-
-
-# Hashes of the forward snapshots of a 3-sample batch through two dual blocks
-# and one single-stream block, recorded when attention ran as stacked matmuls
-# over a heads-first layout and the toy model drew from numpy's PCG64
-# generator.
-GOLDEN_SNAPSHOTS = {
-    "text": "962c8add2c94780388860ed34c86ffa660eb956fa7958b664fb529f6a9338c47",
-    "image": "aa85401b5c668f8ad01b26dddb34c0aed1883f6f7fdd8ba04a3b7cd52086b50b",
-    "all_tokens": "02ba02ef207ababa86fa831b6f4269c579603e57762dc3f4663bacf01cc81c18",
-    None: "48933c28d215529408e339092791fd3015e854a934240225cea8f881f026a7a4",
-}
-
-# The same snapshots with attention computed by the einsum oracle, recorded
-# on the same generator.
-GOLDEN_SNAPSHOTS_EINSUM = {
-    "text": "5e74ee584e4da02a3e281cb38628cac31aba29c786b0b9c5e30b9818893c2d40",
-    "image": "afd552190ecc75a795aab07d92037a130ef34d4025fe3a224d4406dc767489c3",
-    "all_tokens": "03d31951e1dbcd781bebae9589a511fd96c72adc98a9e4afa53de56af85f0478",
-    None: "6de8d5b32c4a4ac943f33420f98db73d53c65fc0c6af017b0d2b26f84c84ac2d",
-}
-
-# Both sets as recorded when the toy model drew from SplitMix64; the einsum
-# set is what the package gave when it also attended by einsum. With the
-# scalar SplitMix64 oracle patched in they still hold, so the random source
-# and the attention contraction are the only sources of the bits that moved.
-GOLDEN_SNAPSHOTS_SPLITMIX64 = {
-    "text": "90b6fee99ed84cd38098e179dc64912b34228593c7a2b937baab24d865b0f25a",
-    "image": "4984db1f1e571362d3cbd2d20bd39e534d3ad3c5bf83164d019889453675fccc",
-    "all_tokens": "ba97e26bbabf9022f068788ecc273560d660dca3d8d8b5d2f428fcb5c2bb1541",
-    None: "9a33de1c4c5bba463ff95faaa048edae97a95425ad98b4899a58b5bba3e64c71",
-}
-GOLDEN_SNAPSHOTS_EINSUM_SPLITMIX64 = {
-    "text": "66294be28095a23151995665f166f69eb8aa0426db45b37fc8490a3f046b19b4",
-    "image": "e58f465fff29d8801c7081b7762f29c4a3cf8dd11da1d401e41b178db90da5e5",
-    "all_tokens": "4ba008e73dfdb382646c471496b6a5662abf2110bd653584d0e6ea2001ef9130",
-    None: "fe70718658d5fca47f670086806dfc9d43c927f121f8d794eb8f834d6d2df128",
-}
-
-
-def snapshot_digest(stream) -> str:
-    cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
-    weights = td.init_weights(cfg)
-    prompts, images = batch_inputs(cfg, 3)
-    cfgr = None
-    if stream is not None:
-        cfgr = RepulsionConfig(
-            eta=0.04, inner_steps=2, timestep_interval=(0.0, 1.0),
-            target_stream=stream, gradient_normalization=True,
-        )
-    _, snaps = td.forward_with_hooks(prompts, images, weights, cfgr)
-    return digest(s.vectors for s in snaps)
-
-
-@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS), ids=str)
-def test_golden_snapshots(stream):
-    assert snapshot_digest(stream) == GOLDEN_SNAPSHOTS[stream]
-
-
-@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS_EINSUM), ids=str)
-def test_golden_snapshots_with_einsum_attention(stream, monkeypatch):
-    monkeypatch.setattr(td, "_joint_attention", _oracles.einsum_joint_attention)
-    assert snapshot_digest(stream) == GOLDEN_SNAPSHOTS_EINSUM[stream]
-
-
-@pytest.mark.parametrize("einsum", [False, True], ids=["matmul", "einsum"])
-@pytest.mark.parametrize("stream", list(GOLDEN_SNAPSHOTS_SPLITMIX64), ids=str)
-def test_golden_snapshots_on_the_splitmix64_oracle(stream, einsum, monkeypatch):
-    patch_splitmix64(monkeypatch)
-    golden = GOLDEN_SNAPSHOTS_SPLITMIX64
-    if einsum:
-        monkeypatch.setattr(td, "_joint_attention", _oracles.einsum_joint_attention)
-        golden = GOLDEN_SNAPSHOTS_EINSUM_SPLITMIX64
-    assert snapshot_digest(stream) == golden[stream]
