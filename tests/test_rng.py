@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ctxrep.toydit as td
 from ctxrep.rng import derive_seed, normal_array, seeded_generator
 
-from . import _oracles
+from . import _golden, _oracles
 from ._golden import digest, kernels, printed_tables, where
 from .test_golden_matrix import GOLDEN_KERNELS, GOLDEN_MATRIX
 
@@ -98,6 +98,29 @@ class TestSeeds:
 
         assert digest(tensors(-1)) == digest(tensors(2**64 - 1))
         assert digest(tensors(-1)) != digest(tensors(0))
+
+
+# token_dim -> attention heads of the toy-tensors cases in the golden table
+TOY_TENSOR_HEADS = {16: 2, 3: 1}
+
+
+@pytest.mark.parametrize("dim", sorted(TOY_TENSOR_HEADS))
+class TestGoldenToyTensors:
+    """Each part of a toy-tensors case on its own, so a moved digest names
+    the seeded tensor that moved."""
+
+    def check(self, dim, part):
+        arrays = _golden._toy_tensors(dim, TOY_TENSOR_HEADS[dim])[part]
+        assert digest(arrays) == GOLDEN_MATRIX[(f"toy-tensors-{dim}", part)], where(GOLDEN_KERNELS)
+
+    def test_init_weights(self, dim):
+        self.check(dim, "init")
+
+    def test_encode_prompt(self, dim):
+        self.check(dim, "prompt")
+
+    def test_seed_image_tokens(self, dim):
+        self.check(dim, "image")
 
 
 @pytest.mark.skipif(not kernels()["simd"],
