@@ -35,19 +35,27 @@ The step loop runs only the work that depends on the state, on long rows.
 The latents stay coordinate-major, one (2, L) array, for the whole run, and
 one subtraction of a (2 times, K, 2, 1) table gives each step the offsets
 from the mode centers at the departure and the arrival time, as (2, K, 2, L)
-rows. Each step's scalars come from a table of Python floats built once per
-run, from s_t^2 computed once per time, the (T + 1, ...) contexts record is
-each step's context buffer, which the step writes in place, and the ``cads``
-baseline builds every corrupted prompt of a run before the first step, one
-noise draw per segment and seed.
+rows. The (T + 1, ...) contexts record is each step's context buffer, which
+the step writes in place, and the ``cads`` baseline builds every corrupted
+prompt of a run before the first step, one noise draw per segment and seed.
+
+What depends on the world alone is built once per distinct world, not once
+per run: the world's plan (:func:`_plan`) holds the mode centers, the times,
+the centers table, each step's scalars as Python floats, from s_t^2 computed
+once per time, and each step's fraction of the run, from which a window's
+steps are found. Equal worlds share one plan, its arrays read-only, unless
+their bits differ (a radius of -0.0, a float32 field). The plans of the
+``_PLANS`` = 8 distinct worlds used last are kept; a plan's centers table
+takes 32 T K bytes (16 KB for the default world of 64 steps and 8 modes).
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +64,6 @@ from .repulsion import (
     NumericOverflow,
     RepulsionConfig,
     check_interval,
-    fraction_in_interval,
     repulse,
 )
 from .rng import derive_seed
@@ -108,24 +115,19 @@ class MixtureWorld:
                     f"(needs < {gap / 6.0:.4f})"
                 )
 
-    @cached_property
+    @property
     def mode_centers(self) -> np.ndarray:
-        """(n_modes, 2) centers, built once per world and read-only."""
-        angles = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
-        centers = self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        centers.flags.writeable = False
-        return centers
-
-    def __getstate__(self):
-        # the cache is left out: an unpickled array would come back writable
-        return {k: v for k, v in self.__dict__.items() if k != "mode_centers"}
+        """(n_modes, 2) centers, read-only, built once per distinct world
+        (see :func:`_plan`): equal worlds share one array."""
+        return _plan(self).mode_centers
 
 
 @dataclass(frozen=True)
 class Trajectories:
     """One batch's integration record: (T + 1,) times descending 1 -> 0,
     (T + 1, B, 2) latents and (T + 1, B, M) contexts, read-only views of one
-    run's arrays; the records of one run share ``times``.
+    run's arrays. ``times`` is the world's plan's own array: the records of
+    every run of equal worlds share it.
 
     ``contexts[j]`` holds the effective (enriched, post-intervention) contexts
     the generator consumed when stepping from ``times[j]``; the final row
@@ -437,13 +439,18 @@ def _segment_run(world, segments, method, seeds: list, cads, context_hook=None,
 
 
 def _checked_segment(world: MixtureWorld, segment: Segment, method: str) -> Segment:
-    """``segment`` with its prompts copied to a float array, once they and
-    the windows ``method`` reads are checked."""
+    """``segment``, with its prompts as a float64 array, once they and the
+    windows ``method`` reads are checked. Prompts that are already one are
+    kept as they are: the run copies them into its own state before any
+    hook could change them."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "cads":
         check_interval(segment.cads_interval, "cads")
-    prompts = np.array(segment.prompts, dtype=float)
+    prompts = segment.prompts
+    if type(prompts) is not np.ndarray or prompts.dtype != np.float64:
+        prompts = np.array(prompts, dtype=float)
+        segment = dataclasses.replace(segment, prompts=prompts)
     if prompts.ndim != 2 or prompts.shape[1] != world.n_modes:
         raise ValueError(f"prompts must have shape (B, {world.n_modes})")
     if prompts.shape[0] < 1:
@@ -452,7 +459,7 @@ def _checked_segment(world: MixtureWorld, segment: Segment, method: str) -> Segm
         raise ValueError("prompt entries must be finite")
     if method in ("contextual", "latent") and segment.repulsion is None:
         raise ValueError(f"method {method!r} requires a repulsion config")
-    return dataclasses.replace(segment, prompts=prompts)
+    return segment
 
 
 def _columns(segments: list[Segment]) -> list[slice]:
@@ -473,8 +480,71 @@ def _normals(rngs: list, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _steps_in(interval: tuple[float, float], t_steps: int) -> list[bool]:
-    return [fraction_in_interval(j, t_steps, interval) for j in range(t_steps)]
+# the most distinct worlds whose plans are kept. A plan's largest part is its
+# (T, 2, K, 2, 1) centers table, 32 T K bytes: 16 KB for the default world
+_PLANS = 8
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a run of a world needs that depends on the world alone: the
+    (K, 2) mode centers and their (K, 2, 1) columns, the (T + 1,) times, as
+    an array and as Python floats, the (T, 2, K, 2, 1) table of (1 - t) mu at
+    each step's departure and arrival time, each step's scalars and each
+    step's fraction j / T of the run. The arrays are read-only."""
+
+    mode_centers: np.ndarray
+    center_columns: np.ndarray
+    times: np.ndarray
+    t_list: tuple[float, ...]
+    centers: np.ndarray
+    steps: tuple[tuple, ...]
+    fractions: tuple[float, ...]
+
+    def window(self, interval: tuple[float, float]) -> range:
+        """The steps j whose fraction j / T lies in the half-open
+        ``interval``, those ``repulsion.fraction_in_interval`` admits: the
+        fractions ascend, so they are one run of steps."""
+        a, b = interval
+        return range(bisect.bisect_left(self.fractions, a),
+                     bisect.bisect_left(self.fractions, b))
+
+
+def _plan(world: MixtureWorld) -> _Plan:
+    """The plan of ``world``, built once per distinct world and shared by
+    every equal one; those of the ``_PLANS`` worlds used last are kept."""
+    # equal worlds can differ in bits the plan holds: a radius of -0.0 signs
+    # the centers' zeros, and a float32 sigma rounds the step table in float32
+    return _built_plan(world, math.copysign(1.0, world.radius),
+                       tuple(map(type, vars(world).values())))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _built_plan(world: MixtureWorld, radius_sign: float, field_types: tuple) -> _Plan:
+    t_steps = world.n_steps
+    angles = 2.0 * np.pi * np.arange(world.n_modes) / world.n_modes
+    mode_centers = world.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    times = 1.0 - np.arange(t_steps + 1) / t_steps
+    # step j departs from t_j and takes its responsibilities at the arrival
+    # time max(t_{j+1}, t_{T-1}); row j holds (1 - t) mu at both times as a
+    # (2, K, 2, 1) block, so one subtraction from the (2, L) latents gives
+    # the step both offsets
+    arrival = [min(j + 1, t_steps - 1) for j in range(t_steps)]
+    scaled = (1.0 - times[:t_steps, None, None]) * mode_centers
+    centers = np.stack([scaled, scaled[arrival]], axis=1)[..., None]
+    # per step: t, dt / t, the shrink at t and the likelihood at the arrival
+    # time, from s_t^2 computed once per time
+    t_list = tuple(times.tolist())
+    s2 = [_noise_scale_sq(world, t) for t in t_list[:t_steps]]
+    steps = tuple(
+        (t, (t - t_list[j + 1]) / t, _shrink(world, t, s2[j]), _likelihood(s2[arrival[j]]))
+        for j, t in enumerate(t_list[:t_steps])
+    )
+    center_columns = mode_centers[..., None]
+    for array in (mode_centers, center_columns, times, centers):
+        array.flags.writeable = False
+    return _Plan(mode_centers, center_columns, times, t_list, centers, steps,
+                 tuple(j / t_steps for j in range(t_steps)))
 
 
 def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_hook=None):
@@ -483,8 +553,9 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     returns the times, the (T + 1, S, B_1 + ... + B_V, .) latents and
     contexts, all three read-only, and each segment's columns.
 
-    The loop runs only the work that depends on the state. Each step's
-    scalars are Python floats from a table built once per run, and the
+    The loop runs only the work that depends on the state. The times, the
+    centers table and each step's scalars, Python floats, come from the
+    world's plan (:func:`_plan`), built once per distinct world, and the
     ``contexts`` record is each step's context buffer: the step adds the
     image feedback into row j in place. For ``cads``, before the first step,
     the record holds each segment's corrupted prompts in its in-window rows
@@ -506,6 +577,7 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     the latents a latent hook returns are the state the step reads.
     """
     check_seeds(seeds)
+    plan = _plan(world)
     t_steps = world.n_steps
     # a lone seed runs without the seed axis, which would cost on every step
     lead = (len(seeds),) if len(seeds) > 1 else ()
@@ -528,32 +600,13 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     lead_axes = tuple(range(len(by_segment) - 1))
     to_rows = tuple(axis + 1 for axis in lead_axes) + (0,)
     from_rows = (len(lead_axes),) + lead_axes
-    center_columns = world.mode_centers[..., None]
-
-    times = 1.0 - np.arange(t_steps + 1) / t_steps
-    # step j departs from t_j and takes its responsibilities at the arrival
-    # time max(t_{j+1}, t_{T-1}); row j holds (1 - t) mu at both times as a
-    # (2, K, 2, 1) block, so one subtraction from the (2, L) latents gives
-    # the step both offsets
-    arrival = [min(j + 1, t_steps - 1) for j in range(t_steps)]
-    scaled = (1.0 - times[:t_steps, None, None]) * world.mode_centers
-    centers = np.stack([scaled, scaled[arrival]], axis=1)[..., None]
-    # per step: t, dt / t, the shrink at t and the likelihood at the arrival
-    # time, from s_t^2 computed once per time
-    t_list = times.tolist()
-    s2 = [_noise_scale_sq(world, t) for t in t_list[:t_steps]]
-    steps = [
-        (t, (t - t_list[j + 1]) / t, _shrink(world, t, s2[j]), _likelihood(s2[arrival[j]]))
-        for j, t in enumerate(t_list[:t_steps])
-    ]
 
     # the segments each repulsion acts on, by step; steps without any are left out
     repelled = {}
     if method in ("contextual", "latent"):
         for seg, cols in zip(segments, slices):
-            for j, inside in enumerate(_steps_in(seg.repulsion.timestep_interval, t_steps)):
-                if inside:
-                    repelled.setdefault(j, []).append((cols, seg.repulsion))
+            for j in plan.window(seg.repulsion.timestep_interval):
+                repelled.setdefault(j, []).append((cols, seg.repulsion))
     elif method == "cads":
         contexts[:t_steps] = prompts
     # what each step adds the feedback to: the record's own row for cads, and
@@ -567,12 +620,12 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
     with np.errstate(divide="ignore", over="raise", invalid="raise"):
         if method == "cads":
             try:
-                _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list,
+                _write_cads_rows(contexts, prompts, segments, columns, seeds, plan,
                                  CadsParams() if cads is None else cads)
             except FloatingPointError as exc:
                 raise NumericOverflow(f"cads corruption: {exc}") from None
         try:
-            for j, (t, rate, shrink, likelihood) in enumerate(steps):
+            for j, (t, rate, shrink, likelihood) in enumerate(plan.steps):
                 if method == "latent":
                     for cols, repulsion in repelled.get(j, ()):
                         coords = z.reshape(by_segment)[..., cols]
@@ -581,7 +634,7 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                             from_rows)
                 if latent_hook is not None:
                     z = latent_hook(j, t, z.T.copy()).T.copy()
-                diff, sq = _offsets(z, centers[j])
+                diff, sq = _offsets(z, plan.centers[j])
 
                 effective = contexts[j]
                 feedback = _feedback(sq[0]).reshape(effective.shape)
@@ -598,7 +651,7 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
                     effective[...] = context_hook(j, t, effective)
 
                 weights = _softmax(world.guidance_gamma * effective)
-                x0, _ = _denoise(center_columns, diff[0], shrink, sq[1], likelihood,
+                x0, _ = _denoise(plan.center_columns, diff[0], shrink, sq[1], likelihood,
                                  weights.reshape(sq[1].shape))
                 z = z - rate * (z - x0)
                 record[j + 1] = z.T
@@ -606,11 +659,11 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
             raise NumericOverflow(f"flow step {j}: {exc}") from None
 
     contexts[t_steps] = contexts[t_steps - 1]
-    for record in (times, latents, contexts):
+    for record in (latents, contexts):
         record.flags.writeable = False
     if not lead:
-        return times, latents[:, None], contexts[:, None], slices
-    return times, latents, contexts, slices
+        return plan.times, latents[:, None], contexts[:, None], slices
+    return plan.times, latents, contexts, slices
 
 
 # the most entries of record rows corrupted in one pass, so that the
@@ -618,7 +671,7 @@ def _integrate(world, segments, method, seeds, cads, context_hook=None, latent_h
 _CADS_CHUNK = 1 << 15
 
 
-def _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list, cads) -> None:
+def _write_cads_rows(contexts, prompts, segments, columns, seeds, plan, cads) -> None:
     """Write each segment's corrupted prompts into its in-window rows of the
     (T + 1, [S,] B_1 + ... + B_V, M) record, before the first step.
 
@@ -629,19 +682,18 @@ def _write_cads_rows(contexts, prompts, segments, columns, seeds, t_list, cads) 
     """
     # fixed for the run: the row mean and std that the psi rescaling restores
     mean, _, std = _row_moments(prompts)
-    t_steps = len(t_list) - 1
     for seg, cols in zip(segments, columns):
-        window = [j for j, inside in enumerate(_steps_in(seg.cads_interval, t_steps)) if inside]
+        window = plan.window(seg.cads_interval)
         if not window:
             continue
-        first, stop = window[0], window[-1] + 1
+        first, stop = window.start, window.stop
         rows = contexts[first:stop][cols]
         noise = np.empty((stop - first,) + seg.prompts.shape)
         by_seed = rows if rows.ndim == 4 else rows[:, None]
         for s, seed in enumerate(seeds):
             np.random.default_rng(derive_seed(seed, _CADS_SALT)).standard_normal(out=noise)
             by_seed[:, s] = noise
-        times = t_list[first:stop]
+        times = plan.t_list[first:stop]
         chunk = max(1, _CADS_CHUNK // rows[0].size)
         for c in range(0, len(times), chunk):
             _cads_corrupt(prompts[cols], mean[cols], std[cols], times[c:c + chunk], cads,
@@ -706,7 +758,7 @@ def _score_finals(world: MixtureWorld, finals: np.ndarray) -> list[RunMetrics]:
     diff = finals[..., None, :] - world.mode_centers
     dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
     nearest = dist.argmin(axis=-1)
-    nearest_dist = np.take_along_axis(dist, nearest[..., None], axis=-1)[..., 0]
+    nearest_dist = np.minimum.reduce(dist, axis=-1)
     on_manifold = nearest_dist <= 3.0 * world.mode_sigma
     covered = np.zeros((seeds, world.n_modes), dtype=bool)
     covered[np.nonzero(on_manifold)[0], nearest[on_manifold]] = True

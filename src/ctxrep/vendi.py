@@ -7,6 +7,7 @@ exp(L), interpretable as the effective number of distinct samples (1 to B).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,11 +132,25 @@ def average_pair_vendi(kernel: SymMatrix) -> float:
     return float(_mean_pair_scores(kernel.entries))
 
 
+# the most batch sizes whose pair indices are kept; B (B - 1) * 8 bytes each
+_PAIR_TABLES = 8
+
+
+@functools.lru_cache(maxsize=_PAIR_TABLES)
+def _pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the B (B - 1) / 2 unordered pairs
+    of a batch of ``b``, built once per batch size."""
+    pairs = np.triu_indices(b, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _mean_pair_scores(kernels: np.ndarray) -> np.ndarray:
     """The pair average of a unit-diagonal (B, B) kernel with B >= 2, or of
     each kernel of a stack on leading axes, each with a solo call's bits."""
     # the spectrum of [[1, k], [k, 1]]/2 is (1 + k)/2, (1 - k)/2
-    rows, cols = np.triu_indices(kernels.shape[-1], 1)
+    rows, cols = _pairs(kernels.shape[-1])
     k = kernels[..., rows, cols]
     lam = np.stack([(1.0 + k) / 2.0, (1.0 - k) / 2.0], axis=-1)
     return _row_sums(np.exp(_entropies(lam))) / k.shape[-1]

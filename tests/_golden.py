@@ -66,13 +66,21 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
+def deferred(write: Callable[..., str], *args, **kwargs) -> Callable[[], str]:
+    """``write(*args, **kwargs)``, which writes an input file of CLI cases and
+    returns its path, called when the first case whose argv holds it runs."""
+    return functools.cache(functools.partial(write, *args, **kwargs))
+
+
 @dataclass(frozen=True)
 class Case:
     """One CLI invocation: its argv, the files it writes under ``out``, the
     module attributes set for the run as (object, name, value), and whether
-    every run pays for a worker so that a real pool starts."""
+    every run pays for a worker so that a real pool starts. An argv item may
+    be an input file ``deferred`` writes, so that only the cases that run
+    write their inputs."""
 
-    argv: list[str]
+    argv: list[str | Callable[[], str]]
     files: tuple[str, ...] = ()
     patches: tuple = ()
     pool: bool = False
@@ -82,12 +90,13 @@ class Case:
         or one JSON error line, and under ``out`` every file the case names on
         success but none on failure. Returns its exit code, the sha256 of its
         stdout, stderr and files, and a pool case's pool sizes."""
+        argv = [arg() if callable(arg) else arg for arg in self.argv]
         out.mkdir()
         pools = one_run_per_worker(monkeypatch) if self.pool else []
-        code = run_command(self.argv)
+        code = run_command(argv)
         captured = capsys.readouterr()
         assert captured.err == "" or (
-            captured.err.count("\n") == 1 and "error" in json.loads(captured.err)), self.argv
+            captured.err.count("\n") == 1 and "error" in json.loads(captured.err)), argv
         digests = {
             "exit": code,
             "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
@@ -96,7 +105,7 @@ class Case:
         if self.pool:
             digests["pools"] = pools
         written = sorted(p.name for p in out.iterdir())
-        assert written == (sorted(self.files) if code == 0 else []), self.argv
+        assert written == (sorted(self.files) if code == 0 else []), argv
         for file in written:
             digests[file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
             (out / file).unlink()
@@ -135,6 +144,18 @@ def small_gmm_config(tmp_path, **extra) -> str:
     settings.update(extra)
     path = tmp_path / "exp.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return str(path)
+
+
+def extended_config(config: Callable[[], str], path: pathlib.Path, extra: str) -> str:
+    """The config at ``config()`` with ``extra`` appended, written as ``path``."""
+    path.write_text(pathlib.Path(config()).read_text() + extra)
+    return str(path)
+
+
+def vector_csv(path: pathlib.Path, rows) -> str:
+    """``rows`` written as ``path`` by the CLI's vector writer."""
+    write_vector_csv(str(path), np.asarray(rows))
     return str(path)
 
 
@@ -268,9 +289,10 @@ def _library_cases() -> dict[str, Call]:
 
 
 def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case | Call]:
-    """Each case by name; configs are written under ``tmp_path`` and outputs
-    go to ``tmp_path / "out"``."""
+    """Each case by name; a CLI case's inputs are written under ``tmp_path``
+    when it runs, and its outputs go to ``tmp_path / "out"``."""
     out = tmp_path / "out"
+    shipped = functools.partial(deferred, shipped_config, tmp_path)
     sweep = ["--output", str(out / "sweep.csv")]
     collapse = str(CONFIG_DIR / "collapse.cfg")
     cases = {
@@ -313,31 +335,30 @@ def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case | Call]:
         sweeps[f"ablate-{axis}-unknown-method"] = (axis, f"ablate_{axis}.cfg",
                                                    {"method": "bogus", "seeds": 0})
     for name, (axis, config, settings) in sweeps.items():
-        cfg = shipped_config(tmp_path, config, name, **settings)
+        cfg = shipped(config, name, **settings)
         cases[name] = Case(["ablate", "--axis", axis, "--config", cfg, *sweep], ("sweep.csv",))
     for stream in ("text", "image", "all_tokens"):
         for batch in (1, 4):
             name = f"toy-run-{stream}-{batch}"
-            toy = shipped_config(
-                tmp_path, "toy.cfg", name, toy_batch=batch, repulsion_target_stream=stream,
+            toy = shipped(
+                "toy.cfg", name, toy_batch=batch, repulsion_target_stream=stream,
                 output_snapshots=out / "snaps.csv", output_report=out / "report.jsonl",
             )
             cases[name] = Case(["toy-run", "--config", toy], ("snaps.csv", "report.jsonl"))
-    pooled = shipped_config(tmp_path, "toy.cfg", "pool", sweep_block_groups="first_third,all",
-                            seeds=4)
+    pooled = shipped("toy.cfg", "pool", sweep_block_groups="first_third,all", seeds=4)
     cases["simulate-contextual-pool"] = Case(
         ["simulate", "--config", collapse, "--method", "contextual", "--seeds", "4",
          "--jobs", "2"], pool=True)
     cases["ablate-blocks-pool"] = Case(
         ["ablate", "--axis", "blocks", "--config", pooled, "--jobs", "2", *sweep], ("sweep.csv",),
         pool=True)
-    overflow = shipped_config(tmp_path, "collapse.cfg", "overflow", repulsion_eta="1e40", seeds=3)
+    overflow = shipped("collapse.cfg", "overflow", repulsion_eta="1e40", seeds=3)
     cases["simulate-eta-1e40"] = Case(["simulate", "--config", overflow])
     # a corruption scale far above the shipped ones, whose rows' moments stay finite
-    cads = shipped_config(tmp_path, "collapse.cfg", "cads", method="cads", cads_scale="1e40",
-                          batch_size=2, world_feedback=0, seeds=2)
+    cads = shipped("collapse.cfg", "cads", method="cads", cads_scale="1e40", batch_size=2,
+                   world_feedback=0, seeds=2)
     cases["simulate-cads-1e40"] = Case(["simulate", "--config", cads])
-    zero = shipped_config(tmp_path, "toy.cfg", "zero", sweep_block_groups="all", seeds=3)
+    zero = shipped("toy.cfg", "zero", sweep_block_groups="all", seeds=3)
     cases["ablate-blocks-zero-prompt"] = Case(
         ["ablate", "--axis", "blocks", "--config", zero, *sweep],
         # toy_seed 0 plus seed 1
@@ -345,15 +366,14 @@ def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case | Call]:
     )
 
     # every command once, on a small mixture config at 3 seeds
-    gmm = small_gmm_config(
-        tmp_path, seeds=3, seed_start=4, sweep_batch_sizes="2,4",
+    gmm = deferred(
+        small_gmm_config, tmp_path, seeds=3, seed_start=4, sweep_batch_sizes="2,4",
         sweep_intervals="0:0.5,0.25:1", sweep_block_groups="first_third,all",
         toy_dual_blocks=2, toy_single_blocks=1, toy_batch=3,
     )
-    timestep = tmp_path / "timestep.cfg"
-    timestep.write_text(pathlib.Path(gmm).read_text() + "method = cads\n")
-    vectors = str(tmp_path / "vectors.csv")
-    write_vector_csv(vectors, np.random.default_rng(3).standard_normal((5, 3)))
+    timestep = deferred(extended_config, gmm, tmp_path / "timestep.cfg", "method = cads\n")
+    vectors = deferred(vector_csv, tmp_path / "vectors.csv",
+                       np.random.default_rng(3).standard_normal((5, 3)))
     for method in ("none", "cads"):
         cases[f"simulate-{method}"] = Case(["simulate", "--config", gmm, "--method", method])
     for method in ("contextual", "latent"):
@@ -361,7 +381,7 @@ def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case | Call]:
             ["simulate", "--config", gmm, "--method", method, "--output", str(out / "runs.jsonl")],
             ("runs.jsonl",))
     for axis in ("batch", "timestep", "blocks"):
-        cfg = str(timestep) if axis == "timestep" else gmm
+        cfg = timestep if axis == "timestep" else gmm
         cases[f"ablate-{axis}"] = Case(["ablate", "--axis", axis, "--config", cfg, *sweep],
                                        ("sweep.csv",))
     steer = ["steer", "--alpha", "0.5", "--source-seed", "1", "--target-seed", "6",
@@ -385,23 +405,21 @@ def golden_cases(tmp_path: pathlib.Path) -> dict[str, Case | Call]:
 
     # floating-point faults: each once in-process and, where a pool can
     # start, on a two-worker pool
-    erased = shipped_config(tmp_path, "collapse.cfg", "erased", prompt_strength="1e308",
-                            world_gamma=2.0, seeds=2)
+    erased = shipped("collapse.cfg", "erased", prompt_strength="1e308", world_gamma=2.0,
+                     seeds=2)
     runs = {f"simulate-{method}-fp-fault": ["simulate", "--config", erased, "--method", method]
             for method in ("none", "latent", "contextual")}
     # sigma squared overflows a Python float
-    wide = shipped_config(tmp_path, "collapse.cfg", "wide", world_radius="1e308",
-                          world_sigma="1e300", seeds=2)
+    wide = shipped("collapse.cfg", "wide", world_radius="1e308", world_sigma="1e300", seeds=2)
     runs["simulate-sigma-fp-fault"] = ["simulate", "--config", wide]
     for name, argv in runs.items():
         cases[name] = Case(argv)
         cases[f"{name}-pool"] = Case(argv + ["--jobs", "2"], pool=True)
-    far = shipped_config(tmp_path, "ablate_timestep.cfg", "far", method="none",
-                         world_radius="1e154", prompt_strength="-1e300", world_steps=2, seeds=1)
+    far = shipped("ablate_timestep.cfg", "far", method="none", world_radius="1e154",
+                  prompt_strength="-1e300", world_steps=2, seeds=1)
     cases["ablate-timestep-fp-fault"] = Case(["ablate", "--axis", "timestep", "--config", far,
                                               *sweep], ("sweep.csv",))
-    huge = str(tmp_path / "huge.csv")
-    write_vector_csv(huge, np.array([[1e200, 2e200], [3e200, -1e200]]))
+    huge = deferred(vector_csv, tmp_path / "huge.csv", [[1e200, 2e200], [3e200, -1e200]])
     cases["vendi-fp-fault"] = Case(["vendi", "--input", huge])
     return cases | _library_cases()
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ctxrep.gmmflow as gf
 from ctxrep.linalg import ContextBatch, rbf_kernel
-from ctxrep.repulsion import NumericOverflow, RepulsionConfig
+from ctxrep.repulsion import NumericOverflow, RepulsionConfig, fraction_in_interval
 from ctxrep.rng import derive_seed
 from ctxrep.vendi import average_pair_vendi, entropy_and_score
 
@@ -49,6 +49,100 @@ class TestWorld:
         assert copy == world and hash(copy) == hash(world)
         assert np.array_equal(copy.mode_centers, centers)
         assert not copy.mode_centers.flags.writeable
+
+
+def plan_record(world: gf.MixtureWorld, method: str, batch: int, seed: int) -> bytes:
+    """The bytes of one run's record, and of its metrics where the world has
+    a radius to set the RBF bandwidth."""
+    kwargs = METHOD_KWARGS[method]
+    run = gf.sample_batch(world, gf.one_hot_prompts(world, batch), method, seed=seed, **kwargs)
+    metrics = repr(gf.evaluate(run, world)) if world.radius else ""
+    return b"".join(a.tobytes() for a in (run.times, run.latents, run.contexts)) + metrics.encode()
+
+
+class TestPlan:
+    def test_equal_worlds_built_apart_share_one_plan(self):
+        assert gf.MixtureWorld().mode_centers is gf.MixtureWorld().mode_centers
+        assert gf._plan(gf.MixtureWorld(n_steps=6)) is gf._plan(gf.MixtureWorld(n_steps=6))
+        runs = [gf.sample_batch(gf.MixtureWorld(n_steps=6), np.zeros((2, 8)), seed=s)
+                for s in (0, 1)]
+        assert runs[0].times is runs[1].times
+
+    def test_every_plan_array_and_the_times_are_read_only(self):
+        world = gf.MixtureWorld(n_modes=3, n_steps=5)
+        plan = gf._plan(world)
+        arrays = [value for value in vars(plan).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 4
+        arrays.append(gf.sample_batch(world, np.zeros((2, 3)), seed=0).times)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.reshape(-1)[0] = 1.0
+        # everything else is a tuple of Python numbers
+        for value in (plan.t_list, plan.steps, plan.fractions):
+            assert isinstance(value, tuple)
+
+    @pytest.mark.parametrize("steps", (1, 2, 7, 64))
+    def test_a_window_is_the_steps_fraction_in_interval_admits(self, steps):
+        plan = gf._plan(gf.MixtureWorld(n_steps=steps))
+        for interval in ((0.0, 1.0), (0.0, 0.25), (0.25, 0.75), (0.5, 1.0), (0.9, 1.0),
+                         (1 / 7, 3 / 7), (0, 1), (0.999, 1.0)):
+            assert list(plan.window(interval)) == [
+                j for j in range(steps) if fraction_in_interval(j, steps, interval)]
+
+    def test_a_signed_zero_radius_keeps_its_own_centers(self):
+        # equal worlds, but the centers of a -0.0 radius are -0.0: the plan
+        # is keyed on the radius's sign too, whichever is built first
+        positive, negative = (gf.MixtureWorld(n_modes=1, radius=r) for r in (0.0, -0.0))
+        assert positive == negative
+        for first, second in ((positive, negative), (negative, positive)):
+            gf._built_plan.cache_clear()
+            gf._plan(first), gf._plan(second)
+            assert np.signbit(negative.mode_centers).all()
+            assert not np.signbit(positive.mode_centers).any()
+
+    @pytest.mark.parametrize("method", gf.METHODS)
+    def test_a_float32_sigma_keeps_its_own_step_table(self, method):
+        # equal worlds, but a float32 sigma rounds s_t^2 in float32: the plan
+        # is keyed on the fields' types too, whichever is built first
+        worlds = [gf.MixtureWorld(n_steps=8, mode_sigma=s) for s in (0.25, np.float32(0.25))]
+        assert worlds[0] == worlds[1]
+        alone = []
+        for world in worlds:
+            gf._built_plan.cache_clear()
+            alone.append(plan_record(world, method, 3, 1))
+        assert alone[0] != alone[1]
+        for order in ((0, 1), (1, 0)):
+            gf._built_plan.cache_clear()
+            for i in order:
+                assert plan_record(worlds[i], method, 3, 1) == alone[i]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(gf.METHODS),
+        world=st.sampled_from([{"n_modes": 1, "radius": 0.0}, {"n_modes": 1, "radius": -0.0},
+                               {"n_modes": 3, "radius": 2.0}, {}]),
+        steps=st.integers(1, 9),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(method="contextual", world={"n_modes": 1, "radius": -0.0}, steps=8, batch=3, seed=1)
+    @example(method="latent", world={"n_modes": 1, "radius": 0.0}, steps=8, batch=3, seed=1)
+    def test_records_do_not_depend_on_the_plan_cache(self, method, world, steps, batch, seed):
+        gf._built_plan.cache_clear()
+        reused = gf.MixtureWorld(n_steps=steps, **world)
+        first = plan_record(reused, method, batch, seed)
+        # a fresh equal world, the reused one, and at a zero radius the
+        # equal world of the other sign, built after this one
+        twin = dict(world, radius=-world["radius"]) if world.get("radius") == 0.0 else world
+        for other in (gf.MixtureWorld(n_steps=steps, **world), reused,
+                      gf.MixtureWorld(n_steps=steps, **twin)):
+            assert plan_record(other, method, batch, seed) == first
+        # more distinct worlds than the cache holds evict the plan
+        centers = reused.mode_centers
+        for extra in range(gf._PLANS):
+            gf._plan(gf.MixtureWorld(n_steps=steps + 1 + extra, **world))
+        assert reused.mode_centers is not centers
+        assert plan_record(reused, method, batch, seed) == first
 
 
 class TestConditionalWeights:
