@@ -330,42 +330,14 @@ def _check_toy_batch(cfg: ExperimentConfig) -> None:
         )
 
 
-def _toy_inputs(cfg: ExperimentConfig, seeds: list[tuple[int, int]]):
-    """Weights, prompt encodings and image tokens of one batch per
-    ``(weight_seed, noise_base)`` pair, stacked on a leading seed axis.
-
-    Each batch shares one prompt encoding, and its sample i's image noise is
-    seeded with ``noise_base + i``.
-    """
-    model = _toy_config(cfg)
-    models = [dataclasses.replace(model, weight_seed=w) for w, _ in seeds]
-    prompts = np.empty((len(seeds), model.n_text_tokens, model.token_dim))
-    images = np.empty((len(seeds), cfg.toy_batch, model.n_image_tokens, model.token_dim))
-    for s, (seed_model, (_, base)) in enumerate(zip(models, seeds)):
-        prompts[s] = toydit.encode_prompt(seed_model, cfg.toy_prompt_id).tokens
-        for i in range(cfg.toy_batch):
-            images[s, i] = toydit.seed_image_tokens(seed_model, base + i)
-    weights = toydit.stack_weights(models)
-    return weights, toydit.PromptEncoding(cfg.toy_prompt_id, prompts), images
-
-
-def _toy_snapshots(cfg: ExperimentConfig, inputs, repulsions: list[RepulsionConfig | None]):
-    """Each repulsion config's snapshots from one shared walk over
-    ``_toy_inputs``, each (S, B, N * D) and read-only; the inputs are not
-    changed."""
-    weights, prompt, images = inputs
-    return toydit.forward_configs(
-        [prompt] * cfg.toy_batch, images, weights, repulsions,
-        step_index=cfg.toy_step_index, total_steps=cfg.toy_total_steps,
-    )
-
-
 def _cmd_toy_run(args) -> int:
     cfg = _config(args)
     snapshots_path = _required_output(args, cfg, "output_snapshots")
     _check_toy_batch(cfg)
-    inputs = _toy_inputs(cfg, [(cfg.toy_seed, cfg.seed_start)])
-    snaps_on, snaps_off = _toy_snapshots(cfg, inputs, [repulsion_from_config(cfg), None])
+    weights, state = toydit.seed_stack(_toy_config(cfg), cfg.toy_prompt_id, cfg.toy_batch,
+                                       [(cfg.toy_seed, cfg.seed_start)])
+    snaps_on, snaps_off = toydit.forward_configs(state, weights, [repulsion_from_config(cfg), None],
+                                                 cfg.toy_step_index, cfg.toy_total_steps)
     # one stacked score per stream, as text and image rows differ in width;
     # each block records a text and then an image snapshot
     scores = np.empty((2, len(snaps_on)))
@@ -459,13 +431,15 @@ def _cmd_simulate(args) -> int:
 def _block_group_seeds(
     cfg: ExperimentConfig, repulsions: list[RepulsionConfig], run_ids: range
 ) -> list[list[dict]]:
-    """For each block group, the records of runs ``run_ids``; the seeds'
-    inputs are built once, all groups run in one shared walk over the
-    (S, B, N, D) stack, and each group is scored as one stack."""
+    """For each block group, the records of runs ``run_ids``; the seed stack
+    is drawn once, all groups run in one shared walk over it, and each group
+    is scored as one stack."""
     seeds = [cfg.seed_start + i for i in run_ids]
     # vary weights and image noise together per seed
-    inputs = _toy_inputs(cfg, [(cfg.toy_seed + seed, seed * 1000) for seed in seeds])
-    prompts = inputs[1].tokens.reshape(len(seeds), 1, -1)
+    weights, state = toydit.seed_stack(_toy_config(cfg), cfg.toy_prompt_id, cfg.toy_batch,
+                                       [(cfg.toy_seed + seed, seed * 1000) for seed in seeds])
+    # each seed's prompt, which every sample of its batch holds
+    prompts = state.text_tokens[:, :1].reshape(len(seeds), 1, -1)
     # one BLAS dot per row, as np.linalg.norm takes a vector's norm
     prompt_norms = np.sqrt(np.vecdot(prompts, prompts))
     if not prompt_norms.all():
@@ -473,7 +447,8 @@ def _block_group_seeds(
         seed = seeds[np.flatnonzero(prompt_norms == 0.0)[0]]
         raise DegenerateVector(f"zero-norm prompt encoding at seed {seed}")
     groups = []
-    for snapshots in _toy_snapshots(cfg, inputs, repulsions):
+    for snapshots in toydit.forward_configs(state, weights, repulsions, cfg.toy_step_index,
+                                            cfg.toy_total_steps):
         final = [s for s in snapshots if s.stream == "text"][-1]
         vendi = np.exp(_cosine_entropies(final.vectors))
         sims = np.vecdot(final.vectors, prompts) / (

@@ -102,14 +102,15 @@ def _parse_value(name: str, raw: str, kind):
         if not all(part.strip() for part in parts):
             raise ConfigError(f"{name}: empty item in list {raw!r}")
         return tuple(_parse_value(name, part, item) for part in parts)
+    if kind is bool:
+        # before the try: its `except ValueError` would re-word this ConfigError
+        lowered = raw.lower()
+        if lowered in ("true", "1", "yes", "on"):
+            return True
+        if lowered in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
         if kind is int:
             return int(raw)
         if kind is float:

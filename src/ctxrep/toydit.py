@@ -6,9 +6,9 @@ projections, and finishes with residual addition and per-token RMS
 normalization. Optional trailing single-stream blocks share one projection set
 over the merged sequence. Blocks take any leading batch axes, so the whole
 batch runs as one (B, N, D) state, and a stack of S seeds, each with its own
-weights (``stack_weights``), as one (S, B, N, D) state. Between blocks, a hook
-can flatten a chosen token stream to one row per sample and repel the samples
-of each batch apart.
+weights (``stack_weights``), as one (S, B, N, D) state (``seed_stack`` draws
+one). Between blocks, a hook can flatten a chosen token stream to one row per
+sample and repel the samples of each batch apart.
 
 Weights are random and fixed, never trained; the model exists to verify the
 intervention mechanism, not image quality.
@@ -171,6 +171,24 @@ def seed_image_tokens(cfg: ToyDiTConfig, noise_seed: int) -> np.ndarray:
     return normal_array(rng, (cfg.n_image_tokens, cfg.token_dim))
 
 
+def seed_stack(
+    cfg: ToyDiTConfig, prompt_id: int, batch: int, seeds: list[tuple[int, int]]
+) -> tuple[ModelWeights, TokenState]:
+    """The weights and (S, B, N, D) token state of one batch per
+    ``(weight_seed, noise_base)`` pair, drawn seed by seed under ``cfg`` with
+    that weight seed: ``encode_prompt`` of ``prompt_id``, held by every sample,
+    then sample i's ``seed_image_tokens`` of ``noise_base + i``; the weights
+    last, by ``stack_weights``."""
+    models = [replace(cfg, weight_seed=weight_seed) for weight_seed, _ in seeds]
+    text = np.empty((len(seeds), batch, cfg.n_text_tokens, cfg.token_dim))
+    image = np.empty((len(seeds), batch, cfg.n_image_tokens, cfg.token_dim))
+    for s, (model, (_, noise_base)) in enumerate(zip(models, seeds)):
+        text[s] = encode_prompt(model, prompt_id).tokens
+        for i in range(batch):
+            image[s, i] = seed_image_tokens(model, noise_base + i)
+    return stack_weights(models), TokenState(text, image)
+
+
 def _rms_normalize(tokens: np.ndarray) -> np.ndarray:
     # np.mean's sum and true divide, without its dispatch
     mean_sq = np.add.reduce(tokens * tokens, axis=-1, keepdims=True) / tokens.shape[-1]
@@ -297,16 +315,15 @@ def single_block_forward(state: TokenState, weights: ModelWeights, block: int) -
 
 
 def forward_configs(
-    prompts: list[PromptEncoding],
-    image_init: np.ndarray,
+    state: TokenState,
     weights: ModelWeights,
     repulsion_cfgs: list[RepulsionConfig | None],
     step_index: int = 0,
     total_steps: int = 1,
 ) -> list[list[StreamSnapshot]]:
-    """Run all blocks on the whole batch once per repulsion config (``None``
-    repels nothing), repelling the configured stream between blocks; returns
-    each config's snapshots.
+    """Run all blocks on the whole batch, ``state``, once per repulsion config
+    (``None`` repels nothing), repelling the configured stream between
+    blocks; returns each config's snapshots. ``state`` is not changed.
 
     Dual blocks run first, then single-stream blocks. The hook sees ``text``,
     ``image`` and ``all_tokens`` after a dual block, and only ``all_tokens``
@@ -331,28 +348,24 @@ def forward_configs(
     bits of a walk of its own. A branch's snapshots are shared by all of its
     configs, so every snapshot array is read-only.
 
-    Leading seed axes run a stack of independent batches as one program:
-    image tokens (..., B, N, D), each prompt's tokens (..., N, D) and weights
-    from ``stack_weights``, whose matrices are (S, 1, d, d). Snapshots are
-    then (..., B, N * D), the hook repels each batch of the stack on its own,
-    and every seed gets the bits of its solo call.
+    Text and image tokens are (..., B, N, D) on the same leading axes, so a
+    seed stack runs as one program: the (S, B, N, D) state of ``seed_stack``,
+    with weights from ``stack_weights``, whose matrices are (S, 1, d, d).
+    Snapshots are then (..., B, N * D), the hook repels each batch of the
+    stack on its own, and every seed gets the bits of its solo call.
     """
     cfg = weights.config
-    batch = len(prompts)
-    if batch < 1:
-        raise ValueError("need at least one prompt")
-    if image_init.shape[-3:] != (batch, cfg.n_image_tokens, cfg.token_dim):
-        raise DimensionMismatch(f"image init has shape {image_init.shape}")
-    lead = image_init.shape[:-3]
-    for prompt in prompts:
-        if prompt.tokens.shape != (*lead, cfg.n_text_tokens, cfg.token_dim):
-            raise DimensionMismatch("prompt token shape does not match config")
+    text_shape, image_shape = state.text_tokens.shape, state.image_tokens.shape
+    lead = image_shape[:-2]
+    if not lead or not lead[-1] or image_shape[-2:] != (cfg.n_image_tokens, cfg.token_dim):
+        raise DimensionMismatch(f"image tokens have shape {image_shape}")
+    if text_shape != (*lead, cfg.n_text_tokens, cfg.token_dim):
+        raise DimensionMismatch(f"text tokens have shape {text_shape}, image tokens {image_shape}")
 
     split = cfg.n_text_tokens * cfg.token_dim
-    rows_shape = (*lead, batch, -1)
+    rows_shape = (*lead, -1)
 
     # each branch: its state, the indices of its configs, and its snapshots
-    state = TokenState(np.stack([p.tokens for p in prompts], axis=-3), image_init)
     branches = [(state, range(len(repulsion_cfgs)), [])] if repulsion_cfgs else []
     for block in range(cfg.total_blocks):
         dual = block < cfg.n_dual_blocks
@@ -415,14 +428,19 @@ def forward_with_hooks(
     step_index: int = 0,
     total_steps: int = 1,
 ) -> tuple[list[TokenState], list[StreamSnapshot]]:
-    """The one-config case of ``forward_configs``: its snapshots, and the
-    final states one per sample. Final state i is ``[..., i, :, :]`` of the
-    last text and image snapshots, copied, so it is writable and a caller
-    writing to it cannot change the snapshots.
+    """The one-config case of ``forward_configs``, on one prompt encoding per
+    sample, each (..., N, D) on the leading seed axes of ``image_init``: its
+    snapshots, and the final states one per sample. Final state i is
+    ``[..., i, :, :]`` of the last text and image snapshots, copied, so it is
+    writable and a caller writing to it cannot change the snapshots.
     """
-    (snapshots,) = forward_configs(
-        prompts, image_init, weights, [repulsion_cfg], step_index, total_steps
-    )
+    if not prompts:
+        raise ValueError("need at least one prompt")
+    # the walk checks the stacked tokens against the image tokens
+    if len({prompt.tokens.shape for prompt in prompts}) > 1:
+        raise DimensionMismatch("prompt token shapes differ")
+    state = TokenState(np.stack([p.tokens for p in prompts], axis=-3), image_init)
+    (snapshots,) = forward_configs(state, weights, [repulsion_cfg], step_index, total_steps)
     cfg = weights.config
     text = snapshots[-2].vectors.reshape(*image_init.shape[:-2], cfg.n_text_tokens, -1)
     image = snapshots[-1].vectors.reshape(image_init.shape)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import ctxrep.cli as cli
-from ctxrep import gmmflow
+from ctxrep import config, gmmflow
 from ctxrep.cli import read_vector_csv, run_command, write_vector_csv
 from ctxrep.config import (
     FIELD_TYPES,
@@ -222,7 +222,31 @@ class TestConfigParsing:
         cli._cads_from_config(cfg)
         cli._toy_config(cfg)
 
+    @pytest.mark.parametrize("text", ["false", "0", "no", "off", " OFF "])
+    def test_false_booleans(self, text):
+        # the default is true, so each parses to a value of its own
+        assert ExperimentConfig().repulsion_normalize is True
+        assert parse_config(f"repulsion_normalize = {text}\n").repulsion_normalize is False
+
+    def test_bad_boolean_names_its_key(self):
+        with pytest.raises(ConfigError,
+                           match="^repulsion_normalize: expected a boolean, got 'maybe'$"):
+            parse_config("repulsion_normalize = maybe\n")
+
+    def test_unsupported_field_type_is_named(self):
+        with pytest.raises(ConfigError, match="^seeds: unsupported type <class 'complex'>$"):
+            config._parse_value("seeds", "1", complex)
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert run_command(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"].startswith(f"cannot read config {str(path)!r}")
+
     def test_bad_values(self):
+        with pytest.raises(ConfigError, match="^bad interval 'x:0.5'$"):
+            parse_config("repulsion_interval = x:0.5\n")
         with pytest.raises(ConfigError):
             parse_config("seeds = many\n")
         with pytest.raises(ConfigError):
@@ -277,6 +301,21 @@ class TestVendiCommand:
         assert run_command(["vendi", "--input", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read {path!r}: "),
+        ("", "{path!r} is empty"),
+        ("dim0,dim1\n1.0,2.0\n3.0,x\n", "{path!r}: line 3: could not convert string to float"),
+        ("dim0,dim1\n", "{path!r} holds no samples"),
+    ], ids=["unreadable", "empty", "non-numeric", "header-only"])
+    def test_unusable_input_exits_2_with_one_json_line(self, tmp_path, capsys, text, message):
+        path = str(tmp_path / "input.csv")
+        if text is not None:
+            pathlib.Path(path).write_text(text)
+        assert run_command(["vendi", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"].startswith(message.format(path=path))
+
 
 class TestGradCheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
@@ -329,6 +368,16 @@ class TestGradCheckCommand:
         assert capsys.readouterr().out == json.dumps(record) + "\n"
         failed = record["max_relative_error"] > cli.GRAD_CHECK_THRESHOLD
         assert code == (cli.EXIT_NUMERIC if failed else cli.EXIT_OK)
+
+    def test_a_failed_check_prints_its_record_then_exits_3(self, capsys):
+        argv = ["grad-check", "--batch", "3", "--dim", "4", "--seeds", "3", "--fd-step", "0.5"]
+        assert run_command(argv) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        record = grad_check_record(3, 4, 3, 0.5)
+        assert round(record["max_relative_error"], 3) == 0.380
+        assert captured.out == json.dumps(record) + "\n"
+        assert json.loads(captured.err) == {
+            "error": "max relative error 3.799e-01 exceeds 0.0001"}
 
     def test_scores_at_most_one_capped_stack_at_a_time(self, capsys, monkeypatch):
         stacks = []
@@ -920,16 +969,17 @@ class TestAblateCommand:
         walks = []
         forward = cli.toydit.forward_configs
 
-        def recording(prompts, images, weights, repulsions, *args, **kwargs):
-            walks.append((images.shape[:-2], [r.block_selector for r in repulsions]))
-            return forward(prompts, images, weights, repulsions, *args, **kwargs)
+        def recording(state, weights, repulsions, *args, **kwargs):
+            walks.append((state.text_tokens.shape[:-2], state.image_tokens.shape[:-2],
+                          [r.block_selector for r in repulsions]))
+            return forward(state, weights, repulsions, *args, **kwargs)
 
         monkeypatch.setattr(cli.toydit, "forward_configs", recording)
         out = tmp_path / "blocks.csv"
         assert run_command(
             ["ablate", "--axis", "blocks", "--config", cfg, "--output", str(out)]
         ) == 0
-        assert walks == [((5, 3), ["middle_third", "all"])]
+        assert walks == [((5, 3), (5, 3), ["middle_third", "all"])]
         write_rows(tmp_path / "reference.csv", ablate_blocks_rows(load_config(cfg)))
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -1046,6 +1096,26 @@ class TestAblateCommand:
         assert counts == {"mm_block_forward": 9, "single_block_forward": 8, "repulse": 6}
         write_rows(tmp_path / "reference.csv", ablate_blocks_rows(load_config(cfg)))
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestSeedBySeedOnFailure:
+    def test_a_failure_no_single_run_repeats_is_raised_as_it_was(self):
+        # the stacked chunk fails, each one-seed, one-variant re-run passes,
+        # and the chunk's own error is what the caller sees
+        calls = []
+        stacked = ValueError("stacked only")
+
+        def run(variants, run_ids):
+            calls.append((variants, run_ids))
+            if len(variants) > 1 or len(run_ids) > 1:
+                raise stacked
+            return [[run_ids[0]]]
+
+        with pytest.raises(ValueError) as caught:
+            cli._seed_by_seed_on_failure(run, ["a", "b"], range(4, 6))
+        assert caught.value is stacked
+        assert calls == [(["a", "b"], range(4, 6)), (["a"], range(4, 5)), (["b"], range(4, 5)),
+                         (["a"], range(5, 6)), (["b"], range(5, 6))]
 
 
 class TestWorkerRule:
@@ -1268,7 +1338,7 @@ class TestRunCounts:
         # no chunk runs, so no flow and no toy input is drawn
         drawn = []
         monkeypatch.setattr(gmmflow, "_integrate", lambda *args, **kwargs: drawn.append(args))
-        monkeypatch.setattr(cli, "_toy_inputs", lambda *args: drawn.append(args))
+        monkeypatch.setattr(cli.toydit, "seed_stack", lambda *args: drawn.append(args))
         cfg = small_gmm_config(tmp_path, seeds=3, method="cads", **{key: ""})
         out = tmp_path / "sweep.csv"
         assert run_command(["ablate", "--axis", axis, "--config", cfg, "--output", str(out)]) == 0

@@ -25,6 +25,15 @@ class TestWorld:
         with pytest.raises(ValueError, match="separable"):
             gf.MixtureWorld(mode_sigma=1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_modes", 0, "n_modes must be >= 1"),
+        ("n_steps", 0, "n_steps must be >= 1"),
+        ("guidance_gamma", -1.0, "guidance_gamma must be >= 0"),
+    ])
+    def test_out_of_range_fields_are_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gf.MixtureWorld(**{field: value})
+
     def test_centers_on_circle(self):
         world = gf.MixtureWorld()
         radii = np.linalg.norm(world.mode_centers, axis=1)
@@ -640,6 +649,33 @@ class TestSegments:
         assert buffer is not None
         assert all(r.latents.base is buffer for r in records)
         assert sum(r.latents.size for r in records) == buffer.size
+
+    @pytest.mark.parametrize("method", gf.METHODS)
+    @pytest.mark.parametrize("form", ["nested-list", "int", "float32"])
+    def test_prompts_of_any_numeric_form_run_as_float64(self, method, form):
+        # each form is converted to the float64 array's bits, and the
+        # caller's object is left as it was
+        world = gf.MixtureWorld(n_modes=5, n_steps=8)
+        prompts = np.concatenate([gf.one_hot_prompts(world, 2, mode=m, strength=4.0)
+                                  for m in (0, 3)])
+        given = {"nested-list": prompts.tolist(), "int": prompts.astype(int),
+                 "float32": prompts.astype(np.float32)}[form]
+        before = pickle.dumps(given)
+        kwargs = METHOD_KWARGS[method]
+        cads = kwargs.get("cads")
+        reference = one_segment(prompts, kwargs.get("repulsion"))
+        segment = one_segment(given, kwargs.get("repulsion"))
+        seeds = [2, 9]
+        for run, record in ((gf.sample_segments, trajectory_digest),
+                            (gf.evaluate_segments, repr)):
+            want, got = ([record(r) for r in run(world, [s], method, seeds=seeds, cads=cads)[0]]
+                         for s in (reference, segment))
+            assert got == want
+        solo = gf.sample_batch(world, given, method, seed=2, **kwargs)
+        assert trajectory_digest(solo) == trajectory_digest(
+            gf.sample_batch(world, prompts, method, seed=2, **kwargs))
+        assert segment.prompts is given
+        assert pickle.dumps(given) == before
 
     def test_no_seeds_or_no_segments(self):
         world = gf.MixtureWorld(n_steps=4)

@@ -46,6 +46,8 @@ class TestSymMatrix:
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError):
             SymMatrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="^matrix must have dimension >= 1$"):
+            SymMatrix(np.empty((0, 0)))
         with pytest.raises(ValueError):
             SymMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
@@ -219,6 +221,8 @@ class TestContextBatch:
         batch = ContextBatch(np.ones((3, 5)))
         assert batch.batch_size == 3
         assert batch.vector_dim == 5
+        assert repr(batch) == "ContextBatch(batch_size=3, vector_dim=5)"
+        assert repr(SymMatrix(np.eye(2))) == "SymMatrix(dim=2)"
 
 
 @pytest.mark.parametrize(
@@ -328,6 +332,14 @@ class TestRbfKernel:
         base = rbf_kernel(ContextBatch(pts), 1.1).entries
         shuffled = rbf_kernel(ContextBatch(pts[perm]), 1.1).entries
         assert np.max(np.abs(shuffled - base[np.ix_(perm, perm)])) <= 1e-15
+
+
+def test_fill_diagonal_refuses_a_non_contiguous_stack():
+    # its reshape would be a copy, so the fill would be lost
+    a = np.zeros((2, 3, 3))[:, ::-1]
+    with pytest.raises(ValueError, match="^expected a C-contiguous array$"):
+        ctxrep.linalg._fill_diagonal(a, 1.0)
+    assert not a.any()
 
 
 class TestRowSums:

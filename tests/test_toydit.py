@@ -27,6 +27,12 @@ def batch_inputs(cfg, batch, prompt_id=0, noise_base=0):
     return prompts, images
 
 
+def prompt_state(prompts, images):
+    """The walk's token state of per-sample ``prompts`` and ``images``, as
+    ``forward_with_hooks`` stacks them."""
+    return td.TokenState(np.stack([p.tokens for p in prompts], axis=-3), images)
+
+
 def seed_stack(cfg, batch, weight_seeds):
     """Each weight seed's solo (prompts, images, weights), with image noise
     from 1000 * i on, and the same inputs as one seed stack."""
@@ -277,6 +283,22 @@ class TestBlockForward:
         state = td.TokenState(np.zeros((3, cfg.token_dim)), np.zeros((cfg.n_image_tokens, cfg.token_dim)))
         with pytest.raises(td.DimensionMismatch):
             td.mm_block_forward(state, weights, 0)
+        state = td.TokenState(np.zeros((cfg.n_text_tokens, cfg.token_dim)),
+                              np.zeros((cfg.n_image_tokens - 1, cfg.token_dim)))
+        with pytest.raises(td.DimensionMismatch, match="^image tokens have shape"):
+            td.mm_block_forward(state, weights, 0)
+
+    def test_block_index_out_of_range(self):
+        cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
+        weights = td.init_weights(cfg)
+        state = td.TokenState(np.zeros((cfg.n_text_tokens, cfg.token_dim)),
+                              np.zeros((cfg.n_image_tokens, cfg.token_dim)))
+        for block in (2, -1):
+            with pytest.raises(ValueError, match=f"^block {block} is not a dual block$"):
+                td.mm_block_forward(state, weights, block)
+        for block in (1, -1):
+            with pytest.raises(ValueError, match=f"^block {block} is not a single block$"):
+                td.single_block_forward(state, weights, block)
 
     def test_joint_permutation_equivariance(self):
         cfg = small_config()
@@ -360,6 +382,62 @@ class TestSeedStack:
         with pytest.raises(td.DimensionMismatch, match="no seeds"):
             td.stack_weights([])
 
+    def test_seed_stack_makes_each_seeds_draws_in_order(self, monkeypatch):
+        cfg = small_config(n_dual_blocks=2, n_single_blocks=1, weight_seed=99)
+        seeds = [(3, 0), (9, 1000)]
+        configs = [dataclasses.replace(cfg, weight_seed=w) for w, _ in seeds]
+        expected = td.stack_weights(configs)
+        draws = []
+        for name in ("encode_prompt", "seed_image_tokens", "stack_weights"):
+            original = getattr(td, name)
+
+            def recording(first, *rest, name=name, original=original):
+                seed = (first.weight_seed if isinstance(first, td.ToyDiTConfig)
+                        else tuple(c.weight_seed for c in first))
+                draws.append((name, seed, *rest))
+                return original(first, *rest)
+
+            monkeypatch.setattr(td, name, recording)
+        weights, state = td.seed_stack(cfg, 5, 3, seeds)
+        # seed by seed, the prompt and then the batch's image noise; weights last
+        assert draws == [
+            ("encode_prompt", 3, 5), *(("seed_image_tokens", 3, i) for i in range(3)),
+            ("encode_prompt", 9, 5), *(("seed_image_tokens", 9, 1000 + i) for i in range(3)),
+            ("stack_weights", (3, 9)),
+        ]
+        monkeypatch.undo()
+        assert state.text_tokens.shape == (2, 3, cfg.n_text_tokens, cfg.token_dim)
+        assert state.image_tokens.shape == (2, 3, cfg.n_image_tokens, cfg.token_dim)
+        for s, (seed_cfg, (_, base)) in enumerate(zip(configs, seeds)):
+            prompt = td.encode_prompt(seed_cfg, 5).tokens
+            for i in range(3):
+                assert state.text_tokens[s, i].tobytes() == prompt.tobytes()
+                image = td.seed_image_tokens(seed_cfg, base + i)
+                assert state.image_tokens[s, i].tobytes() == image.tobytes()
+        assert weights.config == configs[0]
+        for block, want in zip(weights.dual_blocks + weights.single_blocks,
+                               expected.dual_blocks + expected.single_blocks):
+            for name in want:
+                assert block[name].tobytes() == want[name].tobytes()
+
+    def test_a_seed_stack_walk_is_each_seeds_batch_walk(self):
+        # the state of seed_stack walks as forward_with_hooks walks each
+        # seed's own per-sample prompts, and is left unchanged
+        cfg = small_config(n_dual_blocks=2, n_single_blocks=1)
+        cfgr = RepulsionConfig(eta=0.3, inner_steps=2, target_stream="all_tokens",
+                               gradient_normalization=True)
+        seeds = [(4, 0), (7, 1000)]
+        weights, state = td.seed_stack(cfg, 0, 3, seeds)
+        state.text_tokens.setflags(write=False)
+        state.image_tokens.setflags(write=False)
+        (snaps,) = td.forward_configs(state, weights, [cfgr])
+        for s, (weight_seed, base) in enumerate(seeds):
+            seed_cfg = dataclasses.replace(cfg, weight_seed=weight_seed)
+            prompts, images = batch_inputs(seed_cfg, 3, noise_base=base)
+            _, solo = td.forward_with_hooks(prompts, images, td.init_weights(seed_cfg), cfgr)
+            assert [one.vectors.tobytes() for one in solo] == [
+                whole.vectors[s].tobytes() for whole in snaps]
+
     def test_prompt_stack_must_match_the_image_stack(self):
         cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
         _, (prompts, images, weights) = seed_stack(cfg, 2, [0, 1])
@@ -416,7 +494,9 @@ class TestForwardConfigs:
             inputs = (*batch_inputs(cfg, batch), td.init_weights(cfg))
         else:
             inputs = seed_stack(cfg, batch, range(n_seeds))[1]
-        shared = td.forward_configs(*inputs, repulsions, step_index=1, total_steps=2)
+        prompts, images, weights = inputs
+        shared = td.forward_configs(prompt_state(prompts, images), weights, repulsions,
+                                    step_index=1, total_steps=2)
         assert len(shared) == len(repulsions)
         for repulsion, snaps in zip(repulsions, shared):
             _, own = td.forward_with_hooks(*inputs, repulsion, step_index=1, total_steps=2)
@@ -432,7 +512,8 @@ class TestForwardConfigs:
         prompts, images = batch_inputs(cfg, 3)
         cfgr = RepulsionConfig(eta=0.04, inner_steps=2, block_selector=(1,),
                                gradient_normalization=True)
-        repelled, again, plain = td.forward_configs(prompts, images, weights, [cfgr, cfgr, None])
+        repelled, again, plain = td.forward_configs(prompt_state(prompts, images), weights,
+                                                    [cfgr, cfgr, None])
         # a config's snapshots are its branch's: the plain walk shares block 0
         assert all(a is b for a, b in zip(repelled, again))
         assert [a is b for a, b in zip(repelled, plain)] == [True] * 2 + [False] * 4
@@ -444,8 +525,33 @@ class TestForwardConfigs:
         finals[0].text_tokens[0, 0] = 123.0
         assert snaps[-2].vectors[0, 0] != 123.0
 
+    def test_text_and_image_states_must_share_leading_axes(self):
+        # and hold a batch axis of at least one sample
+        cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
+        weights = td.init_weights(cfg)
+        prompts, images = batch_inputs(cfg, 3)
+        state = prompt_state(prompts, images)
+        for text, image in ((state.text_tokens[:2], images), (state.text_tokens, images[None]),
+                            (state.text_tokens[0], images[0]),
+                            (state.text_tokens[:0], images[:0])):
+            with pytest.raises(td.DimensionMismatch, match="tokens have shape"):
+                td.forward_configs(td.TokenState(text, image), weights, [None])
+
 
 class TestForwardWithHooks:
+    def test_needs_at_least_one_prompt(self):
+        cfg = small_config()
+        with pytest.raises(ValueError, match="^need at least one prompt$"):
+            td.forward_with_hooks([], np.zeros((0, cfg.n_image_tokens, cfg.token_dim)),
+                                  td.init_weights(cfg))
+
+    def test_prompts_of_two_shapes_are_rejected(self):
+        cfg = small_config(n_dual_blocks=1, n_single_blocks=0)
+        _, (prompts, images, weights) = seed_stack(cfg, 2, [0, 1])
+        with pytest.raises(td.DimensionMismatch, match="prompt token shapes differ"):
+            td.forward_with_hooks([prompts[0], td.PromptEncoding(0, prompts[0].tokens[0])],
+                                  images, weights)
+
     @pytest.mark.parametrize("batch", [1, 2, 7])
     @pytest.mark.parametrize(
         "overrides",

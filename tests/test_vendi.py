@@ -249,6 +249,10 @@ class TestAveragePairVendi:
         batch = ContextBatch(np.tile([1.0, 1.0], (4, 1)))
         assert average_pair_vendi(cosine_kernel(batch)) == 1.0
 
+    def test_one_sample_has_no_pair(self):
+        with pytest.raises(ValueError, match="^pair average requires at least two samples$"):
+            average_pair_vendi(SymMatrix(np.ones((1, 1))))
+
     def test_orthogonal_triple(self):
         assert abs(average_pair_vendi(cosine_kernel(ContextBatch(np.eye(3)))) - 2.0) <= 1e-9
 
