@@ -107,13 +107,19 @@ class StreamSnapshot:
     vectors: np.ndarray
 
 
-def _weight_fill(cfg: ToyDiTConfig) -> np.ndarray:
-    """``cfg``'s (matrices, d, d) fill, drawn from one generator seeded with
-    ``weight_seed``."""
+def _fill_shape(cfg: ToyDiTConfig) -> tuple[int, int, int]:
+    """The (matrices, d, d) shape of ``cfg``'s weight fill."""
     d = cfg.token_dim
     n_matrices = (len(DUAL_MATRIX_NAMES) * cfg.n_dual_blocks
                   + len(SINGLE_MATRIX_NAMES) * cfg.n_single_blocks)
-    return normal_array(seeded_generator(cfg.weight_seed), (n_matrices, d, d), 1.0 / np.sqrt(d))
+    return n_matrices, d, d
+
+
+def _weight_fill(cfg: ToyDiTConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """``cfg``'s (matrices, d, d) fill, drawn from one generator seeded with
+    ``weight_seed``, into ``out`` if given."""
+    return normal_array(seeded_generator(cfg.weight_seed), _fill_shape(cfg),
+                        1.0 / np.sqrt(cfg.token_dim), out=out)
 
 
 def _named_weights(cfg: ToyDiTConfig, matrices) -> ModelWeights:
@@ -154,7 +160,9 @@ def stack_weights(configs: list[ToyDiTConfig]) -> ModelWeights:
     for cfg in configs:
         if replace(cfg, weight_seed=config.weight_seed) != config:
             raise DimensionMismatch("stacked weights must share one model shape")
-    fill = np.stack([_weight_fill(cfg) for cfg in configs])
+    fill = np.empty((len(configs), *_fill_shape(config)))
+    for s, cfg in enumerate(configs):
+        _weight_fill(cfg, out=fill[s])
     return _named_weights(config, fill[:, :, None].swapaxes(0, 1))
 
 

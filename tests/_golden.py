@@ -258,10 +258,12 @@ def _toy_tensors(dim: int, heads: int) -> dict:
 def _library_cases() -> dict[str, Call]:
     """Each library case by name. The collapse world's ``sample_batch`` runs
     were recorded before the mixture-flow step was fused, ``repulse`` before
-    its inner step dropped its checks and copies, and the toy model when it
-    moved to numpy's PCG64 generator. Its ``splitmix64`` cases keep the
-    values from before that move (and before attention was stacked, for
-    ``einsum-splitmix64``): those were the only sources of moved bits."""
+    its inner step dropped its checks and copies, and the toy model when its
+    numpy PCG64 generators were first seeded from SplitMix64 words rather
+    than through ``SeedSequence``. Its ``splitmix64`` cases keep the values
+    from before it moved to numpy's generator at all (and before attention
+    was stacked, for ``einsum-splitmix64``): those were the only sources of
+    moved bits."""
     world = gmmflow.MixtureWorld()
     cases = {
         f"sample_batch-{method}-{seed}": Call(functools.partial(

@@ -23,7 +23,8 @@ was before it drew from numpy's PCG64 generator: a SplitMix64 stream mapped
 to normals by Box-Muller on libm, one draw at a time. Patched into
 ``toydit``, they reproduce the digests recorded on that stream, so that
 moving to numpy's generator is shown to be the only source of changed toy
-bits; they also chain ``derive_seed``'s mixer.
+bits; they also chain ``derive_seed``'s mixer, and feed ``pcg64_state``, the
+Python-int form of how ``seeded_generator`` seeds numpy's PCG64.
 The einsum joint attention is the straightforward form of the toy model's
 stacked-matmul attention; it sums in another order, so the tests hold the
 shipped form to it within a roundoff tolerance. ``row_sums_loop`` is
@@ -77,6 +78,30 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
+# PCG64's 128-bit LCG multiplier (O'Neill's PCG, as numpy's pcg64.h sets it)
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def pcg64_state(seed: int) -> dict:
+    """The bit generator state ``ctxrep.rng.seeded_generator(seed)`` holds,
+    in Python ints: numpy's four-word PCG64 seeding fed by the first four
+    :class:`SplitMix64` outputs at ``seed``. The first two words are the
+    initial state and the last two the stream; the increment is the stream
+    shifted up by one with its low bit set, and the state is stepped once
+    from 0, then the initial state is added, then stepped again."""
+    stream = SplitMix64(seed)
+    w0, w1, w2, w3 = (stream.next_uint64() for _ in range(4))
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+
+    def step(state: int) -> int:
+        return (state * PCG64_MULTIPLIER + inc) & _MASK128
+
+    state = step((step(0) + ((w0 << 64) | w1)) & _MASK128)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def generator_normals(generator, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
     """``ctxrep.rng.normal_array`` one scalar ``standard_normal`` draw at a time."""
     count = int(np.prod(shape, dtype=np.int64))
@@ -102,12 +127,16 @@ def next_gauss(rng) -> float:
     return radius * math.cos(angle)
 
 
-def normal_array(rng, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+def normal_array(rng, shape: tuple[int, ...], scale: float = 1.0, out=None) -> np.ndarray:
     """``shape`` filled row-major with scaled Box-Muller normals from the
-    :class:`SplitMix64` ``rng``, one scalar draw at a time."""
+    :class:`SplitMix64` ``rng``, one scalar draw at a time; written into
+    ``out`` and returned if given, as ``ctxrep.rng.normal_array`` does."""
     count = int(np.prod(shape, dtype=np.int64))
-    values = [scale * next_gauss(rng) for _ in range(count)]
-    return np.array(values, dtype=float).reshape(shape)
+    values = np.array([scale * next_gauss(rng) for _ in range(count)], dtype=float).reshape(shape)
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 def row_sums_loop(a: np.ndarray) -> np.ndarray:

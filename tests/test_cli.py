@@ -461,9 +461,9 @@ class TestToyRunCommand:
         seeds = []
         original = cli.toydit._weight_fill
 
-        def counting(model_cfg):
+        def counting(model_cfg, out=None):
             seeds.append(model_cfg.weight_seed)
-            return original(model_cfg)
+            return original(model_cfg, out)
 
         # every weight fill, solo or stacked, is drawn here
         monkeypatch.setattr(cli.toydit, "_weight_fill", counting)
@@ -1255,13 +1255,22 @@ class TestModuleEntryPoint:
     def test_cli_module_runs_too(self):
         assert self.run_module("ctxrep.cli").returncode == 2
 
-    def test_import_leaves_the_process_pool_unimported(self):
-        # concurrent.futures.process, with multiprocessing and logging, is
-        # imported only where a pool starts
+    # concurrent.futures.process, with multiprocessing and logging, is
+    # imported only where a pool starts, and numpy.random at the first draw
+    @pytest.mark.parametrize("module", ["concurrent.futures", "numpy.random"])
+    def test_import_leaves_the_process_pool_unimported(self, module):
         result = self.run_python(
-            "-c", "import sys, ctxrep.cli; print('concurrent.futures' in sys.modules)")
+            "-c", f"import sys, ctxrep.cli; print({module!r} in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_a_fresh_process_takes_splitmix64_words_as_a_seed(self):
+        # the words type is registered with numpy when the first one is made
+        result = self.run_python("-c", (
+            "import numpy as np; from ctxrep.rng import SplitMix64Words; "
+            "print(type(np.random.PCG64(SplitMix64Words(0)).seed_seq).__name__)"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "SplitMix64Words\n"
 
     @pytest.mark.parametrize(
         "argv", [["simulate", "--method", "cads"], ["ablate", "--axis", "batch"]]

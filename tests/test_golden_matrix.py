@@ -3,10 +3,13 @@ of every case in ``tests/_golden.py``. A CLI case, run in-process through
 ``run_command``, records its exit code and the digests of its stdout, stderr
 and output files; a library case records the digests of the arrays its call
 returns. The CLI digests of successful runs were recorded before the change
-that they first guarded, the ``fp-fault`` cases at the change that made
-numpy's floating-point faults exit 3, and the ``empty`` and
-``unknown-method`` sweeps at the change that gave every sweep one front
-half; ``_golden._library_cases`` dates the library ones. A change that moves
+that they first guarded, except the toy runs on the shipped random source
+(``toy-run-<stream>-<batch>`` and the ``ablate-blocks`` sweeps but
+``ablate-blocks-splitmix64``), re-recorded when the toy generators were
+first seeded from SplitMix64 words. The ``fp-fault`` cases were recorded at
+the change that made numpy's floating-point faults exit 3, and the
+``empty`` and ``unknown-method`` sweeps at the change that gave every sweep
+one front half; ``_golden._library_cases`` dates the library ones. A change that moves
 one must say so. ``PYTHONPATH=src python -m tests._golden`` prints these
 tables at the current checkout.
 """
@@ -63,19 +66,19 @@ GOLDEN_MATRIX = {
     ("ablate-blocks-image", "exit"): 0,
     ("ablate-blocks-image", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-image", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("ablate-blocks-image", "sweep.csv"): "6f2117e49a80660832669c188125cab6971276795622499388a1d2c83dbfdd41",
+    ("ablate-blocks-image", "sweep.csv"): "1f5bae52307a7638fc671c7f02a2e30a48775f6b36f36501f5bad497cb14dede",
     ("ablate-blocks-all_tokens", "exit"): 0,
     ("ablate-blocks-all_tokens", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-all_tokens", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("ablate-blocks-all_tokens", "sweep.csv"): "1b714260d749e3f9b5501b360909750fdd1ca51de5bd10ade05d27b6107079d1",
+    ("ablate-blocks-all_tokens", "sweep.csv"): "11eada3887aded3d8e0f7bc3102e977df2b17fb3add4c709ad1bd1870d0cc420",
     ("ablate-blocks-one", "exit"): 0,
     ("ablate-blocks-one", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-one", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("ablate-blocks-one", "sweep.csv"): "5305660b08d6a2d0d4039b30f27396d078b83c289a91238252fc03ef9dea76c8",
+    ("ablate-blocks-one", "sweep.csv"): "475c633359f1187df631ade9ba039626b19d6b4a95725e94058afd14573f9430",
     ("ablate-blocks-collapse", "exit"): 0,
     ("ablate-blocks-collapse", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-collapse", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("ablate-blocks-collapse", "sweep.csv"): "b96feb91e5652a0ef1c595d4830c7d3d75df1c9da784a38b8ac35870785b53ab",
+    ("ablate-blocks-collapse", "sweep.csv"): "2d2795472d50083bc0d485a7970b710ae886661e7ac2c00dadba0158eaca2274",
     ("ablate-batch-shipped", "exit"): 0,
     ("ablate-batch-shipped", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-batch-shipped", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -102,32 +105,32 @@ GOLDEN_MATRIX = {
     ("toy-run-text-1", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-text-1", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-text-1", "report.jsonl"): "1f7c76035523f0e2f23f14be8ccaa9e2bee38051b15a2579efd0578a3e3b6f09",
-    ("toy-run-text-1", "snaps.csv"): "89b6f17c6e159ffa459f8eb418ee2ba78041a2af6cd6fdf25dccdc8b1640ffd1",
+    ("toy-run-text-1", "snaps.csv"): "49573abe8ffe9af0d7f76fce142927f509716dbca951ae8b7f7c8eef037ab436",
     ("toy-run-text-4", "exit"): 0,
     ("toy-run-text-4", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-text-4", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("toy-run-text-4", "report.jsonl"): "c23673cd7f2522ab2347261a547d1c611a2eb82e9d93ac7f980a544168066b96",
-    ("toy-run-text-4", "snaps.csv"): "f6da26cbd3a0864af150b3b5972a179805f34be3e9bdcb05ceae584790f07234",
+    ("toy-run-text-4", "report.jsonl"): "a879ce29795760a9594f38d4b07ecacfc5cb0849d5dd18a2ceadb92b1c970b67",
+    ("toy-run-text-4", "snaps.csv"): "8625b217b3f4e43e6fb911a315bc49343babecdfa5f920b02f05c4ff391f27f3",
     ("toy-run-image-1", "exit"): 0,
     ("toy-run-image-1", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-image-1", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-image-1", "report.jsonl"): "1f7c76035523f0e2f23f14be8ccaa9e2bee38051b15a2579efd0578a3e3b6f09",
-    ("toy-run-image-1", "snaps.csv"): "89b6f17c6e159ffa459f8eb418ee2ba78041a2af6cd6fdf25dccdc8b1640ffd1",
+    ("toy-run-image-1", "snaps.csv"): "49573abe8ffe9af0d7f76fce142927f509716dbca951ae8b7f7c8eef037ab436",
     ("toy-run-image-4", "exit"): 0,
     ("toy-run-image-4", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-image-4", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("toy-run-image-4", "report.jsonl"): "84cdb8c6082399530e011f5d53cfdffcd78251607b941a58f20b19c9533ff422",
-    ("toy-run-image-4", "snaps.csv"): "0ca7c6d678b352ccd01a3c77854c23e8653f1fe850fff9704c09be294b076993",
+    ("toy-run-image-4", "report.jsonl"): "e500f5edbc04d35b72ae559f805bfb66d5ff07f3119bf73fa1ea883674f683d0",
+    ("toy-run-image-4", "snaps.csv"): "86253203cdbc35c18f0cead5702c91a026359906cbb5c67bf4445c2b48dabbc5",
     ("toy-run-all_tokens-1", "exit"): 0,
     ("toy-run-all_tokens-1", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-all_tokens-1", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-all_tokens-1", "report.jsonl"): "1f7c76035523f0e2f23f14be8ccaa9e2bee38051b15a2579efd0578a3e3b6f09",
-    ("toy-run-all_tokens-1", "snaps.csv"): "89b6f17c6e159ffa459f8eb418ee2ba78041a2af6cd6fdf25dccdc8b1640ffd1",
+    ("toy-run-all_tokens-1", "snaps.csv"): "49573abe8ffe9af0d7f76fce142927f509716dbca951ae8b7f7c8eef037ab436",
     ("toy-run-all_tokens-4", "exit"): 0,
     ("toy-run-all_tokens-4", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("toy-run-all_tokens-4", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("toy-run-all_tokens-4", "report.jsonl"): "035a628e4db11a33010972caf1f40894af31a4679549cd933b86d151375d3a1e",
-    ("toy-run-all_tokens-4", "snaps.csv"): "747368a5ef24ea6bfa83fe63c70fb7c51ac1036bdbed9c0d6833091aecd7232f",
+    ("toy-run-all_tokens-4", "report.jsonl"): "db883022c0901ad8fa7bfc687fe7881e3b2a7e4de3fed4b1c0fe4ca37338eb9a",
+    ("toy-run-all_tokens-4", "snaps.csv"): "2e1d89b4782d901cf9a6ea702145510890eea8180a1d2513958d49cea1ff8470",
     ("simulate-contextual-pool", "exit"): 0,
     ("simulate-contextual-pool", "stdout"): "5651a4e4ef3c20ea00fcb4cc5f45900a0f5f06cbe2e9e6d97d59f035478ead9d",
     ("simulate-contextual-pool", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -136,7 +139,7 @@ GOLDEN_MATRIX = {
     ("ablate-blocks-pool", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-pool", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks-pool", "pools"): [2],
-    ("ablate-blocks-pool", "sweep.csv"): "a08b9a0ca1880abd95d8055b14e9da2f08a15dd017ef2a1c342c8fd6373bf9af",
+    ("ablate-blocks-pool", "sweep.csv"): "6602e4ea662549dbaf922befeb671dd7cfefc9782e77cbb0defa45f2a3884568",
     ("simulate-eta-1e40", "exit"): 3,
     ("simulate-eta-1e40", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("simulate-eta-1e40", "stderr"): "fc218bb3a5a9474e375283eb5b64f4c5289188257000c44f5c9fc8757030dc2f",
@@ -171,7 +174,7 @@ GOLDEN_MATRIX = {
     ("ablate-blocks", "exit"): 0,
     ("ablate-blocks", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ablate-blocks", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("ablate-blocks", "sweep.csv"): "2543915af58574083d0393c9e61fb94138263e5331ea584d3d75671e64fa4163",
+    ("ablate-blocks", "sweep.csv"): "94d029fedaea7ca400e2f9ce696fa37310e34edbe802a625d6c9c00668db0c67",
     ("steer-contextual", "exit"): 0,
     ("steer-contextual", "stdout"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("steer-contextual", "stderr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -266,14 +269,14 @@ GOLDEN_MATRIX = {
     ("repulse-16x2", "outputs"): "6d30232824f0cce56d84de5e6f75e0f91a9f599dbda5f33f5b997da7c7422e97",
     ("repulse-16x8", "outputs"): "971954168d11bc8209129120c994060655f9a35e679e06c405724e85803c0b34",
     ("repulse-16x64", "outputs"): "e0ee1960c39f2ae393309f5e2a03d50c2fc39ee5fdd88787a91928519a01e72a",
-    ("toy-snapshots-text", "snapshots"): "962c8add2c94780388860ed34c86ffa660eb956fa7958b664fb529f6a9338c47",
-    ("toy-snapshots-image", "snapshots"): "aa85401b5c668f8ad01b26dddb34c0aed1883f6f7fdd8ba04a3b7cd52086b50b",
-    ("toy-snapshots-all_tokens", "snapshots"): "02ba02ef207ababa86fa831b6f4269c579603e57762dc3f4663bacf01cc81c18",
-    ("toy-snapshots-off", "snapshots"): "48933c28d215529408e339092791fd3015e854a934240225cea8f881f026a7a4",
-    ("toy-snapshots-text-einsum", "snapshots"): "5e74ee584e4da02a3e281cb38628cac31aba29c786b0b9c5e30b9818893c2d40",
-    ("toy-snapshots-image-einsum", "snapshots"): "afd552190ecc75a795aab07d92037a130ef34d4025fe3a224d4406dc767489c3",
-    ("toy-snapshots-all_tokens-einsum", "snapshots"): "03d31951e1dbcd781bebae9589a511fd96c72adc98a9e4afa53de56af85f0478",
-    ("toy-snapshots-off-einsum", "snapshots"): "6de8d5b32c4a4ac943f33420f98db73d53c65fc0c6af017b0d2b26f84c84ac2d",
+    ("toy-snapshots-text", "snapshots"): "585a9077a8f774d0fd178f48bfa54dfc0e1da15a16375461e5f20cb90233ab23",
+    ("toy-snapshots-image", "snapshots"): "99c75677d70242bf73802081e439f38ec86ebf23169e16fa98d03ff3481a2164",
+    ("toy-snapshots-all_tokens", "snapshots"): "c934ad804efd98a40693ed1f62e877483eb62a582d66b11d8f637a06cfd6413f",
+    ("toy-snapshots-off", "snapshots"): "8cc5bf73a96fa59fb101f077431e4439e9a2fc2ffb9e1293cf9865661d590cb0",
+    ("toy-snapshots-text-einsum", "snapshots"): "119735c239718672df07d8f6101550a68c105e917a29e3e58bf8e88591cf10b5",
+    ("toy-snapshots-image-einsum", "snapshots"): "b87b6ab08b1ec722e49a6de38efe0bef3405922657d2a386fc6093837d362fcc",
+    ("toy-snapshots-all_tokens-einsum", "snapshots"): "245896070541d8d4b95ac5762fc7e2455ba51378c0124d862e01191f48ce6f33",
+    ("toy-snapshots-off-einsum", "snapshots"): "9948768692cb20b09bc3b35e438bc990541fc63c8dd3a551ff6db8c3be843f0e",
     ("toy-snapshots-text-splitmix64", "snapshots"): "90b6fee99ed84cd38098e179dc64912b34228593c7a2b937baab24d865b0f25a",
     ("toy-snapshots-image-splitmix64", "snapshots"): "4984db1f1e571362d3cbd2d20bd39e534d3ad3c5bf83164d019889453675fccc",
     ("toy-snapshots-all_tokens-splitmix64", "snapshots"): "ba97e26bbabf9022f068788ecc273560d660dca3d8d8b5d2f428fcb5c2bb1541",
@@ -282,12 +285,12 @@ GOLDEN_MATRIX = {
     ("toy-snapshots-image-einsum-splitmix64", "snapshots"): "e58f465fff29d8801c7081b7762f29c4a3cf8dd11da1d401e41b178db90da5e5",
     ("toy-snapshots-all_tokens-einsum-splitmix64", "snapshots"): "4ba008e73dfdb382646c471496b6a5662abf2110bd653584d0e6ea2001ef9130",
     ("toy-snapshots-off-einsum-splitmix64", "snapshots"): "fe70718658d5fca47f670086806dfc9d43c927f121f8d794eb8f834d6d2df128",
-    ("toy-tensors-16", "init"): "30bfbda012c27c01be94dbdeb5aa08d07fe6055b6f86b608893170fea8ee84b6",
-    ("toy-tensors-16", "prompt"): "1f75a2a406f8944b64feb44cce8cd1f40b75fa863bf60c3b092a7650aad903a3",
-    ("toy-tensors-16", "image"): "dfabea7a0c6d129a4d3d1f48eaf4310aad846d580683614ab4faffeccd843181",
-    ("toy-tensors-3", "init"): "61489968e4cb1dd35833fa25fc36fec998c1ebcf628d0b0b4fdad64e263b6d2d",
-    ("toy-tensors-3", "prompt"): "ae402f896aed1bb58a938c158e25bf31d2fb332ab3af678a980db4e7c578965c",
-    ("toy-tensors-3", "image"): "1d8013e9bf0f46043ef0becfa1b38c1fafa3ce100ccb14438858dc4bba9b673a",
+    ("toy-tensors-16", "init"): "00985a7bfcc4d3c8d14b25c9955f160dea3be598db0badf23217e6ca72a45b16",
+    ("toy-tensors-16", "prompt"): "119036d2933ba1b7945e6b4eb9c4021b963d34a8e2d60c6a497b4734b925fd56",
+    ("toy-tensors-16", "image"): "f529796e93d5dd79d1b1354f70566c60a1fcda8283d386a63c088207ed17d494",
+    ("toy-tensors-3", "init"): "92effee5a2edf9a44342fd45b1ff809ca0134a7690d2a25e30e156f9575f6d11",
+    ("toy-tensors-3", "prompt"): "ff814f9a9ac70242c193a077b88815ba3fed147bd7190233557b819621f66bb7",
+    ("toy-tensors-3", "image"): "c1edb05178b49ea9be3db40994103e4ad030a72a032d42b0f7312a798040ca56",
     ("toy-tensors-16-splitmix64", "init"): "5a0279f7e0eaa785a3b9cec73e84d2157067b719f340f28891757fea5d51e745",
     ("toy-tensors-16-splitmix64", "prompt"): "2ce1a2318b253fec272db734f7065454197fc0afc8cc352d1b0500db456f259e",
     ("toy-tensors-16-splitmix64", "image"): "3cfc2bf99caf1e0bc5a0a65e2b1f660303be8137c36771ec67560e245181d27c",

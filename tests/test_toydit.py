@@ -127,9 +127,9 @@ class TestInitWeights:
         calls = []
         original = td.normal_array
 
-        def counting(rng, shape, scale=1.0):
+        def counting(rng, shape, scale=1.0, out=None):
             calls.append(shape)
-            return original(rng, shape, scale)
+            return original(rng, shape, scale, out)
 
         monkeypatch.setattr(td, "normal_array", counting)
         td.init_weights(cfg)
